@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration/usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -37,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1,
                      help="parallel realization workers (default 1)")
     run.add_argument("--sweep", choices=harness.SWEEPS,
-                     help="override the sweep kind (uses that sweep's default grid)")
+                     help="override the sweep kind (uses the grid of the desk preset "
+                          "that runs it)")
     run.add_argument("--dump-channels", metavar="DIR",
                      help="write per-realization channel dumps into DIR")
     run.add_argument("--timing", action="store_true",
@@ -56,13 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SWEEP_DEFAULT_GRID = {
-    "vs_phimax": (60.0, 120.0, 180.0, 240.0, 306.82, 360.0),
-    "vs_bits": (1.0, 2.0, 3.0, 4.0),
-    "vs_nris": (16.0, 32.0, 64.0, 96.0, 128.0),
-}
-
-
 def _cmd_run(args) -> int:
     if args.config:
         config = harness.load_config(args.config)
@@ -73,8 +68,8 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     if args.sweep is not None and args.sweep != config.sweep:
-        grid = _SWEEP_DEFAULT_GRID.get(args.sweep, ())
-        config = replace(config, sweep=args.sweep, sweep_grid=grid)
+        config = replace(config, sweep=args.sweep,
+                         sweep_grid=harness.desk_sweep_grid(args.sweep))
     if args.timing:
         config = replace(config, record_wall_time=True)
     config.validate()
@@ -112,6 +107,8 @@ def _cmd_presets(args) -> int:
 def _cmd_replay(args) -> int:
     from .channel import load_realization
 
+    if not math.isfinite(args.snr_db):
+        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
     real = load_realization(args.channel_dump)
     h1 = harness._normalized_hop(real.h1)
     h2 = harness._normalized_hop(real.h2)

@@ -23,7 +23,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,11 @@ from .graphene import PhaseCodebook, build_codebook
 from .optimizer import OptimizerSettings
 
 SCHEMES = ("agd", "cgd", "exhaustive", "no_ris", "random")
-SWEEPS = ("none", "vs_snr", "vs_nris", "vs_phimax", "vs_bits")
+# sweep kind -> (ExperimentConfig field each grid value sets, its type);
+# "none" and "vs_snr" run the config as a single point
+SWEPT_FIELD = {"vs_nris": ("n_ris", int), "vs_phimax": ("phi_max_deg", float),
+               "vs_bits": ("bits", int)}
+SWEEPS = ("none", "vs_snr", *SWEPT_FIELD)
 
 CGD_CALIBRATION_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 CGD_CALIBRATION_REALIZATIONS = 10
@@ -105,6 +109,12 @@ class ExperimentConfig:
         return abs(channel.los_gain(channel.hop_link(self, hop)))
 
     def validate(self) -> None:
+        for key, value in _config_values(self).items():
+            kind = CONFIG_SCHEMA[key][0]
+            if kind.startswith("float") and not all(
+                    v == "auto" or math.isfinite(v)
+                    for v in (value if kind == "float_list" else (value,))):
+                raise ConfigError(f"{key} must be finite, got {_format_value(value)}")
         if not self.n_bs >= self.m_bs:
             raise ConfigError(f"n_bs >= m_bs violated ({self.n_bs} < {self.m_bs})")
         if not self.m_bs >= self.n_streams:
@@ -126,6 +136,10 @@ class ExperimentConfig:
             raise ConfigError("xi must lie in [0, 1]")
         if self.n_nlos < 0 or self.n_nlos_direct < 1:
             raise ConfigError("n_nlos must be >= 0 and n_nlos_direct >= 1")
+        lo, hi = self.nlos_excess_range_m
+        if not 0.0 <= lo <= hi:
+            raise ConfigError("0 <= nlos_excess_min_m <= nlos_excess_max_m violated "
+                              f"(min {lo}, max {hi})")
         if self.bits < 1:
             raise ConfigError("bits must be >= 1")
         if not 0.0 < self.phi_max_deg <= 360.0:
@@ -144,18 +158,22 @@ class ExperimentConfig:
                               + (f"; unknown: {sorted(unknown)}" if unknown else ""))
         if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep must be one of {SWEEPS}")
-        if self.sweep in ("vs_nris", "vs_phimax", "vs_bits") and not self.sweep_grid:
-            raise ConfigError(f"sweep '{self.sweep}' needs a non-empty sweep_grid")
-        if "exhaustive" in self.schemes:
-            worst_bits = [self.bits]
-            worst_nris = [self.n_ris]
-            if self.sweep == "vs_bits":
-                worst_bits += [int(b) for b in self.sweep_grid]
-            if self.sweep == "vs_nris":
-                worst_nris += [int(n) for n in self.sweep_grid]
-            if (2 ** max(worst_bits)) ** max(worst_nris) > optimizer.EXHAUSTIVE_LIMIT:
-                raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
-                                  f"exceeds {optimizer.EXHAUSTIVE_LIMIT}")
+        if "exhaustive" in self.schemes and \
+                (2 ** self.bits) ** self.n_ris > optimizer.EXHAUSTIVE_LIMIT:
+            raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
+                              f"exceeds {optimizer.EXHAUSTIVE_LIMIT}")
+        if self.sweep in SWEPT_FIELD:
+            name, kind = SWEPT_FIELD[self.sweep]
+            if not self.sweep_grid:
+                raise ConfigError(f"sweep '{self.sweep}' needs a non-empty sweep_grid")
+            if any(kind(v) != v for v in self.sweep_grid):
+                raise ConfigError(f"sweep '{self.sweep}' needs {kind.__name__} sweep_grid "
+                                  f"values ({name}), got {_format_value(self.sweep_grid)}")
+            for value, point in _sweep_points(self):
+                try:
+                    point.validate()
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep_grid value {value:g}: {exc}") from None
 
 
 def stream_seed(master_seed: int, realization: int, tag: str) -> int:
@@ -199,22 +217,13 @@ def _sample_referenced_hop(config: ExperimentConfig, hop: Hop, rng) -> tuple:
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
-    """Sorted (sweep_value, derived config) pairs; each derived config is
-    validated."""
-    if config.sweep in ("none", "vs_snr"):
-        points = [(0.0, config)]
-    elif config.sweep == "vs_phimax":
-        points = [(float(v), replace(config, phi_max_deg=float(v)))
-                  for v in sorted(config.sweep_grid)]
-    elif config.sweep == "vs_bits":
-        points = [(float(int(v)), replace(config, bits=int(v)))
-                  for v in sorted(config.sweep_grid)]
-    else:  # vs_nris
-        points = [(float(int(v)), replace(config, n_ris=int(v)))
-                  for v in sorted(config.sweep_grid)]
-    for _, cfg in points:
-        cfg.validate()
-    return points
+    """Sorted (sweep_value, point config) pairs; a point config holds its grid
+    value in the swept field and sweeps nothing itself."""
+    if config.sweep not in SWEPT_FIELD:
+        return [(0.0, config)]
+    name, kind = SWEPT_FIELD[config.sweep]
+    return [(float(kind(v)), replace(config, sweep="none", sweep_grid=(), **{name: kind(v)}))
+            for v in sorted(config.sweep_grid)]
 
 
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
@@ -390,7 +399,10 @@ def emit_csv(result: SweepResult, path) -> None:
 
 # --- config files ------------------------------------------------------------
 
-# key -> (value kind, documentation); defaults come from ExperimentConfig()
+# key -> (value kind, documentation): the one list of config keys. A key names
+# its ExperimentConfig or OptimizerSettings field, except the spellings in
+# _FIELD_OF and the keys _config_values derives (the nlos_excess pair and
+# fixed_step = auto, which stands for calibrate_cgd).
 CONFIG_SCHEMA = {
     "n_bs": ("int", "BS antenna count"),
     "n_ris": ("int", "RIS element count"),
@@ -429,32 +441,19 @@ CONFIG_SCHEMA = {
 }
 
 
-def _config_defaults() -> dict:
-    cfg = ExperimentConfig()
-    opt = cfg.optimizer
-    return {
-        "n_bs": cfg.n_bs, "n_ris": cfg.n_ris, "n_ms": cfg.n_ms,
-        "m_bs": cfg.m_bs, "m_ms": cfg.m_ms, "n_streams": cfg.n_streams,
-        "carrier_freq_hz": cfg.carrier_freq_Hz,
-        "bs_ris_m": cfg.bs_ris_m, "ris_ms_m": cfg.ris_ms_m, "bs_ms_m": cfg.bs_ms_m,
-        "kappa_per_m": cfg.kappa_per_m, "xi": cfg.xi,
-        "n_nlos": cfg.n_nlos, "n_nlos_direct": cfg.n_nlos_direct,
-        "nlos_excess_min_m": cfg.nlos_excess_range_m[0],
-        "nlos_excess_max_m": cfg.nlos_excess_range_m[1],
-        "ris_element_period_m": cfg.ris_element_period_m,
-        "phi_max_deg": cfg.phi_max_deg, "bits": cfg.bits,
-        "mean_amplitude": cfg.mean_amplitude,
-        "snr_grid_db": cfg.snr_grid_dB,
-        "n_realizations": cfg.n_realizations, "master_seed": cfg.master_seed,
-        "schemes": cfg.schemes, "sweep": cfg.sweep, "sweep_grid": cfg.sweep_grid,
-        "n_random_draws": cfg.n_random_draws,
-        "direct_blockage_db": cfg.direct_blockage_db,
-        "record_wall_time": cfg.record_wall_time,
-        "max_iterations": opt.max_iterations,
-        "fixed_step": "auto" if cfg.calibrate_cgd else opt.fixed_step,
-        "c2_epsilon": opt.c2_epsilon, "fallback_step": opt.fallback_step,
-        "init_phases": opt.init_phases,
-    }
+_FIELD_OF = {"carrier_freq_hz": "carrier_freq_Hz", "snr_grid_db": "snr_grid_dB"}
+_OPTIMIZER_FIELDS = frozenset(f.name for f in fields(OptimizerSettings))
+
+
+def _config_values(config: ExperimentConfig) -> dict:
+    """key -> value of config for every CONFIG_SCHEMA key, in schema order."""
+    lo, hi = config.nlos_excess_range_m
+    derived = {"nlos_excess_min_m": lo, "nlos_excess_max_m": hi,
+               "fixed_step": "auto" if config.calibrate_cgd else config.optimizer.fixed_step}
+    return {key: derived[key] if key in derived else
+            getattr(config.optimizer if key in _OPTIMIZER_FIELDS else config,
+                    _FIELD_OF.get(key, key))
+            for key in CONFIG_SCHEMA}
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -481,36 +480,18 @@ def _parse_value(kind: str, raw: str, where: str):
 
 
 def _build_config(values: dict) -> ExperimentConfig:
-    merged = _config_defaults()
-    merged.update(values)
-    fixed_step = merged["fixed_step"]
-    calibrate = fixed_step == "auto"
-    opt = OptimizerSettings(
-        max_iterations=merged["max_iterations"],
-        fixed_step=OptimizerSettings().fixed_step if calibrate else float(fixed_step),
-        c2_epsilon=merged["c2_epsilon"],
-        fallback_step=merged["fallback_step"],
-        init_phases=merged["init_phases"])
-    return ExperimentConfig(
-        n_bs=merged["n_bs"], n_ris=merged["n_ris"], n_ms=merged["n_ms"],
-        m_bs=merged["m_bs"], m_ms=merged["m_ms"], n_streams=merged["n_streams"],
-        carrier_freq_Hz=merged["carrier_freq_hz"],
-        bs_ris_m=merged["bs_ris_m"], ris_ms_m=merged["ris_ms_m"],
-        bs_ms_m=merged["bs_ms_m"],
-        kappa_per_m=merged["kappa_per_m"], xi=merged["xi"],
-        n_nlos=merged["n_nlos"], n_nlos_direct=merged["n_nlos_direct"],
-        nlos_excess_range_m=(merged["nlos_excess_min_m"], merged["nlos_excess_max_m"]),
-        ris_element_period_m=merged["ris_element_period_m"],
-        phi_max_deg=merged["phi_max_deg"], bits=merged["bits"],
-        mean_amplitude=merged["mean_amplitude"],
-        snr_grid_dB=tuple(merged["snr_grid_db"]),
-        n_realizations=merged["n_realizations"], master_seed=merged["master_seed"],
-        schemes=tuple(merged["schemes"]), sweep=merged["sweep"],
-        sweep_grid=tuple(merged["sweep_grid"]),
-        n_random_draws=merged["n_random_draws"],
-        direct_blockage_db=merged["direct_blockage_db"],
-        record_wall_time=merged["record_wall_time"],
-        calibrate_cgd=calibrate, optimizer=opt)
+    """Config from parsed key -> value pairs; absent keys keep their defaults.
+    OptimizerSettings raises ValueError for its own out-of-range fields."""
+    merged = {_FIELD_OF.get(key, key): value for key, value
+              in {**_config_values(ExperimentConfig()), **values}.items()}
+    fixed_step = merged.pop("fixed_step")
+    opt = {name: merged.pop(name) for name in _OPTIMIZER_FIELDS & merged.keys()}
+    if fixed_step != "auto":
+        opt["fixed_step"] = fixed_step
+    merged["nlos_excess_range_m"] = (merged.pop("nlos_excess_min_m"),
+                                     merged.pop("nlos_excess_max_m"))
+    return ExperimentConfig(calibrate_cgd=fixed_step == "auto",
+                            optimizer=OptimizerSettings(**opt), **merged)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -534,8 +515,11 @@ def load_config(path) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         values[key] = _parse_value(CONFIG_SCHEMA[key][0], val, f"{path}:{lineno}: {key}")
-    config = _build_config(values)
-    config.validate()
+    try:
+        config = _build_config(values)
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return config
 
 
@@ -551,40 +535,13 @@ def _format_value(value) -> str:
 
 def config_to_text(config: ExperimentConfig) -> str:
     """Render a config as a parseable key = value file."""
-    values = _config_defaults()
-    values.update({
-        "n_bs": config.n_bs, "n_ris": config.n_ris, "n_ms": config.n_ms,
-        "m_bs": config.m_bs, "m_ms": config.m_ms, "n_streams": config.n_streams,
-        "carrier_freq_hz": config.carrier_freq_Hz,
-        "bs_ris_m": config.bs_ris_m, "ris_ms_m": config.ris_ms_m,
-        "bs_ms_m": config.bs_ms_m,
-        "kappa_per_m": config.kappa_per_m, "xi": config.xi,
-        "n_nlos": config.n_nlos, "n_nlos_direct": config.n_nlos_direct,
-        "nlos_excess_min_m": config.nlos_excess_range_m[0],
-        "nlos_excess_max_m": config.nlos_excess_range_m[1],
-        "ris_element_period_m": config.ris_element_period_m,
-        "phi_max_deg": config.phi_max_deg, "bits": config.bits,
-        "mean_amplitude": config.mean_amplitude,
-        "snr_grid_db": config.snr_grid_dB,
-        "n_realizations": config.n_realizations, "master_seed": config.master_seed,
-        "schemes": config.schemes, "sweep": config.sweep,
-        "sweep_grid": config.sweep_grid,
-        "n_random_draws": config.n_random_draws,
-        "direct_blockage_db": config.direct_blockage_db,
-        "record_wall_time": config.record_wall_time,
-        "max_iterations": config.optimizer.max_iterations,
-        "fixed_step": "auto" if config.calibrate_cgd else config.optimizer.fixed_step,
-        "c2_epsilon": config.optimizer.c2_epsilon,
-        "fallback_step": config.optimizer.fallback_step,
-        "init_phases": config.optimizer.init_phases,
-    })
-    return "\n".join(f"{key} = {_format_value(values[key])}"
-                     for key in CONFIG_SCHEMA) + "\n"
+    return "".join(f"{key} = {_format_value(value)}\n"
+                   for key, value in _config_values(config).items())
 
 
 def config_reference() -> str:
     """Human-readable reference of every config key, default, and meaning."""
-    defaults = _config_defaults()
+    defaults = _config_values(ExperimentConfig())
     width = max(len(k) for k in CONFIG_SCHEMA)
     lines = ["# experiment config keys (key = default): file format is",
              "# 'key = value' per line, '#' comments, lists comma-separated"]
@@ -616,6 +573,14 @@ _FIG = {
 
 _FIG8_GRID = {"desk": (16.0, 32.0, 64.0, 96.0, 128.0),
               "paper": (64.0, 128.0, 192.0, 256.0)}
+
+
+def desk_sweep_grid(sweep: str) -> tuple:
+    """Grid of the desk preset that runs this sweep kind; () if none sweeps a grid."""
+    for fig, overrides in _FIG.items():
+        if overrides["sweep"] == sweep:
+            return preset(f"{fig}-desk").sweep_grid
+    return ()
 
 
 def preset_names() -> list:

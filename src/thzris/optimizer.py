@@ -66,6 +66,8 @@ class OptimizerSettings:
             raise ValueError("fixed_step must be > 0")
         if self.c2_epsilon <= 0:
             raise ValueError("c2_epsilon must be > 0")
+        if self.fallback_step <= 0:
+            raise ValueError("fallback_step must be > 0")
         if self.init_phases not in ("zeros", "random"):
             raise ValueError("init_phases must be 'zeros' or 'random'")
 

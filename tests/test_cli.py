@@ -5,7 +5,7 @@ import os
 import pytest
 
 from thzris.cli import cli_main
-from thzris.harness import config_to_text, preset
+from thzris.harness import config_to_text, load_config, preset, preset_names
 
 TINY_CFG = """
 n_bs = 8
@@ -49,9 +49,23 @@ class TestRun:
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("n_bs = 4\nm_bs = 6\n")
-        assert cli_main(["run", "--config", str(bad)]) == 2
-        assert "config error" in capsys.readouterr().err
+        cases = [("n_bs = 4\nm_bs = 6", "n_bs"),
+                 ("kappa_per_m = nan", "kappa_per_m"),
+                 ("bs_ris_m = inf", "bs_ris_m"),
+                 ("snr_grid_db = nan", "snr_grid_db"),
+                 ("max_iterations = 0", "max_iterations"),
+                 ("init_phases = foo", "init_phases"),
+                 ("fixed_step = -1", "fixed_step"),
+                 ("c2_epsilon = 0", "c2_epsilon"),
+                 ("fallback_step = -1", "fallback_step"),
+                 ("nlos_excess_min_m = -50", "nlos_excess_min_m"),
+                 ("nlos_excess_min_m = 20", "nlos_excess_min_m"),
+                 ("sweep = vs_bits\nsweep_grid = 2.5", "sweep_grid")]
+        for text, key in cases:
+            bad.write_text(text + "\n")
+            assert cli_main(["run", "--config", str(bad)]) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {bad}: ") and key in err, err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -69,6 +83,17 @@ class TestRun:
         sweep_values = {ln.split(",")[0] for ln in lines[1:]}
         assert sweep_values == {"1", "2", "3", "4"}
 
+    @pytest.mark.parametrize("sweep,fig", [("vs_phimax", "fig5"), ("vs_bits", "fig6"),
+                                           ("vs_nris", "fig8")])
+    def test_sweep_override_uses_desk_preset_grid(self, sweep, fig, tiny_cfg_path, tmp_path):
+        out = str(tmp_path / "out")
+        assert cli_main(["run", "--config", tiny_cfg_path, "--out", out,
+                         "--sweep", sweep]) == 0
+        with open(os.path.join(out, "tiny.csv")) as fh:
+            lines = fh.read().splitlines()
+        sweep_values = sorted({float(ln.split(",")[0]) for ln in lines[1:]})
+        assert sweep_values == sorted(preset(f"{fig}-desk").sweep_grid)
+
 
 class TestPresets:
     def test_list_names_all(self, capsys):
@@ -77,10 +102,14 @@ class TestPresets:
         assert "fig5-desk" in out and "fig7-paper" in out
         assert len(out) == 8
 
-    def test_show_round_trips(self, capsys):
-        assert cli_main(["presets", "show", "fig7-desk"]) == 0
+    @pytest.mark.parametrize("name", preset_names())
+    def test_show_round_trips(self, name, capsys, tmp_path):
+        assert cli_main(["presets", "show", name]) == 0
         out = capsys.readouterr().out
-        assert out == config_to_text(preset("fig7-desk"))
+        assert out == config_to_text(preset(name))
+        path = tmp_path / "shown.cfg"
+        path.write_text(out)
+        assert load_config(path) == preset(name)
 
     def test_show_unknown_exits_2(self, capsys):
         assert cli_main(["presets", "show", "fig12-desk"]) == 2
@@ -107,6 +136,13 @@ class TestReplay:
         out_text = capsys.readouterr().out
         assert code == 0
         assert "agd" in out_text and "random" in out_text
+
+    def test_non_finite_snr_flag_exits_2(self, capsys):
+        for raw in ("nan", "inf", "-inf"):
+            code = cli_main(["replay", "--channel-dump", "/no/such/file.txt",
+                             f"--snr-db={raw}"])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("config error: --snr-db must be finite")
 
     def test_replay_missing_file_exits_1(self, capsys):
         assert cli_main(["replay", "--channel-dump", "/no/such/file.txt"]) == 1

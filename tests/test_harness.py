@@ -1,18 +1,23 @@
 """Experiment orchestration: config parsing, sweeps, CSV, determinism."""
 
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzris import channel
-from thzris.harness import (ConfigError, ExperimentConfig, SweepResult,
-                            calibrate_fixed_step, config_reference,
+from thzris.harness import (SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
+                            SweepResult, calibrate_fixed_step, config_reference,
                             config_to_text, emit_csv, load_config, preset,
                             preset_names, run_experiment, stream_seed)
 from thzris.optimizer import OptimizerSettings
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "tiny_sweep.csv")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "tiny_sweep.csv")
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -22,6 +27,44 @@ def tiny_config(**overrides) -> ExperimentConfig:
                 optimizer=OptimizerSettings(max_iterations=10))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@st.composite
+def valid_configs(draw) -> ExperimentConfig:
+    """Configs that pass validate(), spanning every key kind; the exhaustive
+    scheme is left out so n_ris and bits range freely."""
+    pos = st.floats(1e-6, 1e6, allow_nan=False)
+    n_streams = draw(st.integers(1, 4))
+    m_bs, m_ms = draw(st.integers(n_streams, 8)), draw(st.integers(n_streams, 8))
+    lo = draw(st.floats(0.0, 50.0))
+    sweep = draw(st.sampled_from(SWEEPS))
+    grids = {"vs_nris": st.integers(1, 300).map(float), "vs_bits": st.integers(1, 6).map(float),
+             "vs_phimax": st.floats(0.5, 360.0)}
+    grid = tuple(draw(st.lists(grids.get(sweep, st.floats(-1e3, 1e3)),
+                               min_size=sweep in grids, max_size=4)))
+    fixed_step = draw(st.none() | st.floats(1e-6, 10.0))
+    opt = OptimizerSettings(max_iterations=draw(st.integers(1, 1000)),
+                            fixed_step=fixed_step or OptimizerSettings().fixed_step,
+                            c2_epsilon=draw(pos), fallback_step=draw(pos),
+                            init_phases=draw(st.sampled_from(("zeros", "random"))))
+    return ExperimentConfig(
+        n_bs=draw(st.integers(m_bs, 600)), n_ris=draw(st.integers(1, 300)),
+        n_ms=draw(st.integers(m_ms, 64)), m_bs=m_bs, m_ms=m_ms, n_streams=n_streams,
+        carrier_freq_Hz=draw(pos) * 1e6, bs_ris_m=draw(pos), ris_ms_m=draw(pos),
+        bs_ms_m=draw(pos), kappa_per_m=draw(st.floats(0.0, 10.0)),
+        xi=draw(st.floats(0.0, 1.0)), n_nlos=draw(st.integers(0, 5)),
+        n_nlos_direct=draw(st.integers(1, 5)),
+        nlos_excess_range_m=(lo, draw(st.floats(lo, 100.0))),
+        ris_element_period_m=draw(pos), phi_max_deg=draw(st.floats(0.5, 360.0)),
+        bits=draw(st.integers(1, 6)), mean_amplitude=draw(st.floats(0.5, 1.0)),
+        snr_grid_dB=tuple(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))),
+        n_realizations=draw(st.integers(1, 500)), master_seed=draw(st.integers(0, 2 ** 64 - 1)),
+        schemes=tuple(draw(st.lists(st.sampled_from([s for s in SCHEMES if s != "exhaustive"]),
+                                    min_size=1, max_size=4))),
+        sweep=sweep, sweep_grid=grid, n_random_draws=draw(st.integers(1, 20)),
+        direct_blockage_db=draw(st.floats(0.0, 60.0)),
+        record_wall_time=draw(st.booleans()), calibrate_cgd=fixed_step is None,
+        optimizer=opt)
 
 
 class TestConfigValidation:
@@ -37,10 +80,15 @@ class TestConfigValidation:
             ExperimentConfig(m_ms=2, n_streams=4).validate()
 
     def test_exhaustive_guard(self):
-        cfg = tiny_config(schemes=("exhaustive",), n_ris=64)
-        with pytest.raises(ConfigError, match="exhaustive"):
-            cfg.validate()
+        for infeasible in (dict(n_ris=64),
+                           dict(sweep="vs_nris", sweep_grid=(4.0, 64.0)),
+                           dict(sweep="vs_bits", sweep_grid=(1.0, 4.0))):
+            cfg = tiny_config(schemes=("exhaustive",), **{"n_ris": 8, **infeasible})
+            with pytest.raises(ConfigError, match="exhaustive"):
+                cfg.validate()
         tiny_config(schemes=("exhaustive",), n_ris=8).validate()
+        tiny_config(schemes=("exhaustive",), n_ris=4, sweep="vs_bits",
+                    sweep_grid=(1.0, 2.0)).validate()
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="schemes"):
@@ -76,9 +124,29 @@ class TestLoadConfig:
 
     def test_constraint_violation_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("n_bs = 4\nm_bs = 6\n")
-        with pytest.raises(ConfigError, match="n_bs >= m_bs"):
-            load_config(path)
+        cases = [
+            ("n_bs = 4\nm_bs = 6", "n_bs >= m_bs"),
+            ("kappa_per_m = nan", "kappa_per_m must be finite"),
+            ("bs_ris_m = inf", "bs_ris_m must be finite"),
+            ("snr_grid_db = 0, nan", "snr_grid_db must be finite"),
+            ("sweep = vs_phimax\nsweep_grid = 90, -inf", "sweep_grid must be finite"),
+            ("fixed_step = nan", "fixed_step must be finite"),
+            ("c2_epsilon = inf", "c2_epsilon must be finite"),
+            ("max_iterations = 0", "max_iterations must be >= 1"),
+            ("init_phases = foo", "init_phases must be"),
+            ("fixed_step = -1", "fixed_step must be > 0"),
+            ("c2_epsilon = 0", "c2_epsilon must be > 0"),
+            ("fallback_step = -1", "fallback_step must be > 0"),
+            ("nlos_excess_min_m = -50", "0 <= nlos_excess_min_m <= nlos_excess_max_m"),
+            ("nlos_excess_min_m = 20", "0 <= nlos_excess_min_m <= nlos_excess_max_m"),
+            ("sweep = vs_bits\nsweep_grid = 2.5", "needs int sweep_grid values (bits)"),
+            ("sweep = vs_nris\nsweep_grid = 8, 12.5", "needs int sweep_grid values (n_ris)"),
+            ("sweep = vs_phimax\nsweep_grid = 90, 400", "sweep_grid value 400: phi_max_deg"),
+        ]
+        for text, message in cases:
+            path.write_text(text + "\n")
+            with pytest.raises(ConfigError, match=r"bad\.cfg: .*" + re.escape(message)):
+                load_config(path)
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -114,6 +182,20 @@ class TestLoadConfig:
         for key in ("n_bs", "snr_grid_db", "fixed_step", "sweep",
                     "direct_blockage_db"):
             assert key in text
+
+    def test_config_reference_matches_golden(self):
+        with open(os.path.join(GOLDEN_DIR, "config_reference.txt"), "rb") as fh:
+            assert config_reference().encode() == fh.read()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_text_round_trip_property(self, data):
+        cfg = data.draw(valid_configs())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gen.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config_to_text(cfg))
+            assert load_config(path) == cfg
 
 
 class TestStreamSeeds:
