@@ -30,12 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .harness import ExperimentConfig
 
 
-class ArrayRole(Enum):
-    BS_UPA = "bs"
-    MS_UPA = "ms"
-    RIS_UPA = "ris"
-
-
 class Hop(Enum):
     BS_RIS = "h1"
     RIS_MS = "h2"
@@ -54,7 +48,6 @@ class ArrayGeometry:
     n_x: int
     n_y: int
     element_spacing_m: float
-    role: ArrayRole
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_y < 1:
@@ -104,13 +97,17 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Both hop matrices of one Monte-Carlo draw plus their path lists."""
+    """Both hop matrices of one Monte-Carlo draw plus their path lists, the
+    realization index and the sweep-point config text that produced them
+    (None for both when loaded from a v1 dump)."""
 
     h1: np.ndarray          # N_RIS x N_BS
     h2: np.ndarray          # N_MS x N_RIS
     paths_h1: tuple
     paths_h2: tuple
     seed: int
+    realization: int | None
+    config_text: str | None
 
 
 def upa_dims(n_elements: int) -> tuple:
@@ -224,13 +221,10 @@ def hop_arrays(config: "ExperimentConfig", hop: Hop) -> tuple:
     length of one reflecting element.
     """
     lam = SPEED_OF_LIGHT / config.carrier_freq_Hz
-    bs = ArrayGeometry(*upa_dims(config.n_bs), element_spacing_m=lam / 2,
-                       role=ArrayRole.BS_UPA)
-    ms = ArrayGeometry(*upa_dims(config.n_ms), element_spacing_m=lam / 2,
-                       role=ArrayRole.MS_UPA)
+    bs = ArrayGeometry(*upa_dims(config.n_bs), element_spacing_m=lam / 2)
+    ms = ArrayGeometry(*upa_dims(config.n_ms), element_spacing_m=lam / 2)
     ris = ArrayGeometry(*upa_dims(config.n_ris),
-                        element_spacing_m=config.ris_element_period_m,
-                        role=ArrayRole.RIS_UPA)
+                        element_spacing_m=config.ris_element_period_m)
     if hop is Hop.BS_RIS:
         return ris, bs
     if hop is Hop.RIS_MS:
@@ -268,18 +262,23 @@ def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
 
 # --- channel dump / replay -------------------------------------------------
 
+_DUMP_VERSIONS = ("# thzris channel dump v1", "# thzris channel dump v2")
+
+
 def dump_realization(real: ChannelRealization, config: "ExperimentConfig",
                      path) -> None:
-    """Write one realization as plain text: geometry header plus one row per
-    path (kind, four angles, gain re/im, delay). Enables exact replay."""
-    lam = SPEED_OF_LIGHT / config.carrier_freq_Hz
-    lines = ["# thzris channel dump v1",
+    """Write one realization as plain text (v2): realization index, geometry
+    header, the sweep-point config as `config key = value` lines, then one row
+    per path (kind, four angles, gain re/im, delay). Enables exact replay."""
+    lines = [_DUMP_VERSIONS[1],
+             f"realization {real.realization}",
              f"seed {real.seed}",
              f"carrier_freq_hz {config.carrier_freq_Hz!r}"]
     for tag, hop in (("h1", Hop.BS_RIS), ("h2", Hop.RIS_MS)):
         rx, tx = hop_arrays(config, hop)
-        lines.append(f"{tag}_rx_geom {rx.n_x} {rx.n_y} {rx.element_spacing_m!r} {rx.role.value}")
-        lines.append(f"{tag}_tx_geom {tx.n_x} {tx.n_y} {tx.element_spacing_m!r} {tx.role.value}")
+        lines.append(f"{tag}_rx_geom {rx.n_x} {rx.n_y} {rx.element_spacing_m!r}")
+        lines.append(f"{tag}_tx_geom {tx.n_x} {tx.n_y} {tx.element_spacing_m!r}")
+    lines += [f"config {line}" for line in real.config_text.splitlines()]
     for tag, paths in (("h1", real.paths_h1), ("h2", real.paths_h2)):
         lines.append(f"paths_{tag} {len(paths)}")
         for p in paths:
@@ -292,35 +291,76 @@ def dump_realization(real: ChannelRealization, config: "ExperimentConfig",
         fh.write("\n".join(lines) + "\n")
 
 
+class DumpError(ValueError):
+    """Malformed channel dump; the message names the file and line."""
+
+
+# header key -> value types; v1 geometry lines carry a trailing role token
+_DUMP_HEADER = {"realization": (int,), "seed": (int,), "carrier_freq_hz": (float,),
+                "h1_rx_geom": (int, int, float), "h1_tx_geom": (int, int, float),
+                "h2_rx_geom": (int, int, float), "h2_tx_geom": (int, int, float),
+                "paths_h1": (int,), "paths_h2": (int,)}
+
+
+def _dump_number(tok: str, cast, where: str):
+    try:
+        value = cast(tok)
+    except ValueError:
+        raise DumpError(f"{where}: expected {cast.__name__}, got '{tok}'") from None
+    if not math.isfinite(value):
+        raise DumpError(f"{where}: non-finite value '{tok}'")
+    return value
+
+
+def _path_row(path, n: int, tok: list) -> PathParams:
+    where = f"{path}:{n}"
+    if len(tok) != 8 or tok[0] not in ("LoS", "NLoS"):
+        raise DumpError(f"{where}: expected a path row (LoS or NLoS, then 7 numbers)")
+    num = [_dump_number(t, float, where) for t in tok[1:]]
+    return PathParams(PathKind(tok[0]), *num[:4], complex_gain=complex(num[4], num[5]),
+                      delay_s=num[6])
+
+
 def load_realization(path) -> ChannelRealization:
-    """Parse a channel dump and rebuild both hop matrices from the paths."""
+    """Parse a channel dump (v1 or v2) and rebuild both hop matrices from the
+    paths. v1 dumps carry no realization index or config, and a trailing array
+    role token on their geometry lines, which is ignored. A malformed dump
+    raises DumpError naming the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = {}
-    paths = {"h1": [], "h2": []}
-    i = 0
-    while i < len(rows):
-        key, *vals = rows[i].split()
-        if key.startswith("paths_"):
-            tag, count = key[len("paths_"):], int(vals[0])
-            for j in range(count):
-                tok = rows[i + 1 + j].split()
-                kind = PathKind.LOS if tok[0] == "LoS" else PathKind.NLOS
-                paths[tag].append(PathParams(
-                    kind, float(tok[1]), float(tok[2]), float(tok[3]), float(tok[4]),
-                    complex_gain=complex(float(tok[5]), float(tok[6])),
-                    delay_s=float(tok[7])))
-            i += 1 + count
-        else:
-            header[key] = vals
-            i += 1
-    lam = SPEED_OF_LIGHT / float(header["carrier_freq_hz"][0])
-    geoms = {}
-    for tag in ("h1_rx_geom", "h1_tx_geom", "h2_rx_geom", "h2_tx_geom"):
-        nx, ny, spacing, role = header[tag]
-        geoms[tag] = ArrayGeometry(int(nx), int(ny), float(spacing), ArrayRole(role))
-    h1 = reconstruct_channel(paths["h1"], geoms["h1_rx_geom"], geoms["h1_tx_geom"], lam)
-    h2 = reconstruct_channel(paths["h2"], geoms["h2_rx_geom"], geoms["h2_tx_geom"], lam)
-    return ChannelRealization(h1=h1, h2=h2, paths_h1=tuple(paths["h1"]),
-                              paths_h2=tuple(paths["h2"]),
-                              seed=int(header["seed"][0]))
+        lines = fh.read().splitlines()
+    version = lines[0].strip() if lines else ""
+    if version not in _DUMP_VERSIONS:
+        raise DumpError(f"{path}:1: expected '{_DUMP_VERSIONS[1]}' or v1, got '{version}'")
+    v1 = version == _DUMP_VERSIONS[0]
+    rows = iter([(n, ln.split()) for n, ln in enumerate(lines, start=1)
+                 if ln.strip() and not ln.lstrip().startswith("#")])
+    header, paths, config = {}, {}, []
+    for n, (key, *vals) in rows:
+        where = f"{path}:{n}"
+        if key == "config" and not v1:
+            config.append(" ".join(vals))
+            continue
+        if key not in _DUMP_HEADER or (v1 and key == "realization") or key in header:
+            raise DumpError(f"{where}: unexpected or repeated key '{key}'")
+        types = _DUMP_HEADER[key]
+        if len(vals) != len(types) + (v1 and key.endswith("_geom")):
+            raise DumpError(f"{where}: '{key}' takes {len(types)} values, got {len(vals)}")
+        values = header[key] = [_dump_number(tok, cast, where) for tok, cast in zip(vals, types)]
+        positive = key == "carrier_freq_hz" or key.endswith("_geom")
+        if min(values) < 0 or (positive and min(values) == 0):
+            raise DumpError(f"{where}: '{key}' values out of range")
+        if key.startswith("paths_"):   # past the end of file reads as an empty row
+            paths[key] = [_path_row(path, *next(rows, (len(lines) + 1, [])))
+                          for _ in range(values[0])]
+    missing = [key for key in _DUMP_HEADER if key not in header
+               and not (v1 and key == "realization")] + ([] if v1 or config else ["config"])
+    if missing:
+        raise DumpError(f"{path}:{len(lines)}: dump ends before '{missing[0]}'")
+    lam = SPEED_OF_LIGHT / header["carrier_freq_hz"][0]
+    geoms = {key: ArrayGeometry(*header[key]) for key in _DUMP_HEADER if key.endswith("_geom")}
+    h1 = reconstruct_channel(paths["paths_h1"], geoms["h1_rx_geom"], geoms["h1_tx_geom"], lam)
+    h2 = reconstruct_channel(paths["paths_h2"], geoms["h2_rx_geom"], geoms["h2_tx_geom"], lam)
+    return ChannelRealization(
+        h1=h1, h2=h2, paths_h1=tuple(paths["paths_h1"]), paths_h2=tuple(paths["paths_h2"]),
+        seed=header["seed"][0], realization=header.get("realization", [None])[0],
+        config_text="".join(f"{line}\n" for line in config) or None)

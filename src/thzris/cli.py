@@ -4,7 +4,7 @@ Subcommands:
   run               run an experiment from a config file or preset, write CSV
   presets           list the built-in figure presets (or show one as a config)
   config-reference  print every config key with its default and meaning
-  replay            rebuild a dumped channel realization and report on it
+  replay            re-derive a dumped realization's agd and random sweep rates
 
 Exit codes: 0 success, 2 configuration/usage error, 1 runtime error.
 """
@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import beamforming, harness, optimizer
+from . import harness
+from .channel import DumpError
 from .harness import ConfigError
 
 
@@ -105,37 +106,17 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from .channel import load_realization
-
     if not math.isfinite(args.snr_db):
         raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
-    real = load_realization(args.channel_dump)
-    h1 = harness._normalized_hop(real.h1)
-    h2 = harness._normalized_hop(real.h2)
-    n_ris = real.h1.shape[0]
+    real, config, rates = harness.replay_realization(args.channel_dump, args.snr_db)
     print(f"seed {real.seed}")
     print(f"h1 {real.h1.shape[0]}x{real.h1.shape[1]}  ||h1||_F = "
           f"{np.linalg.norm(real.h1):.6e}  paths = {len(real.paths_h1)}")
     print(f"h2 {real.h2.shape[0]}x{real.h2.shape[1]}  ||h2||_F = "
           f"{np.linalg.norm(real.h2):.6e}  paths = {len(real.paths_h2)}")
-
-    defaults = harness.ExperimentConfig()
-    codebook = defaults.codebook()
-    n_streams = min(defaults.n_streams, real.h2.shape[0], real.h1.shape[1])
-    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    snr = 10.0 ** (args.snr_db / 10.0)
-
-    agd = optimizer.run_agd(form, codebook, defaults.optimizer)
-    rng = np.random.default_rng(real.seed)
-    rnd = optimizer.run_random_phase(form, codebook, 1, rng)
-    for label, phases in (("agd", agd.quantized_phases_rad),
-                          ("random", rnd.quantized_phases_rad)):
-        state = beamforming.ReflectionState.from_phases(phases, codebook.mean_amplitude)
-        he = beamforming.cascaded_channel(h1, h2, state)
-        pair = beamforming.svd_beamformers(he, n_streams)
-        rate = beamforming.achievable_rate(he, pair, snr)
+    for label, rate in rates.items():
         print(f"{label:<8} rate at {args.snr_db:g} dB: {rate:.3f} bps/Hz "
-              f"({n_ris} elements, {n_streams} streams)")
+              f"({config.n_ris} elements, {config.n_streams} streams)")
     return 0
 
 
@@ -157,7 +138,7 @@ def cli_main(argv) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, DumpError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # surfaced as a runtime failure, exit 1

@@ -190,30 +190,20 @@ def stream_rng(master_seed: int, realization: int, tag: str) -> np.random.Genera
     return np.random.default_rng(stream_seed(master_seed, realization, tag))
 
 
-def _normalized_hop(h: np.ndarray) -> np.ndarray:
-    """Rescale a matrix to ||H||_F = sqrt(n_rx * n_tx); used by channel-dump
-    replay, which has no link geometry to derive a reference from."""
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
-        raise ValueError("cannot normalize an all-zero channel")
-    return h * (math.sqrt(h.shape[0] * h.shape[1]) / norm)
+def _hop_reference(config: ExperimentConfig, hop: Hop) -> float:
+    """Amplitude a raw hop is divided by: its LoS reference, or for the blocked
+    direct hop the cascade budget (product of both RIS-hop references) times the
+    excess obstruction loss, which the obstacle adds to its reflected paths."""
+    if hop is Hop.BS_MS_DIRECT:
+        return (config.los_reference(Hop.BS_RIS) * config.los_reference(Hop.RIS_MS)
+                * 10.0 ** (config.direct_blockage_db / 20.0))
+    return config.los_reference(hop)
 
 
 def _sample_referenced_hop(config: ExperimentConfig, hop: Hop, rng) -> tuple:
-    """Sample a hop and express it relative to its LoS reference amplitude.
-
-    The direct (blocked) hop is referenced to the cascade budget, the product
-    of both RIS-hop references, and additionally attenuated by the configured
-    excess obstruction loss: the obstacle that blocks the LoS is taken to
-    shadow the surviving reflected paths as well.
-    """
+    """Sample a hop; returns (referenced matrix, raw matrix, path list)."""
     h_raw, paths = channel.sample_channel(config, hop, rng)
-    if hop is Hop.BS_MS_DIRECT:
-        ref = (config.los_reference(Hop.BS_RIS) * config.los_reference(Hop.RIS_MS)
-               * 10.0 ** (config.direct_blockage_db / 20.0))
-    else:
-        ref = config.los_reference(hop)
-    return h_raw / ref, h_raw, paths
+    return h_raw / _hop_reference(config, hop), h_raw, paths
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
@@ -257,6 +247,24 @@ def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
     raise ValueError(f"unknown optimization scheme '{scheme}'")
 
 
+def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
+               fixed_step: float, r: int) -> dict:
+    """Scheme -> (rates over cfg.snr_grid_dB, iterations, wall ms) of the RIS
+    schemes on realization r's referenced hops at one sweep point. The sweep
+    and channel-dump replay both run this."""
+    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
+    codebook = cfg.codebook()
+    out = {}
+    for scheme in schemes:
+        t0 = time.perf_counter()
+        phases, n_iters = _optimize_phases(scheme, form, cfg, codebook, fixed_step, r)
+        state = beamforming.ReflectionState.from_phases(phases, codebook.mean_amplitude)
+        he = beamforming.cascaded_channel(h1, h2, state)
+        wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.record_wall_time else 0.0
+        out[scheme] = (_rates_for_channel(he, cfg), n_iters, wall_ms)
+    return out
+
+
 def _run_realization(r: int, config: ExperimentConfig, points: list,
                      fixed_steps: dict, dump_dir) -> tuple:
     """Rates/iterations/wall-time arrays for one channel realization.
@@ -270,11 +278,11 @@ def _run_realization(r: int, config: ExperimentConfig, points: list,
     iters = np.zeros((len(points), len(schemes)))
     wall = np.zeros((len(points), len(schemes)))
 
-    direct_rates = None
+    direct = None
     if "no_ris" in schemes:
         hd, _, _ = _sample_referenced_hop(config, Hop.BS_MS_DIRECT,
                                           stream_rng(config.master_seed, r, "direct"))
-        direct_rates = _rates_for_channel(hd, config)
+        direct = (_rates_for_channel(hd, config), 0, 0.0)
 
     for k, (value, cfg) in enumerate(points):
         h1, h1_raw, paths_h1 = _sample_referenced_hop(
@@ -284,25 +292,33 @@ def _run_realization(r: int, config: ExperimentConfig, points: list,
         if dump_dir is not None:
             real = channel.ChannelRealization(
                 h1=h1_raw, h2=h2_raw, paths_h1=paths_h1, paths_h2=paths_h2,
-                seed=stream_seed(cfg.master_seed, r, "h1"))
-            suffix = f"_nris{cfg.n_ris}" if config.sweep == "vs_nris" else ""
+                seed=stream_seed(cfg.master_seed, r, "h1"), realization=r,
+                config_text=config_to_text(cfg))
+            name = SWEPT_FIELD.get(config.sweep, ("",))[0]   # suffix: swept field's value
+            suffix = f"_{name}{getattr(cfg, name)}" if name else ""
             channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-        codebook = cfg.codebook()
+        point = _run_point(h1, h2, cfg, [s for s in schemes if s != "no_ris"],
+                           fixed_steps.get(k, cfg.optimizer.fixed_step), r)
         for s, scheme in enumerate(schemes):
-            if scheme == "no_ris":
-                rates[k, s] = direct_rates
-                continue
-            t0 = time.perf_counter()
-            phases, n_iters = _optimize_phases(scheme, form, cfg, codebook,
-                                               fixed_steps.get(k, cfg.optimizer.fixed_step), r)
-            state = beamforming.ReflectionState.from_phases(phases, codebook.mean_amplitude)
-            he = beamforming.cascaded_channel(h1, h2, state)
-            if config.record_wall_time:
-                wall[k, s] = (time.perf_counter() - t0) * 1e3
-            rates[k, s] = _rates_for_channel(he, cfg)
-            iters[k, s] = n_iters
+            rates[k, s], iters[k, s], wall[k, s] = point.get(scheme, direct)
     return rates, iters, wall
+
+
+def replay_realization(path, snr_db: float) -> tuple:
+    """The agd and random rates at snr_db of one dumped realization, re-derived
+    by the sweep's own per-point code under the dumped point config. Returns
+    (realization, point config, {scheme: rate}); a v1 dump raises ConfigError."""
+    real = channel.load_realization(path)
+    if real.config_text is None:
+        raise ConfigError(f"{path}: a v1 dump has no config to replay")
+    cfg = replace(parse_config(real.config_text.splitlines(), f"{path}: config"),
+                  snr_grid_dB=(snr_db,))
+    if real.h1.shape != (cfg.n_ris, cfg.n_bs) or real.h2.shape != (cfg.n_ms, cfg.n_ris):
+        raise ConfigError(f"{path}: config array sizes disagree with the dumped geometry")
+    point = _run_point(real.h1 / _hop_reference(cfg, Hop.BS_RIS),
+                       real.h2 / _hop_reference(cfg, Hop.RIS_MS), cfg,
+                       ("agd", "random"), cfg.optimizer.fixed_step, real.realization)
+    return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
 def calibrate_fixed_step(config: ExperimentConfig,
@@ -374,7 +390,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     return SweepResult(rows=tuple(rows))
 
 
-CSV_HEADER = "sweep_value,scheme,snr_db,mean_rate,std_rate,n_real,mean_iters,mean_wall_ms"
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _fmt(value) -> str:
@@ -502,6 +518,11 @@ def load_config(path) -> ExperimentConfig:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(raw_lines, path)
+
+
+def parse_config(raw_lines, path) -> ExperimentConfig:
+    """Config from key = value lines; errors name `path` and the line number."""
     values = {}
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()

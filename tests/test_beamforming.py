@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thzris.beamforming import (BeamformerPair, ReflectionState,
                                 achievable_rate, cascaded_channel,
@@ -131,6 +133,23 @@ class TestAchievableRate:
             rotated = np.exp(1j * c) * he
             pair_c = svd_beamformers(rotated, 2)
             assert achievable_rate(rotated, pair_c, 5.0) == pytest.approx(base, rel=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_ris=st.integers(1, 12),
+           n_ms=st.integers(1, 6), n_bs=st.integers(1, 6), n_streams=st.integers(1, 6),
+           shift=st.floats(-20.0, 20.0), snr=st.floats(1e-3, 1e3))
+    def test_ris_global_phase_shift_keeps_rates(self, seed, n_ris, n_ms, n_bs, n_streams,
+                                                shift, snr):
+        """Shifting every RIS phase by c multiplies H_e by e^{jc}: rates stay."""
+        rng = np.random.default_rng(seed)
+        h1, h2 = crandn(rng, n_ris, n_bs), crandn(rng, n_ms, n_ris)
+        phases = rng.uniform(0, 2 * math.pi, n_ris)
+        ns = min(n_streams, n_ms, n_bs)
+        rates = []
+        for phi in (phases, phases + shift):
+            he = cascaded_channel(h1, h2, ReflectionState.from_phases(phi, 0.8))
+            rates.append(achievable_rate(he, svd_beamformers(he, ns), snr))
+        assert rates[1] == pytest.approx(rates[0], rel=1e-9, abs=1e-12)
 
     def test_singular_combiner_gram_raises(self):
         rng = np.random.default_rng(12)

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from thzris.channel import (ArrayGeometry, ArrayRole, Hop, LinkGeometry,
-                            PathKind, hop_arrays, los_gain, nlos_gain,
+from thzris.channel import (ArrayGeometry, Hop, LinkGeometry, PathKind,
+                            hop_arrays, los_gain, nlos_gain,
                             reconstruct_channel, sample_channel, upa_dims,
                             upa_response)
 from thzris.graphene import SPEED_OF_LIGHT
@@ -41,19 +41,19 @@ def loop_upa(geom, az, el, lam):
 
 class TestUpaResponse:
     def test_broadside_all_equal(self):
-        geom = ArrayGeometry(4, 4, WAVELENGTH / 2, ArrayRole.BS_UPA)
+        geom = ArrayGeometry(4, 4, WAVELENGTH / 2)
         a = upa_response(geom, math.pi / 2, math.pi / 2, WAVELENGTH)
         np.testing.assert_allclose(a, np.full(16, 0.25 + 0j), atol=1e-12)
 
     def test_zero_elevation_depends_only_on_q(self):
-        geom = ArrayGeometry(3, 4, WAVELENGTH / 2, ArrayRole.MS_UPA)
+        geom = ArrayGeometry(3, 4, WAVELENGTH / 2)
         a = upa_response(geom, 0.3, 0.0, WAVELENGTH).reshape(3, 4)
         expect_row = np.exp(1j * math.pi * np.arange(4)) / math.sqrt(12)
         for p in range(3):
             np.testing.assert_allclose(a[p], expect_row, atol=1e-12)
 
     def test_matches_loop_oracle(self):
-        geom = ArrayGeometry(4, 4, WAVELENGTH / 2, ArrayRole.BS_UPA)
+        geom = ArrayGeometry(4, 4, WAVELENGTH / 2)
         got = upa_response(geom, 0.7, 1.1, WAVELENGTH)
         np.testing.assert_allclose(got, loop_upa(geom, 0.7, 1.1, WAVELENGTH),
                                    rtol=1e-12)
@@ -62,7 +62,7 @@ class TestUpaResponse:
         rng = np.random.default_rng(3)
         for _ in range(20):
             nx, ny = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            geom = ArrayGeometry(nx, ny, 70e-6, ArrayRole.RIS_UPA)
+            geom = ArrayGeometry(nx, ny, 70e-6)
             a = upa_response(geom, rng.uniform(0, 2 * math.pi),
                              rng.uniform(0, math.pi), WAVELENGTH)
             assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
@@ -188,13 +188,12 @@ class TestSampleChannel:
     def test_ris_spacing_is_element_period(self):
         config = tiny_config()
         rx, tx = hop_arrays(config, Hop.BS_RIS)
-        assert rx.role is ArrayRole.RIS_UPA
         assert rx.element_spacing_m == config.ris_element_period_m
         assert tx.element_spacing_m == pytest.approx(WAVELENGTH / 2)
 
 
 class TestReconstructHelper:
     def test_empty_path_list_is_zero(self):
-        geom = ArrayGeometry(2, 2, 70e-6, ArrayRole.RIS_UPA)
+        geom = ArrayGeometry(2, 2, 70e-6)
         h = reconstruct_channel((), geom, geom, WAVELENGTH)
         assert not h.any()

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import os
+import re
 
+import numpy as np
 import pytest
 
 from thzris.cli import cli_main
-from thzris.harness import config_to_text, load_config, preset, preset_names
+from thzris.harness import (ExperimentConfig, config_to_text, load_config, preset,
+                            preset_names, replay_realization, run_experiment)
+from thzris.optimizer import OptimizerSettings
 
 TINY_CFG = """
 n_bs = 8
@@ -143,6 +147,69 @@ class TestReplay:
                              f"--snr-db={raw}"])
             assert code == 2
             assert capsys.readouterr().err.startswith("config error: --snr-db must be finite")
+
+    def test_replay_reproduces_sweep_rows(self, tmp_path, capsys):
+        """Replaying every dump of a sweep gives back its agd and random rows."""
+        cfg = ExperimentConfig(n_bs=8, n_ris=8, n_ms=4, m_bs=4, m_ms=4, n_streams=3,
+                               n_realizations=3, snr_grid_dB=(-5.0, 10.0),
+                               schemes=("agd", "cgd", "random"), master_seed=5,
+                               sweep="vs_phimax", sweep_grid=(120.0, 306.82),
+                               optimizer=OptimizerSettings(max_iterations=10))
+        result = run_experiment(cfg, dump_dir=str(tmp_path))
+        checked = 0
+        for row in result.rows:
+            if row.scheme == "cgd":
+                continue
+            names = [f"real{r:05d}_phi_max_deg{row.sweep_value!r}.txt" for r in range(3)]
+            rates = [replay_realization(tmp_path / name, row.snr_db)[2][row.scheme]
+                     for name in names]
+            assert np.mean(rates) == row.mean_rate and np.std(rates) == row.std_rate, row
+            checked += 1
+        assert checked == 2 * 2 * 2
+
+        dump = tmp_path / "real00001_phi_max_deg306.82.txt"
+        assert cli_main(["replay", "--channel-dump", str(dump), "--snr-db", "-5"]) == 0
+        printed = re.search(r"^agd\s+rate at -5 dB: (\S+) bps/Hz \(8 elements, 3 streams\)$",
+                            capsys.readouterr().out, re.MULTILINE)
+        assert printed.group(1) == f"{replay_realization(dump, -5.0)[2]['agd']:.3f}"
+
+    @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
+                                      "inf_path", "token_count", "config_size", "v1"])
+    def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
+        dumps = tmp_path / "dumps"
+        assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
+                         "--dump-channels", str(dumps)]) == 0
+        lines = (dumps / "real00000.txt").read_text().splitlines()
+        at = {ln.split()[0]: n for n, ln in enumerate(lines)}   # key -> index
+        bad, line = list(lines), None
+        if case == "truncated":
+            bad, line = lines[:5], 5
+        elif case == "path_count":    # paths_h2's header becomes the extra h1 row
+            bad[at["paths_h1"]] = "paths_h1 4"
+            line = at["paths_h2"] + 1
+        elif case == "version":
+            bad[0], line = "# thzris channel dump v7", 1
+        elif case == "nan_header":
+            bad, line = lines[:3] + ["carrier_freq_hz nan"], 4
+        elif case == "inf_path":
+            row, tok = at["paths_h2"] + 1, lines[at["paths_h2"] + 1].split()
+            bad[row] = " ".join(tok[:3] + ["inf"] + tok[4:])
+            line = row + 1
+        elif case == "token_count":
+            bad[at["h2_tx_geom"]] += " 7"
+            line = at["h2_tx_geom"] + 1
+        elif case == "config_size":
+            bad[bad.index("config n_ris = 8")] = "config n_ris = 16"
+        else:  # a v1 dump: no realization or config, a role token on geometry lines
+            bad = ["# thzris channel dump v1"] + [
+                ln + " ris" if "_geom" in ln else ln for ln in lines[1:]
+                if not ln.startswith(("realization", "config"))]
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(bad) + "\n")
+        capsys.readouterr()
+        assert cli_main(["replay", "--channel-dump", str(path)]) == 2
+        where = f"{path}:{line}" if line else f"{path}"
+        assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
     def test_replay_missing_file_exits_1(self, capsys):
         assert cli_main(["replay", "--channel-dump", "/no/such/file.txt"]) == 1

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from thzris import channel
 from thzris.harness import (SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             SweepResult, calibrate_fixed_step, config_reference,
-                            config_to_text, emit_csv, load_config, preset,
-                            preset_names, run_experiment, stream_seed)
+                            config_to_text, emit_csv, load_config, parse_config,
+                            preset, preset_names, run_experiment, stream_seed)
 from thzris.optimizer import OptimizerSettings
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -325,6 +325,33 @@ class TestChannelDumps:
         h1, _ = channel.sample_channel(cfg, channel.Hop.BS_RIS,
                                        stream_rng(cfg.master_seed, 0, "h1"))
         np.testing.assert_allclose(real.h1, h1, rtol=1e-12)
+        assert real.realization == 0
+        assert parse_config(real.config_text.splitlines(), "dump") == cfg
+
+    def test_one_dump_per_sweep_point(self, tmp_path):
+        cfg = tiny_config(n_realizations=2, sweep="vs_phimax", sweep_grid=(120.0, 306.82))
+        run_experiment(cfg, dump_dir=str(tmp_path))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == cfg.n_realizations * len(cfg.sweep_grid)
+        assert "real00001_phi_max_deg306.82.txt" in names
+        real = channel.load_realization(tmp_path / "real00001_phi_max_deg120.0.txt")
+        assert parse_config(real.config_text.splitlines(), "dump").phi_max_deg == 120.0
+
+    def test_v1_dump_loads(self, tmp_path):
+        """v1 dumps (no realization index or config, role token on geometry
+        lines) still rebuild the same matrices."""
+        cfg = tiny_config(n_realizations=1)
+        run_experiment(cfg, dump_dir=str(tmp_path))
+        v2 = (tmp_path / "real00000.txt").read_text().splitlines()
+        v1 = ["# thzris channel dump v1"] + [
+            ln + " bs" if "_geom" in ln else ln for ln in v2[1:]
+            if not ln.startswith(("realization", "config"))]
+        (tmp_path / "v1.txt").write_text("\n".join(v1) + "\n")
+        old = channel.load_realization(tmp_path / "v1.txt")
+        new = channel.load_realization(tmp_path / "real00000.txt")
+        assert old.realization is None and old.config_text is None
+        np.testing.assert_array_equal(old.h1, new.h1)
+        np.testing.assert_array_equal(old.h2, new.h2)
 
 
 class TestPresets:
