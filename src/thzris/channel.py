@@ -324,8 +324,9 @@ def _path_row(path, n: int, tok: list) -> PathParams:
 def load_realization(path) -> ChannelRealization:
     """Parse a channel dump (v1 or v2) and rebuild both hop matrices from the
     paths. v1 dumps carry no realization index or config, and a trailing array
-    role token on their geometry lines, which is ignored. A malformed dump
-    raises DumpError naming the file and line."""
+    role token on their geometry lines, which is ignored. A malformed dump, or
+    a hop that rebuilds to an all-zero matrix, raises DumpError naming the
+    file and line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     version = lines[0].strip() if lines else ""
@@ -334,7 +335,7 @@ def load_realization(path) -> ChannelRealization:
     v1 = version == _DUMP_VERSIONS[0]
     rows = iter([(n, ln.split()) for n, ln in enumerate(lines, start=1)
                  if ln.strip() and not ln.lstrip().startswith("#")])
-    header, paths, config = {}, {}, []
+    header, paths, config, at = {}, {}, [], {}
     for n, (key, *vals) in rows:
         where = f"{path}:{n}"
         if key == "config" and not v1:
@@ -350,6 +351,7 @@ def load_realization(path) -> ChannelRealization:
         if min(values) < 0 or (positive and min(values) == 0):
             raise DumpError(f"{where}: '{key}' values out of range")
         if key.startswith("paths_"):   # past the end of file reads as an empty row
+            at[key] = where
             paths[key] = [_path_row(path, *next(rows, (len(lines) + 1, [])))
                           for _ in range(values[0])]
     missing = [key for key in _DUMP_HEADER if key not in header
@@ -360,6 +362,9 @@ def load_realization(path) -> ChannelRealization:
     geoms = {key: ArrayGeometry(*header[key]) for key in _DUMP_HEADER if key.endswith("_geom")}
     h1 = reconstruct_channel(paths["paths_h1"], geoms["h1_rx_geom"], geoms["h1_tx_geom"], lam)
     h2 = reconstruct_channel(paths["paths_h2"], geoms["h2_rx_geom"], geoms["h2_tx_geom"], lam)
+    for key, h in (("paths_h1", h1), ("paths_h2", h2)):
+        if not np.any(h):
+            raise DumpError(f"{at[key]}: '{key}' rebuilds an all-zero channel")
     return ChannelRealization(
         h1=h1, h2=h2, paths_h1=tuple(paths["paths_h1"]), paths_h2=tuple(paths["paths_h2"]),
         seed=header["seed"][0], realization=header.get("realization", [None])[0],

@@ -60,6 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     if args.config:
         config = harness.load_config(args.config)
         stem = os.path.splitext(os.path.basename(args.config))[0]
@@ -80,7 +82,7 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, stem + ".csv")
 
-    result = harness.run_experiment(config, workers=max(1, args.workers),
+    result = harness.run_experiment(config, workers=args.workers,
                                     dump_dir=args.dump_channels)
     harness.emit_csv(result, out_path)
 

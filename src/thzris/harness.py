@@ -93,7 +93,6 @@ class ExperimentConfig:
     schemes: tuple = ("agd", "cgd", "no_ris", "random")
     sweep: str = "none"
     sweep_grid: tuple = ()
-    n_random_draws: int = 1
     direct_blockage_db: float = 20.0
     record_wall_time: bool = False
     calibrate_cgd: bool = True
@@ -148,16 +147,21 @@ class ExperimentConfig:
             raise ConfigError("mean_amplitude must lie in [0.5, 1]")
         if not self.snr_grid_dB:
             raise ConfigError("snr_grid_dB must not be empty")
-        if self.n_random_draws < 1:
-            raise ConfigError("n_random_draws must be >= 1")
         if self.direct_blockage_db < 0:
             raise ConfigError("direct_blockage_db must be >= 0")
+        for hop in Hop:
+            ref = _hop_reference(self, hop)
+            if not 0.0 < ref < math.inf:
+                raise ConfigError(f"the {hop.value} hop's LoS reference is {ref:g}, not "
+                                  "positive and finite; lower kappa_per_m or the distances")
         unknown = set(self.schemes) - set(SCHEMES)
         if not self.schemes or unknown:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}"
                               + (f"; unknown: {sorted(unknown)}" if unknown else ""))
         if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep must be one of {SWEEPS}")
+        if len(set(self.sweep_grid)) != len(self.sweep_grid):
+            raise ConfigError(f"sweep_grid repeats a value: {_format_value(self.sweep_grid)}")
         if "exhaustive" in self.schemes and \
                 (2 ** self.bits) ** self.n_ris > optimizer.EXHAUSTIVE_LIMIT:
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
@@ -223,24 +227,15 @@ def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
 
 
 def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
-                     codebook: PhaseCodebook, fixed_step: float, r: int):
+                     codebook: PhaseCodebook, r: int):
     """Quantized phase vector plus the iteration count for one scheme."""
-    settings = cfg.optimizer
-    if scheme == "agd":
-        rng = stream_rng(cfg.master_seed, r, "agd-init") \
-            if settings.init_phases == "random" else None
-        trace = optimizer.run_agd(form, codebook, settings, rng=rng)
-        return trace.quantized_phases_rad, settings.max_iterations
-    if scheme == "cgd":
-        rng = stream_rng(cfg.master_seed, r, "cgd-init") \
-            if settings.init_phases == "random" else None
-        cgd_settings = replace(settings, fixed_step=fixed_step)
-        trace = optimizer.run_cgd(form, codebook, cgd_settings, rng=rng)
-        return trace.quantized_phases_rad, settings.max_iterations
+    if scheme in ("agd", "cgd"):
+        run = optimizer.run_agd if scheme == "agd" else optimizer.run_cgd
+        trace = run(form, codebook, cfg.optimizer)
+        return trace.quantized_phases_rad, cfg.optimizer.max_iterations
     if scheme == "random":
         rng = stream_rng(cfg.master_seed, r, "random")
-        trace = optimizer.run_random_phase(form, codebook, cfg.n_random_draws, rng)
-        return trace.quantized_phases_rad, cfg.n_random_draws
+        return optimizer.run_random_phase(form, codebook, rng).quantized_phases_rad, 1
     if scheme == "exhaustive":
         phases, _ = optimizer.run_exhaustive(form, codebook)
         return phases, codebook.size ** form.n_ris
@@ -248,7 +243,7 @@ def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
 
 
 def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
-               fixed_step: float, r: int) -> dict:
+               r: int) -> dict:
     """Scheme -> (rates over cfg.snr_grid_dB, iterations, wall ms) of the RIS
     schemes on realization r's referenced hops at one sweep point. The sweep
     and channel-dump replay both run this."""
@@ -257,7 +252,7 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
     out = {}
     for scheme in schemes:
         t0 = time.perf_counter()
-        phases, n_iters = _optimize_phases(scheme, form, cfg, codebook, fixed_step, r)
+        phases, n_iters = _optimize_phases(scheme, form, cfg, codebook, r)
         state = beamforming.ReflectionState.from_phases(phases, codebook.mean_amplitude)
         he = beamforming.cascaded_channel(h1, h2, state)
         wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.record_wall_time else 0.0
@@ -265,8 +260,7 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
     return out
 
 
-def _run_realization(r: int, config: ExperimentConfig, points: list,
-                     fixed_steps: dict, dump_dir) -> tuple:
+def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -> tuple:
     """Rates/iterations/wall-time arrays for one channel realization.
 
     Shapes: rates (n_points, n_schemes, n_snr); iters and wall (n_points,
@@ -297,8 +291,7 @@ def _run_realization(r: int, config: ExperimentConfig, points: list,
             name = SWEPT_FIELD.get(config.sweep, ("",))[0]   # suffix: swept field's value
             suffix = f"_{name}{getattr(cfg, name)}" if name else ""
             channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        point = _run_point(h1, h2, cfg, [s for s in schemes if s != "no_ris"],
-                           fixed_steps.get(k, cfg.optimizer.fixed_step), r)
+        point = _run_point(h1, h2, cfg, [s for s in schemes if s != "no_ris"], r)
         for s, scheme in enumerate(schemes):
             rates[k, s], iters[k, s], wall[k, s] = point.get(scheme, direct)
     return rates, iters, wall
@@ -317,7 +310,7 @@ def replay_realization(path, snr_db: float) -> tuple:
         raise ConfigError(f"{path}: config array sizes disagree with the dumped geometry")
     point = _run_point(real.h1 / _hop_reference(cfg, Hop.BS_RIS),
                        real.h2 / _hop_reference(cfg, Hop.RIS_MS), cfg,
-                       ("agd", "random"), cfg.optimizer.fixed_step, real.realization)
+                       ("agd", "random"), real.realization)
     return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
@@ -347,29 +340,27 @@ def calibrate_fixed_step(config: ExperimentConfig,
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
                    dump_dir=None) -> SweepResult:
-    """Run the configured Monte-Carlo sweep; deterministic for any worker count."""
+    """Run the configured Monte-Carlo sweep; deterministic for any worker count.
+    With cgd calibrated, each point config carries the C-GD step it runs."""
     config.validate()
     points = _sweep_points(config)
     schemes = sorted(config.schemes)
-
-    fixed_steps = {}
-    if "cgd" in schemes:
-        for k, (_, cfg) in enumerate(points):
-            fixed_steps[k] = (calibrate_fixed_step(cfg) if config.calibrate_cgd
-                              else config.optimizer.fixed_step)
+    if "cgd" in schemes and config.calibrate_cgd:
+        points = [(value, replace(cfg, calibrate_cgd=False, optimizer=replace(
+                      cfg.optimizer, fixed_step=calibrate_fixed_step(cfg))))
+                  for value, cfg in points]
 
     n_real = config.n_realizations
     results = [None] * n_real
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_realization, r, config, points,
-                                   fixed_steps, dump_dir): r
+            futures = {pool.submit(_run_realization, r, config, points, dump_dir): r
                        for r in range(n_real)}
             for fut, r in futures.items():
                 results[r] = fut.result()
     else:
         for r in range(n_real):
-            results[r] = _run_realization(r, config, points, fixed_steps, dump_dir)
+            results[r] = _run_realization(r, config, points, dump_dir)
 
     rates = np.stack([res[0] for res in results])   # (R, K, S, Q)
     iters = np.stack([res[1] for res in results])
@@ -446,14 +437,10 @@ CONFIG_SCHEMA = {
     "schemes": ("str_list", f"subset of {'/'.join(SCHEMES)}"),
     "sweep": ("str", f"one of {'/'.join(SWEEPS)}"),
     "sweep_grid": ("float_list", "swept parameter values (unused for none/vs_snr)"),
-    "n_random_draws": ("int", "draws for the random-phase scheme"),
     "direct_blockage_db": ("float", "excess obstruction loss of the blocked direct link (dB)"),
     "record_wall_time": ("bool", "capture wall-clock column (breaks byte determinism)"),
     "max_iterations": ("int", "gradient-descent iteration budget"),
     "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates per experiment"),
-    "c2_epsilon": ("float", "degenerate-curvature guard (relative to |C0|)"),
-    "fallback_step": ("float", "step used when the quadratic model degenerates"),
-    "init_phases": ("str", "gradient-descent start: zeros or random"),
 }
 
 

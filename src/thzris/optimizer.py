@@ -40,36 +40,34 @@ class QuadraticForm:
         Gradient descent trajectories with the adaptive step are invariant
         under positive rescaling, but the constant-step baseline and the
         curvature guard are calibrated for order-one matrices, so harness
-        optimization always runs on the normalized form.
+        optimization always runs on the normalized form. A zero or non-finite
+        trace (a zero or NaN channel) raises ValueError.
         """
         tr = float(np.real(np.trace(self.matrix)))
-        if tr <= 0.0:
-            return self, 1.0
+        if not 0.0 < tr < math.inf:
+            raise ValueError(f"quadratic form trace must be positive and finite, got {tr!r}")
         scale = self.n_ris / tr
         return self.scaled(scale), scale
 
 
+# adaptive-step constants: curvature guard relative to |C0|, and the step used
+# when the quadratic model degenerates
+C2_EPSILON = 1e-12
+FALLBACK_STEP = 1e-2
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Iteration budget and step-size knobs shared by A-GD and C-GD."""
+    """Iteration budget shared by A-GD and C-GD, and the C-GD step size."""
 
     max_iterations: int = 100
     fixed_step: float = 1e-2      # C-GD step size
-    c2_epsilon: float = 1e-12     # curvature guard, relative to |C0|
-    fallback_step: float = 1e-2   # used when the quadratic model degenerates
-    init_phases: str = "zeros"    # "zeros" or "random"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.fixed_step <= 0:
             raise ValueError("fixed_step must be > 0")
-        if self.c2_epsilon <= 0:
-            raise ValueError("c2_epsilon must be > 0")
-        if self.fallback_step <= 0:
-            raise ValueError("fallback_step must be > 0")
-        if self.init_phases not in ("zeros", "random"):
-            raise ValueError("init_phases must be 'zeros' or 'random'")
 
 
 @dataclass
@@ -153,35 +151,27 @@ def quadratic_model_coeffs(form: QuadraticForm, phases: np.ndarray,
 
 
 def adaptive_step(form: QuadraticForm, phases: np.ndarray, grad: np.ndarray,
-                  mean_amplitude: float, settings: OptimizerSettings) -> float:
+                  mean_amplitude: float) -> float:
     """Step size from the second-order model of f along -grad.
 
     Vertex -C1/(2 C2) for convex curvature, |C1|/|C2| for concave curvature,
-    and the configured fallback when |C2| degenerates (threshold scaled by
+    and FALLBACK_STEP when |C2| degenerates (threshold C2_EPSILON scaled by
     the current objective magnitude).
     """
     c0, c1, c2 = quadratic_model_coeffs(form, phases, grad, mean_amplitude)
-    guard = settings.c2_epsilon * abs(c0)
+    guard = C2_EPSILON * abs(c0)
     if c2 > guard:
         return -c1 / (2.0 * c2)
     if c2 < -guard:
         return abs(c1) / abs(c2)
-    return settings.fallback_step
-
-
-def _init_phases(n: int, settings: OptimizerSettings, rng) -> np.ndarray:
-    if settings.init_phases == "random":
-        if rng is None:
-            raise ValueError("random initialization needs an RNG stream")
-        return rng.uniform(0.0, TWO_PI, size=n)
-    return np.zeros(n)
+    return FALLBACK_STEP
 
 
 def _descend(form: QuadraticForm, codebook: PhaseCodebook,
-             settings: OptimizerSettings, step_rule, rng) -> GdTrace:
-    """Common gradient-descent loop with best-iterate tracking."""
+             settings: OptimizerSettings, step_rule) -> GdTrace:
+    """Common gradient-descent loop from zero phases with best-iterate tracking."""
     mu = codebook.mean_amplitude
-    phases = _init_phases(form.n_ris, settings, rng)
+    phases = np.zeros(form.n_ris)
     trace_obj = -objective(form, phases, mu)
     best_obj = trace_obj
     best_phases = phases.copy()
@@ -205,43 +195,28 @@ def _descend(form: QuadraticForm, codebook: PhaseCodebook,
 
 
 def run_agd(form: QuadraticForm, codebook: PhaseCodebook,
-            settings: OptimizerSettings, rng=None) -> GdTrace:
+            settings: OptimizerSettings) -> GdTrace:
     """Adaptive-step gradient descent (A-GD) with terminal codebook quantization."""
     def rule(phases, grad):
-        return adaptive_step(form, phases, grad, codebook.mean_amplitude, settings)
-    return _descend(form, codebook, settings, rule, rng)
+        return adaptive_step(form, phases, grad, codebook.mean_amplitude)
+    return _descend(form, codebook, settings, rule)
 
 
 def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
-            settings: OptimizerSettings, rng=None) -> GdTrace:
+            settings: OptimizerSettings) -> GdTrace:
     """Constant-step gradient descent (C-GD) baseline."""
     def rule(phases, grad):
         return settings.fixed_step
-    return _descend(form, codebook, settings, rule, rng)
+    return _descend(form, codebook, settings, rule)
 
 
-def run_random_phase(form: QuadraticForm, codebook: PhaseCodebook,
-                     n_draws: int, rng) -> GdTrace:
-    """Uniform random codebook phases; best of n_draws (default draw count 1
-    models a non-optimizing surface)."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    mu = codebook.mean_amplitude
-    grid = codebook.phases_array()
-    rows = []
-    best_obj = -math.inf
-    best_phases = None
-    for k in range(n_draws):
-        phases = grid[rng.integers(0, codebook.size, size=form.n_ris)]
-        trace_obj = -objective(form, phases, mu)
-        rows.append((k, trace_obj, 0.0, 0.0))
-        if trace_obj > best_obj:
-            best_obj = trace_obj
-            best_phases = phases
-    return GdTrace(iterations=rows, best_phases_rad=best_phases,
-                   best_objective=best_obj,
-                   quantized_phases_rad=best_phases,
-                   quantized_objective=best_obj)
+def run_random_phase(form: QuadraticForm, codebook: PhaseCodebook, rng) -> GdTrace:
+    """One uniform draw of codebook phases: a non-optimizing surface."""
+    phases = codebook.phases_array()[rng.integers(0, codebook.size, size=form.n_ris)]
+    trace_obj = -objective(form, phases, codebook.mean_amplitude)
+    return GdTrace(iterations=[(0, trace_obj, 0.0, 0.0)], best_phases_rad=phases,
+                   best_objective=trace_obj, quantized_phases_rad=phases,
+                   quantized_objective=trace_obj)
 
 
 EXHAUSTIVE_LIMIT = 10 ** 6

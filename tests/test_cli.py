@@ -58,18 +58,25 @@ class TestRun:
                  ("bs_ris_m = inf", "bs_ris_m"),
                  ("snr_grid_db = nan", "snr_grid_db"),
                  ("max_iterations = 0", "max_iterations"),
-                 ("init_phases = foo", "init_phases"),
                  ("fixed_step = -1", "fixed_step"),
-                 ("c2_epsilon = 0", "c2_epsilon"),
-                 ("fallback_step = -1", "fallback_step"),
                  ("nlos_excess_min_m = -50", "nlos_excess_min_m"),
                  ("nlos_excess_min_m = 20", "nlos_excess_min_m"),
-                 ("sweep = vs_bits\nsweep_grid = 2.5", "sweep_grid")]
+                 ("sweep = vs_bits\nsweep_grid = 2.5", "sweep_grid"),
+                 ("sweep = vs_phimax\nsweep_grid = 120, 120", "sweep_grid"),
+                 ("kappa_per_m = 100", "kappa_per_m")]
         for text, key in cases:
             bad.write_text(text + "\n")
             assert cli_main(["run", "--config", str(bad)]) == 2, text
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {bad}: ") and key in err, err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, workers, tiny_cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(out),
+                         "--workers", workers]) == 2
+        assert capsys.readouterr().err == "config error: --workers must be >= 1\n"
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -174,7 +181,8 @@ class TestReplay:
         assert printed.group(1) == f"{replay_realization(dump, -5.0)[2]['agd']:.3f}"
 
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
-                                      "inf_path", "token_count", "config_size", "v1"])
+                                      "inf_path", "token_count", "config_size", "v1",
+                                      "zero_hop", "removed_key"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
@@ -200,6 +208,11 @@ class TestReplay:
             line = at["h2_tx_geom"] + 1
         elif case == "config_size":
             bad[bad.index("config n_ris = 8")] = "config n_ris = 16"
+        elif case == "zero_hop":      # h1 without its path rows rebuilds to zero
+            bad = lines[:at["paths_h1"]] + ["paths_h1 0"] + lines[at["paths_h2"]:]
+            line = at["paths_h1"] + 1
+        elif case == "removed_key":   # a knob of earlier versions is an unknown key
+            bad.insert(bad.index("config max_iterations = 10"), "config init_phases = zeros")
         else:  # a v1 dump: no realization or config, a role token on geometry lines
             bad = ["# thzris channel dump v1"] + [
                 ln + " ris" if "_geom" in ln else ln for ln in lines[1:]

@@ -3,17 +3,19 @@
 import os
 import re
 import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thzris import channel
-from thzris.harness import (SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
-                            SweepResult, calibrate_fixed_step, config_reference,
-                            config_to_text, emit_csv, load_config, parse_config,
-                            preset, preset_names, run_experiment, stream_seed)
+from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
+                            SweepResult, _hop_reference, calibrate_fixed_step,
+                            config_reference, config_to_text, emit_csv, load_config,
+                            parse_config, preset, preset_names, run_experiment,
+                            stream_seed)
 from thzris.optimizer import OptimizerSettings
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -41,13 +43,11 @@ def valid_configs(draw) -> ExperimentConfig:
     grids = {"vs_nris": st.integers(1, 300).map(float), "vs_bits": st.integers(1, 6).map(float),
              "vs_phimax": st.floats(0.5, 360.0)}
     grid = tuple(draw(st.lists(grids.get(sweep, st.floats(-1e3, 1e3)),
-                               min_size=sweep in grids, max_size=4)))
+                               min_size=sweep in grids, max_size=4, unique=True)))
     fixed_step = draw(st.none() | st.floats(1e-6, 10.0))
     opt = OptimizerSettings(max_iterations=draw(st.integers(1, 1000)),
-                            fixed_step=fixed_step or OptimizerSettings().fixed_step,
-                            c2_epsilon=draw(pos), fallback_step=draw(pos),
-                            init_phases=draw(st.sampled_from(("zeros", "random"))))
-    return ExperimentConfig(
+                            fixed_step=fixed_step or OptimizerSettings().fixed_step)
+    config = ExperimentConfig(
         n_bs=draw(st.integers(m_bs, 600)), n_ris=draw(st.integers(1, 300)),
         n_ms=draw(st.integers(m_ms, 64)), m_bs=m_bs, m_ms=m_ms, n_streams=n_streams,
         carrier_freq_Hz=draw(pos) * 1e6, bs_ris_m=draw(pos), ris_ms_m=draw(pos),
@@ -61,10 +61,12 @@ def valid_configs(draw) -> ExperimentConfig:
         n_realizations=draw(st.integers(1, 500)), master_seed=draw(st.integers(0, 2 ** 64 - 1)),
         schemes=tuple(draw(st.lists(st.sampled_from([s for s in SCHEMES if s != "exhaustive"]),
                                     min_size=1, max_size=4))),
-        sweep=sweep, sweep_grid=grid, n_random_draws=draw(st.integers(1, 20)),
+        sweep=sweep, sweep_grid=grid,
         direct_blockage_db=draw(st.floats(0.0, 60.0)),
         record_wall_time=draw(st.booleans()), calibrate_cgd=fixed_step is None,
         optimizer=opt)
+    assume(all(0.0 < _hop_reference(config, hop) < np.inf for hop in channel.Hop))
+    return config
 
 
 class TestConfigValidation:
@@ -118,9 +120,12 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("n_bs = 16\nn_antennas = 3\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg:2.*n_antennas"):
-            load_config(path)
+        # n_antennas never existed; the others are knobs of earlier versions
+        for key in ("n_antennas", "c2_epsilon", "fallback_step", "init_phases",
+                    "n_random_draws"):
+            path.write_text(f"n_bs = 16\n{key} = 1\n")
+            with pytest.raises(ConfigError, match=rf"bad\.cfg:2: unknown key '{key}'"):
+                load_config(path)
 
     def test_constraint_violation_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -131,22 +136,30 @@ class TestLoadConfig:
             ("snr_grid_db = 0, nan", "snr_grid_db must be finite"),
             ("sweep = vs_phimax\nsweep_grid = 90, -inf", "sweep_grid must be finite"),
             ("fixed_step = nan", "fixed_step must be finite"),
-            ("c2_epsilon = inf", "c2_epsilon must be finite"),
             ("max_iterations = 0", "max_iterations must be >= 1"),
-            ("init_phases = foo", "init_phases must be"),
             ("fixed_step = -1", "fixed_step must be > 0"),
-            ("c2_epsilon = 0", "c2_epsilon must be > 0"),
-            ("fallback_step = -1", "fallback_step must be > 0"),
             ("nlos_excess_min_m = -50", "0 <= nlos_excess_min_m <= nlos_excess_max_m"),
             ("nlos_excess_min_m = 20", "0 <= nlos_excess_min_m <= nlos_excess_max_m"),
             ("sweep = vs_bits\nsweep_grid = 2.5", "needs int sweep_grid values (bits)"),
             ("sweep = vs_nris\nsweep_grid = 8, 12.5", "needs int sweep_grid values (n_ris)"),
             ("sweep = vs_phimax\nsweep_grid = 90, 400", "sweep_grid value 400: phi_max_deg"),
+            ("sweep = vs_phimax\nsweep_grid = 120, 120", "sweep_grid repeats a value"),
+            ("kappa_per_m = 100", "h2 hop's LoS reference is 0, not positive and finite; "
+                                  "lower kappa_per_m"),
         ]
         for text, message in cases:
             path.write_text(text + "\n")
             with pytest.raises(ConfigError, match=r"bad\.cfg: .*" + re.escape(message)):
                 load_config(path)
+
+    def test_schema_reaches_every_field(self):
+        """Each config key is a lower-cased ExperimentConfig or OptimizerSettings
+        field name, and each field has a key, except the derived ones."""
+        names = {f.name.lower() for cls in (ExperimentConfig, OptimizerSettings)
+                 for f in fields(cls)}
+        derived = {"optimizer", "calibrate_cgd", "nlos_excess_range_m"}
+        pair = {"nlos_excess_min_m", "nlos_excess_max_m"}
+        assert set(CONFIG_SCHEMA) - pair == names - derived
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -336,6 +349,19 @@ class TestChannelDumps:
         assert "real00001_phi_max_deg306.82.txt" in names
         real = channel.load_realization(tmp_path / "real00001_phi_max_deg120.0.txt")
         assert parse_config(real.config_text.splitlines(), "dump").phi_max_deg == 120.0
+
+    def test_dumps_record_calibrated_cgd_step(self, tmp_path):
+        cfg = tiny_config(n_realizations=2, schemes=("agd", "cgd"), sweep="vs_phimax",
+                          sweep_grid=(120.0, 306.82))
+        run_experiment(cfg, dump_dir=str(tmp_path))
+        for value in cfg.sweep_grid:
+            point = replace(cfg, sweep="none", sweep_grid=(), phi_max_deg=value)
+            step = calibrate_fixed_step(point)
+            for r in range(cfg.n_realizations):
+                real = channel.load_realization(tmp_path / f"real{r:05d}_phi_max_deg{value!r}.txt")
+                dumped = parse_config(real.config_text.splitlines(), "dump")
+                assert dumped.calibrate_cgd is False
+                assert dumped.optimizer.fixed_step == step
 
     def test_v1_dump_loads(self, tmp_path):
         """v1 dumps (no realization index or config, role token on geometry

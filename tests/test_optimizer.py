@@ -13,8 +13,8 @@ import pytest
 
 from thzris.beamforming import ReflectionState, cascaded_channel
 from thzris.graphene import build_codebook
-from thzris.optimizer import (OptimizerSettings, QuadraticForm,
-                              adaptive_step, build_quadratic_form, dump_trace,
+from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
+                              QuadraticForm, adaptive_step, build_quadratic_form, dump_trace,
                               gradient, objective, quadratic_model_coeffs,
                               quantize_phases, run_agd, run_cgd,
                               run_exhaustive, run_random_phase)
@@ -171,14 +171,12 @@ class TestGradient:
 
 
 class TestAdaptiveStep:
-    SETTINGS = OptimizerSettings()
-
     def test_stationary_point_falls_back(self):
         form = QuadraticForm(matrix=np.eye(4, dtype=complex), source_dims=(1, 1, 4))
         phases = np.zeros(4)
         grad = gradient(form, phases, MU)
-        lam = adaptive_step(form, phases, grad, MU, self.SETTINGS)
-        assert lam == self.SETTINGS.fallback_step
+        lam = adaptive_step(form, phases, grad, MU)
+        assert lam == FALLBACK_STEP
 
     def test_convex_branch_returns_vertex(self):
         rng = np.random.default_rng(13)
@@ -187,13 +185,13 @@ class TestAdaptiveStep:
             phases = rng.uniform(0, 2 * math.pi, 6)
             grad = gradient(form, phases, MU)
             c0, c1, c2 = quadratic_model_coeffs(form, phases, grad, MU)
-            lam = adaptive_step(form, phases, grad, MU, self.SETTINGS)
-            if c2 > self.SETTINGS.c2_epsilon * abs(c0):
+            lam = adaptive_step(form, phases, grad, MU)
+            if c2 > C2_EPSILON * abs(c0):
                 assert lam == pytest.approx(-c1 / (2 * c2), rel=1e-12)
                 # vertex of the model parabola minimizes it
                 model = lambda x: c0 + c1 * x + c2 * x * x
                 assert model(lam) <= min(model(0.5 * lam), model(2.0 * lam)) + 1e-12
-            elif c2 < -self.SETTINGS.c2_epsilon * abs(c0):
+            elif c2 < -C2_EPSILON * abs(c0):
                 assert lam == pytest.approx(abs(c1) / abs(c2), rel=1e-12)
 
     def test_synthetic_direction_coefficients(self):
@@ -205,8 +203,8 @@ class TestAdaptiveStep:
         phases = np.array([0.3, -0.4])
         direction = np.array([1.0, -2.0])
         c0, c1, c2 = quadratic_model_coeffs(form, phases, direction, MU)
-        lam = adaptive_step(form, phases, direction, MU, self.SETTINGS)
-        if c2 > self.SETTINGS.c2_epsilon * abs(c0):
+        lam = adaptive_step(form, phases, direction, MU)
+        if c2 > C2_EPSILON * abs(c0):
             assert lam == pytest.approx(-c1 / (2 * c2), rel=1e-12)
 
     def test_first_coefficient_is_descent_rate(self):
@@ -247,7 +245,7 @@ class TestAdaptiveStep:
             if np.linalg.norm(grad) < 1e-12:
                 good += 1
                 continue
-            lam = adaptive_step(form, phases, grad, MU, settings)
+            lam = adaptive_step(form, phases, grad, MU)
             f_star = objective(form, phases - lam * grad, MU)
             if (f_star <= objective(form, phases - 0.5 * lam * grad, MU)
                     and f_star <= objective(form, phases - 2.0 * lam * grad, MU)):
@@ -297,15 +295,6 @@ class TestRunAgd:
         form = random_form(rng)
         trace = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=50))
         assert all(p in CODEBOOK.phases_rad for p in trace.quantized_phases_rad)
-
-    def test_random_init_needs_rng(self):
-        rng = np.random.default_rng(20)
-        form = random_form(rng)
-        settings = OptimizerSettings(max_iterations=5, init_phases="random")
-        with pytest.raises(ValueError, match="RNG"):
-            run_agd(form, CODEBOOK, settings)
-        trace = run_agd(form, CODEBOOK, settings, rng=np.random.default_rng(0))
-        assert trace.best_objective > 0
 
     def test_quantized_vs_exhaustive_optimum(self):
         # N = 4, 2 bits: quantized result is near the exact discrete optimum
@@ -367,26 +356,21 @@ class TestRunCgd:
 
 
 class TestRunRandomPhase:
-    def test_draw_count_guard(self):
-        rng = np.random.default_rng(23)
-        with pytest.raises(ValueError):
-            run_random_phase(random_form(rng), CODEBOOK, 0, rng)
-
     def test_single_element_two_values(self):
         rng = np.random.default_rng(24)
         h1, h2 = crandn(rng, 1, 3), crandn(rng, 2, 1)
         form = build_quadratic_form(h1, h2)
         cb1 = build_codebook(2 * math.pi, 1, uniform_amplitude=0.8)
-        seen = {round(run_random_phase(form, cb1, 1, np.random.default_rng(s)).best_objective, 12)
+        seen = {round(run_random_phase(form, cb1, np.random.default_rng(s)).best_objective, 12)
                 for s in range(40)}
         assert len(seen) <= 2
 
     def test_phases_come_from_codebook(self):
         rng = np.random.default_rng(25)
         form = random_form(rng)
-        trace = run_random_phase(form, CODEBOOK, 3, rng)
+        trace = run_random_phase(form, CODEBOOK, rng)
         assert all(p in CODEBOOK.phases_rad for p in trace.best_phases_rad)
-        assert len(trace.iterations) == 3
+        assert len(trace.iterations) == 1
 
     def test_mean_matches_enumeration(self):
         # empirical mean over draws vs the exact mean over the full grid
@@ -401,7 +385,7 @@ class TestRunRandomPhase:
             exact.append(-objective(form, grid[combo], cb1.mean_amplitude))
         exact = np.array(exact)
         draw_rng = np.random.default_rng(99)
-        draws = np.array([run_random_phase(form, cb1, 1, draw_rng).best_objective
+        draws = np.array([run_random_phase(form, cb1, draw_rng).best_objective
                           for _ in range(1000)])
         se = exact.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - exact.mean()) <= 3 * se
@@ -508,3 +492,9 @@ class TestScaleBehavior:
         normalized, scale = form.trace_normalized()
         assert np.trace(normalized.matrix).real == pytest.approx(6.0, rel=1e-12)
         np.testing.assert_allclose(normalized.matrix, form.matrix * scale, rtol=1e-15)
+
+    @pytest.mark.parametrize("entry", [0.0, math.nan])
+    def test_trace_normalized_rejects_degenerate_trace(self, entry):
+        form = QuadraticForm(matrix=np.full((3, 3), entry, dtype=complex), source_dims=(1, 1, 3))
+        with pytest.raises(ValueError, match="positive and finite"):
+            form.trace_normalized()
