@@ -10,8 +10,8 @@ Modules:
   cli         - command-line front end
 """
 
-from .beamforming import (BeamformerPair, ReflectionState, achievable_rate,
-                          cascaded_channel, jensen_upper_bound, svd_beamformers)
+from .beamforming import (BeamformerPair, achievable_rate, cascaded_channel,
+                          jensen_upper_bound, svd_beamformers)
 from .channel import (ArrayGeometry, ChannelRealization, Hop, LinkGeometry,
                       PathParams, los_gain, nlos_gain, sample_channel,
                       upa_response)

@@ -16,22 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ReflectionState:
-    """RIS phase configuration and the induced reflection coefficients."""
-
-    phases_rad: np.ndarray
-    mean_amplitude: float
-    theta: np.ndarray
-
-    @classmethod
-    def from_phases(cls, phases_rad, mean_amplitude: float) -> "ReflectionState":
-        phases = np.asarray(phases_rad, dtype=float)
-        theta = mean_amplitude * np.exp(1j * phases)
-        return cls(phases_rad=phases, mean_amplitude=float(mean_amplitude),
-                   theta=theta)
-
-
-@dataclass(frozen=True)
 class BeamformerPair:
     """Transmit precoder F (N_BS x N_s) and receive combiner W (N_MS x N_s).
 
@@ -44,16 +28,15 @@ class BeamformerPair:
     n_streams: int
 
 
-def cascaded_channel(h1: np.ndarray, h2: np.ndarray,
-                     state: ReflectionState) -> np.ndarray:
+def cascaded_channel(h1: np.ndarray, h2: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """H_e = H2 diag(theta) H1 without forming the diagonal matrix."""
     h1 = np.asarray(h1)
     h2 = np.asarray(h2)
-    n_ris = state.theta.shape[0]
+    n_ris = theta.shape[0]
     if h1.shape[0] != n_ris or h2.shape[1] != n_ris:
         raise ValueError(f"dimension mismatch: h1 {h1.shape}, h2 {h2.shape}, "
                          f"{n_ris} reflection coefficients")
-    return (h2 * state.theta[None, :]) @ h1
+    return (h2 * theta[None, :]) @ h1
 
 
 def svd_beamformers(he: np.ndarray, n_streams: int) -> BeamformerPair:
@@ -69,8 +52,7 @@ def svd_beamformers(he: np.ndarray, n_streams: int) -> BeamformerPair:
                           n_streams=int(n_streams))
 
 
-def achievable_rate(he: np.ndarray, pair: BeamformerPair, snr_linear: float,
-                    n_streams: int | None = None) -> float:
+def achievable_rate(he: np.ndarray, pair: BeamformerPair, snr_linear: float) -> float:
     """Spectral efficiency (bits/s/Hz) of the general log-det expression
 
     log2 det(I + snr/N_s (W^H W)^{-1} W^H H_e F F^H H_e^H W)
@@ -82,7 +64,7 @@ def achievable_rate(he: np.ndarray, pair: BeamformerPair, snr_linear: float,
         raise ValueError("snr_linear must be >= 0")
     f = pair.precoder
     w = pair.combiner
-    ns = pair.n_streams if n_streams is None else int(n_streams)
+    ns = pair.n_streams
     gram = w.conj().T @ w
     np.linalg.cholesky(gram)  # rank-deficient combiner fails loudly here
     wf = w.conj().T @ np.asarray(he) @ f

@@ -98,16 +98,20 @@ class LinkGeometry:
 @dataclass(frozen=True)
 class ChannelRealization:
     """Both hop matrices of one Monte-Carlo draw plus their path lists, the
-    realization index and the sweep-point config text that produced them
-    (None for both when loaded from a v1 dump)."""
+    realization index and the sweep-point config that drew them."""
 
     h1: np.ndarray          # N_RIS x N_BS
     h2: np.ndarray          # N_MS x N_RIS
     paths_h1: tuple
     paths_h2: tuple
-    seed: int
-    realization: int | None
-    config_text: str | None
+    realization: int
+    config: "ExperimentConfig"
+
+    @property
+    def seed(self) -> int:
+        """Seed of the h1 stream, derived from the config's master seed."""
+        from .harness import stream_seed   # harness imports this module
+        return stream_seed(self.config.master_seed, self.realization, "h1")
 
 
 def upa_dims(n_elements: int) -> tuple:
@@ -255,30 +259,29 @@ def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
     link = hop_link(config, hop)
     include_los = hop is not Hop.BS_MS_DIRECT
     paths = sample_paths(link, rng, include_los=include_los)
-    rx_geom, tx_geom = hop_arrays(config, hop)
+    return _hop_matrix(config, hop, paths), paths
+
+
+def _hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
+    """The hop matrix of a path list under the configured arrays and carrier."""
     lam = SPEED_OF_LIGHT / config.carrier_freq_Hz
-    return reconstruct_channel(paths, rx_geom, tx_geom, lam), paths
+    return reconstruct_channel(paths, *hop_arrays(config, hop), lam)
 
 
 # --- channel dump / replay -------------------------------------------------
 
-_DUMP_VERSIONS = ("# thzris channel dump v1", "# thzris channel dump v2")
+_DUMP_VERSION = "# thzris channel dump v3"
 
 
 def dump_realization(real: ChannelRealization, config: "ExperimentConfig",
                      path) -> None:
-    """Write one realization as plain text (v2): realization index, geometry
-    header, the sweep-point config as `config key = value` lines, then one row
-    per path (kind, four angles, gain re/im, delay). Enables exact replay."""
-    lines = [_DUMP_VERSIONS[1],
-             f"realization {real.realization}",
-             f"seed {real.seed}",
-             f"carrier_freq_hz {config.carrier_freq_Hz!r}"]
-    for tag, hop in (("h1", Hop.BS_RIS), ("h2", Hop.RIS_MS)):
-        rx, tx = hop_arrays(config, hop)
-        lines.append(f"{tag}_rx_geom {rx.n_x} {rx.n_y} {rx.element_spacing_m!r}")
-        lines.append(f"{tag}_tx_geom {tx.n_x} {tx.n_y} {tx.element_spacing_m!r}")
-    lines += [f"config {line}" for line in real.config_text.splitlines()]
+    """Write one realization drawn under the sweep-point `config` as plain text
+    (v3): the realization index, the config as `config key = value` lines, then
+    one row per path (kind, four angles, gain re/im, delay). The config is the
+    only record of the array geometry, carrier and seed; enables exact replay."""
+    from .harness import config_to_text   # harness imports this module
+    lines = [_DUMP_VERSION, f"realization {real.realization}"]
+    lines += [f"config {line}" for line in config_to_text(config).splitlines()]
     for tag, paths in (("h1", real.paths_h1), ("h2", real.paths_h2)):
         lines.append(f"paths_{tag} {len(paths)}")
         for p in paths:
@@ -295,11 +298,8 @@ class DumpError(ValueError):
     """Malformed channel dump; the message names the file and line."""
 
 
-# header key -> value types; v1 geometry lines carry a trailing role token
-_DUMP_HEADER = {"realization": (int,), "seed": (int,), "carrier_freq_hz": (float,),
-                "h1_rx_geom": (int, int, float), "h1_tx_geom": (int, int, float),
-                "h2_rx_geom": (int, int, float), "h2_tx_geom": (int, int, float),
-                "paths_h1": (int,), "paths_h2": (int,)}
+# header keys, each holding one non-negative int; paths_<hop> precedes its rows
+_DUMP_HEADER = ("realization", "paths_h1", "paths_h2")
 
 
 def _dump_number(tok: str, cast, where: str):
@@ -322,50 +322,48 @@ def _path_row(path, n: int, tok: list) -> PathParams:
 
 
 def load_realization(path) -> ChannelRealization:
-    """Parse a channel dump (v1 or v2) and rebuild both hop matrices from the
-    paths. v1 dumps carry no realization index or config, and a trailing array
-    role token on their geometry lines, which is ignored. A malformed dump, or
-    a hop that rebuilds to an all-zero matrix, raises DumpError naming the
-    file and line."""
+    """Parse a v3 channel dump: the config lines give the sweep-point config,
+    whose arrays and carrier rebuild both hop matrices from the path rows.
+
+    A malformed dump, or a hop that rebuilds to an all-zero matrix, raises
+    DumpError naming the file and line; an invalid config line raises
+    ConfigError naming the file and line."""
+    from .harness import parse_config   # harness imports this module
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     version = lines[0].strip() if lines else ""
-    if version not in _DUMP_VERSIONS:
-        raise DumpError(f"{path}:1: expected '{_DUMP_VERSIONS[1]}' or v1, got '{version}'")
-    v1 = version == _DUMP_VERSIONS[0]
+    if version != _DUMP_VERSION:
+        raise DumpError(f"{path}:1: expected '{_DUMP_VERSION}', got '{version}'")
     rows = iter([(n, ln.split()) for n, ln in enumerate(lines, start=1)
                  if ln.strip() and not ln.lstrip().startswith("#")])
-    header, paths, config, at = {}, {}, [], {}
+    header, paths, at = {}, {}, {}
+    config = [""] * len(lines)   # config text at its file line, so errors name it
     for n, (key, *vals) in rows:
         where = f"{path}:{n}"
-        if key == "config" and not v1:
-            config.append(" ".join(vals))
+        if key == "config":
+            config[n - 1] = " ".join(vals)
             continue
-        if key not in _DUMP_HEADER or (v1 and key == "realization") or key in header:
+        if key not in _DUMP_HEADER or key in header:
             raise DumpError(f"{where}: unexpected or repeated key '{key}'")
-        types = _DUMP_HEADER[key]
-        if len(vals) != len(types) + (v1 and key.endswith("_geom")):
-            raise DumpError(f"{where}: '{key}' takes {len(types)} values, got {len(vals)}")
-        values = header[key] = [_dump_number(tok, cast, where) for tok, cast in zip(vals, types)]
-        positive = key == "carrier_freq_hz" or key.endswith("_geom")
-        if min(values) < 0 or (positive and min(values) == 0):
-            raise DumpError(f"{where}: '{key}' values out of range")
+        if len(vals) != 1:
+            raise DumpError(f"{where}: '{key}' takes 1 value, got {len(vals)}")
+        value = header[key] = _dump_number(vals[0], int, where)
+        if value < 0:
+            raise DumpError(f"{where}: '{key}' value out of range")
         if key.startswith("paths_"):   # past the end of file reads as an empty row
             at[key] = where
-            paths[key] = [_path_row(path, *next(rows, (len(lines) + 1, [])))
-                          for _ in range(values[0])]
-    missing = [key for key in _DUMP_HEADER if key not in header
-               and not (v1 and key == "realization")] + ([] if v1 or config else ["config"])
+            paths[key] = tuple(_path_row(path, *next(rows, (len(lines) + 1, [])))
+                               for _ in range(value))
+    missing = [key for key in _DUMP_HEADER if key not in header] + \
+        ([] if any(config) else ["config"])
     if missing:
         raise DumpError(f"{path}:{len(lines)}: dump ends before '{missing[0]}'")
-    lam = SPEED_OF_LIGHT / header["carrier_freq_hz"][0]
-    geoms = {key: ArrayGeometry(*header[key]) for key in _DUMP_HEADER if key.endswith("_geom")}
-    h1 = reconstruct_channel(paths["paths_h1"], geoms["h1_rx_geom"], geoms["h1_tx_geom"], lam)
-    h2 = reconstruct_channel(paths["paths_h2"], geoms["h2_rx_geom"], geoms["h2_tx_geom"], lam)
+    cfg = parse_config(config, path)
+    h1 = _hop_matrix(cfg, Hop.BS_RIS, paths["paths_h1"])
+    h2 = _hop_matrix(cfg, Hop.RIS_MS, paths["paths_h2"])
     for key, h in (("paths_h1", h1), ("paths_h2", h2)):
         if not np.any(h):
             raise DumpError(f"{at[key]}: '{key}' rebuilds an all-zero channel")
-    return ChannelRealization(
-        h1=h1, h2=h2, paths_h1=tuple(paths["paths_h1"]), paths_h2=tuple(paths["paths_h2"]),
-        seed=header["seed"][0], realization=header.get("realization", [None])[0],
-        config_text="".join(f"{line}\n" for line in config) or None)
+    return ChannelRealization(h1=h1, h2=h2, paths_h1=paths["paths_h1"],
+                              paths_h2=paths["paths_h2"],
+                              realization=header["realization"], config=cfg)

@@ -253,8 +253,8 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
     for scheme in schemes:
         t0 = time.perf_counter()
         phases, n_iters = _optimize_phases(scheme, form, cfg, codebook, r)
-        state = beamforming.ReflectionState.from_phases(phases, codebook.mean_amplitude)
-        he = beamforming.cascaded_channel(h1, h2, state)
+        theta = codebook.mean_amplitude * np.exp(1j * phases)
+        he = beamforming.cascaded_channel(h1, h2, theta)
         wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.record_wall_time else 0.0
         out[scheme] = (_rates_for_channel(he, cfg), n_iters, wall_ms)
     return out
@@ -286,8 +286,7 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
         if dump_dir is not None:
             real = channel.ChannelRealization(
                 h1=h1_raw, h2=h2_raw, paths_h1=paths_h1, paths_h2=paths_h2,
-                seed=stream_seed(cfg.master_seed, r, "h1"), realization=r,
-                config_text=config_to_text(cfg))
+                realization=r, config=cfg)
             name = SWEPT_FIELD.get(config.sweep, ("",))[0]   # suffix: swept field's value
             suffix = f"_{name}{getattr(cfg, name)}" if name else ""
             channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
@@ -300,14 +299,9 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
 def replay_realization(path, snr_db: float) -> tuple:
     """The agd and random rates at snr_db of one dumped realization, re-derived
     by the sweep's own per-point code under the dumped point config. Returns
-    (realization, point config, {scheme: rate}); a v1 dump raises ConfigError."""
+    (realization, point config, {scheme: rate})."""
     real = channel.load_realization(path)
-    if real.config_text is None:
-        raise ConfigError(f"{path}: a v1 dump has no config to replay")
-    cfg = replace(parse_config(real.config_text.splitlines(), f"{path}: config"),
-                  snr_grid_dB=(snr_db,))
-    if real.h1.shape != (cfg.n_ris, cfg.n_bs) or real.h2.shape != (cfg.n_ms, cfg.n_ris):
-        raise ConfigError(f"{path}: config array sizes disagree with the dumped geometry")
+    cfg = replace(real.config, snr_grid_dB=(snr_db,))
     point = _run_point(real.h1 / _hop_reference(cfg, Hop.BS_RIS),
                        real.h2 / _hop_reference(cfg, Hop.RIS_MS), cfg,
                        ("agd", "random"), real.realization)
@@ -440,7 +434,7 @@ CONFIG_SCHEMA = {
     "direct_blockage_db": ("float", "excess obstruction loss of the blocked direct link (dB)"),
     "record_wall_time": ("bool", "capture wall-clock column (breaks byte determinism)"),
     "max_iterations": ("int", "gradient-descent iteration budget"),
-    "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates per experiment"),
+    "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates per sweep point"),
 }
 
 

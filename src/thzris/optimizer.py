@@ -25,7 +25,6 @@ class QuadraticForm:
     """Hermitian PSD matrix of the trace objective theta^H D theta."""
 
     matrix: np.ndarray
-    source_dims: tuple  # (n_bs, n_ms, n_ris)
 
     @property
     def n_ris(self) -> int:
@@ -95,7 +94,7 @@ def build_quadratic_form(h1: np.ndarray, h2: np.ndarray) -> QuadraticForm:
     if h1.shape[0] != h2.shape[1]:
         raise ValueError(f"dimension mismatch: h1 {h1.shape} vs h2 {h2.shape}")
     d = np.conj(h1 @ h1.conj().T) * (h2.conj().T @ h2)
-    return QuadraticForm(matrix=d, source_dims=(h1.shape[1], h2.shape[0], h1.shape[0]))
+    return QuadraticForm(matrix=d)
 
 
 def objective(form: QuadraticForm, phases: np.ndarray, mean_amplitude: float) -> float:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzris.beamforming import (BeamformerPair, ReflectionState,
-                                achievable_rate, cascaded_channel,
-                                jensen_upper_bound, svd_beamformers)
+from thzris.beamforming import (BeamformerPair, achievable_rate,
+                                cascaded_channel, jensen_upper_bound,
+                                svd_beamformers)
 
 
 def crandn(rng, *shape):
@@ -21,42 +21,34 @@ def closed_form_rate(he, snr, ns):
     return float(np.sum(np.log2(1.0 + snr / ns * s[:ns] ** 2)))
 
 
-class TestReflectionState:
-    def test_theta_magnitude(self):
-        rng = np.random.default_rng(0)
-        state = ReflectionState.from_phases(rng.uniform(0, 7, size=12), 0.8)
-        np.testing.assert_allclose(np.abs(state.theta), 0.8, atol=1e-12)
-
-
 class TestCascadedChannel:
     def test_zero_phases_scale_product(self):
         rng = np.random.default_rng(1)
         h1, h2 = crandn(rng, 6, 4), crandn(rng, 3, 6)
-        state = ReflectionState.from_phases(np.zeros(6), 0.8)
-        np.testing.assert_allclose(cascaded_channel(h1, h2, state),
+        theta = np.full(6, 0.8 + 0j)
+        np.testing.assert_allclose(cascaded_channel(h1, h2, theta),
                                    0.8 * h2 @ h1, rtol=1e-12)
 
     def test_single_element_outer_product(self):
         rng = np.random.default_rng(2)
         h1, h2 = crandn(rng, 1, 4), crandn(rng, 3, 1)
-        state = ReflectionState.from_phases(np.array([1.3]), 0.8)
-        expect = state.theta[0] * np.outer(h2[:, 0], h1[0, :])
-        np.testing.assert_allclose(cascaded_channel(h1, h2, state), expect, rtol=1e-12)
+        theta = 0.8 * np.exp(1j * np.array([1.3]))
+        expect = theta[0] * np.outer(h2[:, 0], h1[0, :])
+        np.testing.assert_allclose(cascaded_channel(h1, h2, theta), expect, rtol=1e-12)
 
     def test_matches_rank_one_accumulation(self):
         rng = np.random.default_rng(3)
         h1, h2 = crandn(rng, 5, 4), crandn(rng, 3, 5)
-        state = ReflectionState.from_phases(rng.uniform(0, 2 * math.pi, 5), 0.8)
+        theta = 0.8 * np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
         oracle = np.zeros((3, 4), dtype=complex)
         for n in range(5):
-            oracle += state.theta[n] * np.outer(h2[:, n], h1[n, :])
-        np.testing.assert_allclose(cascaded_channel(h1, h2, state), oracle, rtol=1e-10)
+            oracle += theta[n] * np.outer(h2[:, n], h1[n, :])
+        np.testing.assert_allclose(cascaded_channel(h1, h2, theta), oracle, rtol=1e-10)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(4)
-        state = ReflectionState.from_phases(np.zeros(5), 0.8)
         with pytest.raises(ValueError, match="mismatch"):
-            cascaded_channel(crandn(rng, 6, 4), crandn(rng, 3, 5), state)
+            cascaded_channel(crandn(rng, 6, 4), crandn(rng, 3, 5), np.full(5, 0.8 + 0j))
 
 
 class TestSvdBeamformers:
@@ -147,7 +139,7 @@ class TestAchievableRate:
         ns = min(n_streams, n_ms, n_bs)
         rates = []
         for phi in (phases, phases + shift):
-            he = cascaded_channel(h1, h2, ReflectionState.from_phases(phi, 0.8))
+            he = cascaded_channel(h1, h2, 0.8 * np.exp(1j * phi))
             rates.append(achievable_rate(he, svd_beamformers(he, ns), snr))
         assert rates[1] == pytest.approx(rates[0], rel=1e-9, abs=1e-12)
 

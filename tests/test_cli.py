@@ -181,8 +181,8 @@ class TestReplay:
         assert printed.group(1) == f"{replay_realization(dump, -5.0)[2]['agd']:.3f}"
 
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
-                                      "inf_path", "token_count", "config_size", "v1",
-                                      "zero_hop", "removed_key"])
+                                      "inf_path", "token_count", "invalid_config", "config_value",
+                                      "v1", "v2", "zero_hop", "removed_key"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
@@ -198,25 +198,27 @@ class TestReplay:
         elif case == "version":
             bad[0], line = "# thzris channel dump v7", 1
         elif case == "nan_header":
-            bad, line = lines[:3] + ["carrier_freq_hz nan"], 4
+            bad, line = lines[:1] + ["realization nan"], 2
         elif case == "inf_path":
             row, tok = at["paths_h2"] + 1, lines[at["paths_h2"] + 1].split()
             bad[row] = " ".join(tok[:3] + ["inf"] + tok[4:])
             line = row + 1
         elif case == "token_count":
-            bad[at["h2_tx_geom"]] += " 7"
-            line = at["h2_tx_geom"] + 1
-        elif case == "config_size":
-            bad[bad.index("config n_ris = 8")] = "config n_ris = 16"
+            bad[at["paths_h2"]] += " 7"
+            line = at["paths_h2"] + 1
+        elif case == "invalid_config":  # a config value that fails validation
+            bad[bad.index("config n_ris = 8")] = "config n_ris = 0"
+        elif case == "config_value":  # a config value that does not parse
+            line = bad.index("config n_ris = 8") + 1
+            bad[line - 1] = "config n_ris = eight"
+        elif case in ("v1", "v2"):    # earlier formats: the version line is refused
+            bad[0], line = f"# thzris channel dump {case}", 1
         elif case == "zero_hop":      # h1 without its path rows rebuilds to zero
             bad = lines[:at["paths_h1"]] + ["paths_h1 0"] + lines[at["paths_h2"]:]
             line = at["paths_h1"] + 1
-        elif case == "removed_key":   # a knob of earlier versions is an unknown key
-            bad.insert(bad.index("config max_iterations = 10"), "config init_phases = zeros")
-        else:  # a v1 dump: no realization or config, a role token on geometry lines
-            bad = ["# thzris channel dump v1"] + [
-                ln + " ris" if "_geom" in ln else ln for ln in lines[1:]
-                if not ln.startswith(("realization", "config"))]
+        else:                         # removed_key: a knob of earlier versions
+            line = bad.index("config max_iterations = 10") + 1
+            bad.insert(line - 1, "config init_phases = zeros")
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(bad) + "\n")
         capsys.readouterr()

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thzris import channel
+from thzris.graphene import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             SweepResult, _hop_reference, calibrate_fixed_step,
                             config_reference, config_to_text, emit_csv, load_config,
@@ -339,7 +340,8 @@ class TestChannelDumps:
                                        stream_rng(cfg.master_seed, 0, "h1"))
         np.testing.assert_allclose(real.h1, h1, rtol=1e-12)
         assert real.realization == 0
-        assert parse_config(real.config_text.splitlines(), "dump") == cfg
+        assert real.config == cfg
+        assert real.seed == stream_seed(cfg.master_seed, 0, "h1")
 
     def test_one_dump_per_sweep_point(self, tmp_path):
         cfg = tiny_config(n_realizations=2, sweep="vs_phimax", sweep_grid=(120.0, 306.82))
@@ -348,7 +350,7 @@ class TestChannelDumps:
         assert len(names) == cfg.n_realizations * len(cfg.sweep_grid)
         assert "real00001_phi_max_deg306.82.txt" in names
         real = channel.load_realization(tmp_path / "real00001_phi_max_deg120.0.txt")
-        assert parse_config(real.config_text.splitlines(), "dump").phi_max_deg == 120.0
+        assert real.config.phi_max_deg == 120.0
 
     def test_dumps_record_calibrated_cgd_step(self, tmp_path):
         cfg = tiny_config(n_realizations=2, schemes=("agd", "cgd"), sweep="vs_phimax",
@@ -359,25 +361,28 @@ class TestChannelDumps:
             step = calibrate_fixed_step(point)
             for r in range(cfg.n_realizations):
                 real = channel.load_realization(tmp_path / f"real{r:05d}_phi_max_deg{value!r}.txt")
-                dumped = parse_config(real.config_text.splitlines(), "dump")
-                assert dumped.calibrate_cgd is False
-                assert dumped.optimizer.fixed_step == step
+                assert real.config.calibrate_cgd is False
+                assert real.config.optimizer.fixed_step == step
 
-    def test_v1_dump_loads(self, tmp_path):
-        """v1 dumps (no realization index or config, role token on geometry
-        lines) still rebuild the same matrices."""
+    def test_edited_config_sets_rebuilt_geometry(self, tmp_path):
+        """The dumped config is the only record of the carrier and the RIS
+        element period: editing them rebuilds the hops at the edited geometry."""
         cfg = tiny_config(n_realizations=1)
         run_experiment(cfg, dump_dir=str(tmp_path))
-        v2 = (tmp_path / "real00000.txt").read_text().splitlines()
-        v1 = ["# thzris channel dump v1"] + [
-            ln + " bs" if "_geom" in ln else ln for ln in v2[1:]
-            if not ln.startswith(("realization", "config"))]
-        (tmp_path / "v1.txt").write_text("\n".join(v1) + "\n")
-        old = channel.load_realization(tmp_path / "v1.txt")
-        new = channel.load_realization(tmp_path / "real00000.txt")
-        assert old.realization is None and old.config_text is None
-        np.testing.assert_array_equal(old.h1, new.h1)
-        np.testing.assert_array_equal(old.h2, new.h2)
+        text = (tmp_path / "real00000.txt").read_text()
+        edited = replace(cfg, carrier_freq_Hz=3e11, ris_element_period_m=0.001)
+        for key, value in (("carrier_freq_hz", "3e11"), ("ris_element_period_m", "0.001")):
+            text, n = re.subn(rf"^config {key} = .*$", f"config {key} = {value}", text,
+                              flags=re.MULTILINE)
+            assert n == 1
+        (tmp_path / "edited.txt").write_text(text)
+        real = channel.load_realization(tmp_path / "edited.txt")
+        assert real.config == edited
+        lam = SPEED_OF_LIGHT / edited.carrier_freq_Hz
+        for matrix, paths, hop in ((real.h1, real.paths_h1, channel.Hop.BS_RIS),
+                                   (real.h2, real.paths_h2, channel.Hop.RIS_MS)):
+            np.testing.assert_array_equal(matrix, channel.reconstruct_channel(
+                paths, *channel.hop_arrays(edited, hop), lam))
 
 
 class TestPresets:

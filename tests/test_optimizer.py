@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from thzris.beamforming import ReflectionState, cascaded_channel
+from thzris.beamforming import cascaded_channel
 from thzris.graphene import build_codebook
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               QuadraticForm, adaptive_step, build_quadratic_form, dump_trace,
@@ -65,7 +65,7 @@ class TestBuildQuadraticForm:
             phases = rng.uniform(0, 2 * math.pi, 5)
             theta = MU * np.exp(1j * phases)
             quad = float(np.real(theta.conj() @ form.matrix @ theta))
-            he = cascaded_channel(h1, h2, ReflectionState.from_phases(phases, MU))
+            he = cascaded_channel(h1, h2, theta)
             trace = np.linalg.norm(he) ** 2
             assert quad == pytest.approx(trace, rel=1e-10)
 
@@ -87,7 +87,7 @@ class TestBuildQuadraticForm:
 
 class TestObjective:
     def test_identity_form_is_constant(self):
-        form = QuadraticForm(matrix=np.eye(7, dtype=complex), source_dims=(1, 1, 7))
+        form = QuadraticForm(matrix=np.eye(7, dtype=complex))
         rng = np.random.default_rng(5)
         for _ in range(5):
             phases = rng.uniform(0, 2 * math.pi, 7)
@@ -122,14 +122,14 @@ class TestObjective:
 
 class TestGradient:
     def test_identity_form_zero_gradient(self):
-        form = QuadraticForm(matrix=np.eye(5, dtype=complex), source_dims=(1, 1, 5))
+        form = QuadraticForm(matrix=np.eye(5, dtype=complex))
         rng = np.random.default_rng(9)
         grad = gradient(form, rng.uniform(0, 2 * math.pi, 5), MU)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_real_symmetric_zero_phases(self):
         d = np.array([[2.0, 0.7], [0.7, 1.0]], dtype=complex)
-        form = QuadraticForm(matrix=d, source_dims=(1, 1, 2))
+        form = QuadraticForm(matrix=d)
         np.testing.assert_allclose(gradient(form, np.zeros(2), MU), 0.0, atol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -172,7 +172,7 @@ class TestGradient:
 
 class TestAdaptiveStep:
     def test_stationary_point_falls_back(self):
-        form = QuadraticForm(matrix=np.eye(4, dtype=complex), source_dims=(1, 1, 4))
+        form = QuadraticForm(matrix=np.eye(4, dtype=complex))
         phases = np.zeros(4)
         grad = gradient(form, phases, MU)
         lam = adaptive_step(form, phases, grad, MU)
@@ -199,7 +199,7 @@ class TestAdaptiveStep:
         # lambda = -C1/(2 C2) on the convex branch
         d = np.diag([2.0, 1.0]).astype(complex)
         d[0, 1] = d[1, 0] = 0.5
-        form = QuadraticForm(matrix=d, source_dims=(1, 1, 2))
+        form = QuadraticForm(matrix=d)
         phases = np.array([0.3, -0.4])
         direction = np.array([1.0, -2.0])
         c0, c1, c2 = quadratic_model_coeffs(form, phases, direction, MU)
@@ -270,7 +270,7 @@ class TestRunAgd:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             v = crandn(rng, 8)
-            form = QuadraticForm(matrix=np.outer(v, v.conj()), source_dims=(1, 1, 8))
+            form = QuadraticForm(matrix=np.outer(v, v.conj()))
             trace = run_agd(form, CODEBOOK, settings)
             optimum = MU**2 * np.sum(np.abs(v)) ** 2
             assert trace.best_objective >= 0.99 * optimum
@@ -321,7 +321,7 @@ class TestRunCgd:
     def test_tiny_step_converges_slower_than_agd(self):
         rng = np.random.default_rng(22)
         v = crandn(rng, 8)
-        form = QuadraticForm(matrix=np.outer(v, v.conj()), source_dims=(1, 1, 8))
+        form = QuadraticForm(matrix=np.outer(v, v.conj()))
         agd = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=10))
         cgd = run_cgd(form, CODEBOOK,
                       OptimizerSettings(max_iterations=10, fixed_step=1e-6))
@@ -401,7 +401,7 @@ class TestRunExhaustive:
         assert best == pytest.approx(max(values), rel=1e-12)
 
     def test_identity_tie_returns_first_lexicographic(self):
-        form = QuadraticForm(matrix=np.eye(3, dtype=complex), source_dims=(1, 1, 3))
+        form = QuadraticForm(matrix=np.eye(3, dtype=complex))
         phases, best = run_exhaustive(form, CODEBOOK)
         np.testing.assert_array_equal(phases, np.zeros(3))
         assert best == pytest.approx(MU**2 * 3, rel=1e-12)
@@ -495,6 +495,6 @@ class TestScaleBehavior:
 
     @pytest.mark.parametrize("entry", [0.0, math.nan])
     def test_trace_normalized_rejects_degenerate_trace(self, entry):
-        form = QuadraticForm(matrix=np.full((3, 3), entry, dtype=complex), source_dims=(1, 1, 3))
+        form = QuadraticForm(matrix=np.full((3, 3), entry, dtype=complex))
         with pytest.raises(ValueError, match="positive and finite"):
             form.trace_normalized()
