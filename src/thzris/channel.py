@@ -224,7 +224,7 @@ def hop_arrays(config: "ExperimentConfig", hop: Hop) -> tuple:
     BS/MS arrays use half-wavelength spacing; the RIS spacing is the side
     length of one reflecting element.
     """
-    lam = SPEED_OF_LIGHT / config.carrier_freq_Hz
+    lam = SPEED_OF_LIGHT / config.carrier_freq_hz
     bs = ArrayGeometry(*upa_dims(config.n_bs), element_spacing_m=lam / 2)
     ms = ArrayGeometry(*upa_dims(config.n_ms), element_spacing_m=lam / 2)
     ris = ArrayGeometry(*upa_dims(config.n_ris),
@@ -241,12 +241,13 @@ def hop_link(config: "ExperimentConfig", hop: Hop) -> LinkGeometry:
                 Hop.RIS_MS: config.ris_ms_m,
                 Hop.BS_MS_DIRECT: config.bs_ms_m}[hop]
     n_nlos = config.n_nlos_direct if hop is Hop.BS_MS_DIRECT else config.n_nlos
-    return LinkGeometry(carrier_freq_Hz=config.carrier_freq_Hz,
+    return LinkGeometry(carrier_freq_Hz=config.carrier_freq_hz,
                         distance_m=distance,
                         absorption_coeff_per_m=config.kappa_per_m,
                         reflection_coeff=config.xi,
                         n_nlos_paths=n_nlos,
-                        nlos_excess_range_m=config.nlos_excess_range_m)
+                        nlos_excess_range_m=(config.nlos_excess_min_m,
+                                             config.nlos_excess_max_m))
 
 
 def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
@@ -264,7 +265,7 @@ def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
 
 def _hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
     """The hop matrix of a path list under the configured arrays and carrier."""
-    lam = SPEED_OF_LIGHT / config.carrier_freq_Hz
+    lam = SPEED_OF_LIGHT / config.carrier_freq_hz
     return reconstruct_channel(paths, *hop_arrays(config, hop), lam)
 
 

@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
                                     dump_dir=args.dump_channels)
     harness.emit_csv(result, out_path)
 
-    top_snr = max(config.snr_grid_dB)
+    top_snr = max(config.snr_grid_db)
     print(f"wrote {len(result.rows)} rows to {out_path}")
     print(f"mean rate at {top_snr:g} dB (first sweep point):")
     first_value = result.rows[0].sweep_value

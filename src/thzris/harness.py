@@ -23,7 +23,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,12 @@ CGD_CALIBRATION_REALIZATIONS = 10
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration (bad key, value, or constraint)."""
+    """Invalid experiment configuration (bad key, value, or constraint); `key`
+    names the config key a failed check is about, if it is about one key."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class SweepRow(NamedTuple):
@@ -74,7 +79,7 @@ class ExperimentConfig:
     m_bs: int = 6
     m_ms: int = 4
     n_streams: int = 4
-    carrier_freq_Hz: float = 1.6e12
+    carrier_freq_hz: float = 1.6e12
     bs_ris_m: float = 10.0
     ris_ms_m: float = 20.0
     bs_ms_m: float = 25.0
@@ -82,12 +87,13 @@ class ExperimentConfig:
     xi: float = 1e-6
     n_nlos: int = 2
     n_nlos_direct: int = 3
-    nlos_excess_range_m: tuple = (1.0, 10.0)
+    nlos_excess_min_m: float = 1.0
+    nlos_excess_max_m: float = 10.0
     ris_element_period_m: float = 70e-6
     phi_max_deg: float = 306.82
     bits: int = 2
     mean_amplitude: float = 0.8
-    snr_grid_dB: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+    snr_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     n_realizations: int = 50
     master_seed: int = 1
     schemes: tuple = ("agd", "cgd", "no_ris", "random")
@@ -95,8 +101,7 @@ class ExperimentConfig:
     sweep_grid: tuple = ()
     direct_blockage_db: float = 20.0
     record_wall_time: bool = False
-    calibrate_cgd: bool = True
-    optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
+    optimizer: OptimizerSettings = OptimizerSettings(fixed_step="auto")
 
     def codebook(self) -> PhaseCodebook:
         return build_codebook(math.radians(self.phi_max_deg), self.bits,
@@ -113,7 +118,7 @@ class ExperimentConfig:
             if kind.startswith("float") and not all(
                     v == "auto" or math.isfinite(v)
                     for v in (value if kind == "float_list" else (value,))):
-                raise ConfigError(f"{key} must be finite, got {_format_value(value)}")
+                raise ConfigError(f"{key} must be finite, got {_format_value(value)}", key)
         if not self.n_bs >= self.m_bs:
             raise ConfigError(f"n_bs >= m_bs violated ({self.n_bs} < {self.m_bs})")
         if not self.m_bs >= self.n_streams:
@@ -122,33 +127,28 @@ class ExperimentConfig:
             raise ConfigError(f"n_ms >= m_ms violated ({self.n_ms} < {self.m_ms})")
         if not self.m_ms >= self.n_streams:
             raise ConfigError(f"m_ms >= n_streams violated ({self.m_ms} < {self.n_streams})")
-        for key in ("n_bs", "n_ris", "n_ms", "n_streams", "n_realizations"):
+        for key in ("n_bs", "n_ris", "n_ms", "n_streams", "n_realizations",
+                    "n_nlos_direct", "bits"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        for key in ("carrier_freq_Hz", "bs_ris_m", "ris_ms_m", "bs_ms_m",
+                raise ConfigError(f"{key} must be >= 1", key)
+        for key in ("carrier_freq_hz", "bs_ris_m", "ris_ms_m", "bs_ms_m",
                     "ris_element_period_m"):
             if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be > 0")
-        if self.kappa_per_m < 0:
-            raise ConfigError("kappa_per_m must be >= 0")
+                raise ConfigError(f"{key} must be > 0", key)
+        for key in ("kappa_per_m", "n_nlos", "nlos_excess_min_m", "direct_blockage_db"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0", key)
+        if self.nlos_excess_min_m > self.nlos_excess_max_m:
+            raise ConfigError("nlos_excess_min_m <= nlos_excess_max_m violated "
+                              f"(min {self.nlos_excess_min_m}, max {self.nlos_excess_max_m})")
         if not 0.0 <= self.xi <= 1.0:
-            raise ConfigError("xi must lie in [0, 1]")
-        if self.n_nlos < 0 or self.n_nlos_direct < 1:
-            raise ConfigError("n_nlos must be >= 0 and n_nlos_direct >= 1")
-        lo, hi = self.nlos_excess_range_m
-        if not 0.0 <= lo <= hi:
-            raise ConfigError("0 <= nlos_excess_min_m <= nlos_excess_max_m violated "
-                              f"(min {lo}, max {hi})")
-        if self.bits < 1:
-            raise ConfigError("bits must be >= 1")
+            raise ConfigError("xi must lie in [0, 1]", "xi")
         if not 0.0 < self.phi_max_deg <= 360.0:
-            raise ConfigError("phi_max_deg must lie in (0, 360]")
+            raise ConfigError("phi_max_deg must lie in (0, 360]", "phi_max_deg")
         if not 0.5 <= self.mean_amplitude <= 1.0:
-            raise ConfigError("mean_amplitude must lie in [0.5, 1]")
-        if not self.snr_grid_dB:
-            raise ConfigError("snr_grid_dB must not be empty")
-        if self.direct_blockage_db < 0:
-            raise ConfigError("direct_blockage_db must be >= 0")
+            raise ConfigError("mean_amplitude must lie in [0.5, 1]", "mean_amplitude")
+        if not self.snr_grid_db:
+            raise ConfigError("snr_grid_db must not be empty", "snr_grid_db")
         for hop in Hop:
             ref = _hop_reference(self, hop)
             if not 0.0 < ref < math.inf:
@@ -157,11 +157,12 @@ class ExperimentConfig:
         unknown = set(self.schemes) - set(SCHEMES)
         if not self.schemes or unknown:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}"
-                              + (f"; unknown: {sorted(unknown)}" if unknown else ""))
+                              + (f"; unknown: {sorted(unknown)}" if unknown else ""), "schemes")
         if self.sweep not in SWEEPS:
-            raise ConfigError(f"sweep must be one of {SWEEPS}")
+            raise ConfigError(f"sweep must be one of {SWEEPS}", "sweep")
         if len(set(self.sweep_grid)) != len(self.sweep_grid):
-            raise ConfigError(f"sweep_grid repeats a value: {_format_value(self.sweep_grid)}")
+            raise ConfigError(f"sweep_grid repeats a value: {_format_value(self.sweep_grid)}",
+                              "sweep_grid")
         if "exhaustive" in self.schemes and \
                 (2 ** self.bits) ** self.n_ris > optimizer.EXHAUSTIVE_LIMIT:
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
@@ -169,15 +170,18 @@ class ExperimentConfig:
         if self.sweep in SWEPT_FIELD:
             name, kind = SWEPT_FIELD[self.sweep]
             if not self.sweep_grid:
-                raise ConfigError(f"sweep '{self.sweep}' needs a non-empty sweep_grid")
+                raise ConfigError(f"sweep '{self.sweep}' needs a non-empty sweep_grid",
+                                  "sweep_grid")
             if any(kind(v) != v for v in self.sweep_grid):
                 raise ConfigError(f"sweep '{self.sweep}' needs {kind.__name__} sweep_grid "
-                                  f"values ({name}), got {_format_value(self.sweep_grid)}")
+                                  f"values ({name}), got {_format_value(self.sweep_grid)}",
+                                  "sweep_grid")
             for value, point in _sweep_points(self):
                 try:
                     point.validate()
                 except ConfigError as exc:
-                    raise ConfigError(f"sweep_grid value {value:g}: {exc}") from None
+                    raise ConfigError(f"sweep_grid value {value:g}: {exc}",
+                                      "sweep_grid") from None
 
 
 def stream_seed(master_seed: int, realization: int, tag: str) -> int:
@@ -223,7 +227,7 @@ def _sweep_points(config: ExperimentConfig) -> list:
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     pair = beamforming.svd_beamformers(he, config.n_streams)
     return np.array([beamforming.achievable_rate(he, pair, 10.0 ** (snr / 10.0))
-                     for snr in config.snr_grid_dB])
+                     for snr in config.snr_grid_db])
 
 
 def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
@@ -244,7 +248,7 @@ def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
 
 def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
                r: int) -> dict:
-    """Scheme -> (rates over cfg.snr_grid_dB, iterations, wall ms) of the RIS
+    """Scheme -> (rates over cfg.snr_grid_db, iterations, wall ms) of the RIS
     schemes on realization r's referenced hops at one sweep point. The sweep
     and channel-dump replay both run this."""
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
@@ -267,7 +271,7 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
     n_schemes). Scheme axis follows sorted(config.schemes).
     """
     schemes = sorted(config.schemes)
-    n_snr = len(config.snr_grid_dB)
+    n_snr = len(config.snr_grid_db)
     rates = np.zeros((len(points), len(schemes), n_snr))
     iters = np.zeros((len(points), len(schemes)))
     wall = np.zeros((len(points), len(schemes)))
@@ -301,7 +305,7 @@ def replay_realization(path, snr_db: float) -> tuple:
     by the sweep's own per-point code under the dumped point config. Returns
     (realization, point config, {scheme: rate})."""
     real = channel.load_realization(path)
-    cfg = replace(real.config, snr_grid_dB=(snr_db,))
+    cfg = replace(real.config, snr_grid_db=(snr_db,))
     point = _run_point(real.h1 / _hop_reference(cfg, Hop.BS_RIS),
                        real.h2 / _hop_reference(cfg, Hop.RIS_MS), cfg,
                        ("agd", "random"), real.realization)
@@ -339,8 +343,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     config.validate()
     points = _sweep_points(config)
     schemes = sorted(config.schemes)
-    if "cgd" in schemes and config.calibrate_cgd:
-        points = [(value, replace(cfg, calibrate_cgd=False, optimizer=replace(
+    if "cgd" in schemes and config.optimizer.fixed_step == "auto":
+        points = [(value, replace(cfg, optimizer=replace(
                       cfg.optimizer, fixed_step=calibrate_fixed_step(cfg))))
                   for value, cfg in points]
 
@@ -363,7 +367,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     rows = []
     for k, (value, _) in enumerate(points):
         for s, scheme in enumerate(schemes):
-            for q, snr in enumerate(config.snr_grid_dB):
+            for q, snr in enumerate(config.snr_grid_db):
                 rows.append(SweepRow(
                     sweep_value=float(value), scheme=scheme, snr_db=float(snr),
                     mean_rate=float(np.mean(rates[:, k, s, q])),
@@ -400,10 +404,8 @@ def emit_csv(result: SweepResult, path) -> None:
 
 # --- config files ------------------------------------------------------------
 
-# key -> (value kind, documentation): the one list of config keys. A key names
-# its ExperimentConfig or OptimizerSettings field, except the spellings in
-# _FIELD_OF and the keys _config_values derives (the nlos_excess pair and
-# fixed_step = auto, which stands for calibrate_cgd).
+# key -> (value kind, documentation): the one list of config keys, each the
+# name of its ExperimentConfig or OptimizerSettings field.
 CONFIG_SCHEMA = {
     "n_bs": ("int", "BS antenna count"),
     "n_ris": ("int", "RIS element count"),
@@ -438,18 +440,12 @@ CONFIG_SCHEMA = {
 }
 
 
-_FIELD_OF = {"carrier_freq_hz": "carrier_freq_Hz", "snr_grid_db": "snr_grid_dB"}
-_OPTIMIZER_FIELDS = frozenset(f.name for f in fields(OptimizerSettings))
+_OPTIMIZER_FIELDS = tuple(f.name for f in fields(OptimizerSettings))
 
 
 def _config_values(config: ExperimentConfig) -> dict:
     """key -> value of config for every CONFIG_SCHEMA key, in schema order."""
-    lo, hi = config.nlos_excess_range_m
-    derived = {"nlos_excess_min_m": lo, "nlos_excess_max_m": hi,
-               "fixed_step": "auto" if config.calibrate_cgd else config.optimizer.fixed_step}
-    return {key: derived[key] if key in derived else
-            getattr(config.optimizer if key in _OPTIMIZER_FIELDS else config,
-                    _FIELD_OF.get(key, key))
+    return {key: getattr(config.optimizer if key in _OPTIMIZER_FIELDS else config, key)
             for key in CONFIG_SCHEMA}
 
 
@@ -478,17 +474,15 @@ def _parse_value(kind: str, raw: str, where: str):
 
 def _build_config(values: dict) -> ExperimentConfig:
     """Config from parsed key -> value pairs; absent keys keep their defaults.
-    OptimizerSettings raises ValueError for its own out-of-range fields."""
-    merged = {_FIELD_OF.get(key, key): value for key, value
-              in {**_config_values(ExperimentConfig()), **values}.items()}
-    fixed_step = merged.pop("fixed_step")
-    opt = {name: merged.pop(name) for name in _OPTIMIZER_FIELDS & merged.keys()}
-    if fixed_step != "auto":
-        opt["fixed_step"] = fixed_step
-    merged["nlos_excess_range_m"] = (merged.pop("nlos_excess_min_m"),
-                                     merged.pop("nlos_excess_max_m"))
-    return ExperimentConfig(calibrate_cgd=fixed_step == "auto",
-                            optimizer=OptimizerSettings(**opt), **merged)
+    An optimizer key OptimizerSettings rejects raises ConfigError naming it."""
+    merged = {**_config_values(ExperimentConfig()), **values}
+    opt = {name: merged.pop(name) for name in _OPTIMIZER_FIELDS}
+    for name, value in opt.items():   # each OptimizerSettings check is about one field
+        try:
+            OptimizerSettings(**{name: value})
+        except ValueError as exc:
+            raise ConfigError(str(exc), name) from None
+    return ExperimentConfig(optimizer=OptimizerSettings(**opt), **merged)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -503,8 +497,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(raw_lines, path) -> ExperimentConfig:
-    """Config from key = value lines; errors name `path` and the line number."""
-    values = {}
+    """Config from key = value lines; errors name `path` and the line number, or
+    only `path` for a failed check about no single key set in the lines."""
+    values, line_of = {}, {}
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -517,11 +512,13 @@ def parse_config(raw_lines, path) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         values[key] = _parse_value(CONFIG_SCHEMA[key][0], val, f"{path}:{lineno}: {key}")
+        line_of[key] = lineno
     try:
         config = _build_config(values)
         config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ConfigError as exc:
+        where = f"{path}:{line_of[exc.key]}" if exc.key in line_of else path
+        raise ConfigError(f"{where}: {exc}") from exc
     return config
 
 
@@ -557,7 +554,7 @@ def config_reference() -> str:
 # Presets budget 400 gradient iterations: the adaptive scheme's early
 # large-step phase needs ~150 iterations at desk scale before it settles, and
 # both gradient schemes should run in their converged regime for fair sweeps.
-_PRESET_OPT = OptimizerSettings(max_iterations=400)
+_PRESET_OPT = OptimizerSettings(max_iterations=400, fixed_step="auto")
 
 _DESK = dict(n_bs=64, n_ris=64, n_ms=16, n_realizations=50, optimizer=_PRESET_OPT)
 _PAPER = dict(n_bs=512, n_ris=256, n_ms=32, n_realizations=100, optimizer=_PRESET_OPT)
@@ -565,12 +562,12 @@ _PAPER = dict(n_bs=512, n_ris=256, n_ms=32, n_realizations=100, optimizer=_PRESE
 _FIG = {
     "fig5": dict(sweep="vs_phimax",
                  sweep_grid=(60.0, 120.0, 180.0, 240.0, 306.82, 360.0),
-                 snr_grid_dB=(10.0,)),
+                 snr_grid_db=(10.0,)),
     "fig6": dict(sweep="vs_bits", sweep_grid=(1.0, 2.0, 3.0, 4.0),
-                 snr_grid_dB=(10.0,)),
+                 snr_grid_db=(10.0,)),
     "fig7": dict(sweep="vs_snr",
-                 snr_grid_dB=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)),
-    "fig8": dict(sweep="vs_nris", snr_grid_dB=(10.0,)),
+                 snr_grid_db=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)),
+    "fig8": dict(sweep="vs_nris", snr_grid_db=(10.0,)),
 }
 
 _FIG8_GRID = {"desk": (16.0, 32.0, 64.0, 96.0, 128.0),

@@ -57,15 +57,16 @@ FALLBACK_STEP = 1e-2
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Iteration budget shared by A-GD and C-GD, and the C-GD step size."""
+    """Iteration budget shared by A-GD and C-GD, and the C-GD step size, or
+    "auto" for a step the harness calibrates before any C-GD run."""
 
     max_iterations: int = 100
-    fixed_step: float = 1e-2      # C-GD step size
+    fixed_step: float | str = 1e-2
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.fixed_step <= 0:
+        if self.fixed_step != "auto" and self.fixed_step <= 0:
             raise ValueError("fixed_step must be > 0")
 
 
@@ -204,6 +205,9 @@ def run_agd(form: QuadraticForm, codebook: PhaseCodebook,
 def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
             settings: OptimizerSettings) -> GdTrace:
     """Constant-step gradient descent (C-GD) baseline."""
+    if settings.fixed_step == "auto":
+        raise ValueError("run_cgd needs a numeric fixed_step, got 'auto'")
+
     def rule(phases, grad):
         return settings.fixed_step
     return _descend(form, codebook, settings, rule)
@@ -247,16 +251,6 @@ def run_exhaustive(form: QuadraticForm, codebook: PhaseCodebook) -> tuple:
     best = int(np.argmax(values >= top - 1e-12 * max(abs(top), 1.0)))
     best_combo = np.array(np.unravel_index(best, shape))
     return grid[best_combo], float(values[best])
-
-
-def dump_trace(trace: GdTrace, path) -> None:
-    """Write per-iteration rows (iter, objective, step, grad_norm) as plain
-    text for convergence plots."""
-    lines = ["# iter objective step grad_norm"]
-    for it, obj, lam, gnorm in trace.iterations:
-        lines.append(f"{it} {obj!r} {lam!r} {gnorm!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def quantize_phases(phases: np.ndarray, codebook: PhaseCodebook) -> np.ndarray:

@@ -141,7 +141,7 @@ def test_criterion_5_scheme_ordering_desk_scale():
     ordering = True
     monotone = True
     prev = {s: -math.inf for s in config.schemes}
-    for snr in config.snr_grid_dB:
+    for snr in config.snr_grid_db:
         agd = rates[(0.0, "agd", snr)]
         cgd = rates[(0.0, "cgd", snr)]
         rnd = rates[(0.0, "random", snr)]

@@ -11,6 +11,8 @@ from thzris.harness import (ExperimentConfig, config_to_text, load_config, prese
                             preset_names, replay_realization, run_experiment)
 from thzris.optimizer import OptimizerSettings
 
+GOLDEN_PRESETS = os.path.join(os.path.dirname(__file__), "golden", "presets")
+
 TINY_CFG = """
 n_bs = 8
 n_ris = 8
@@ -53,22 +55,23 @@ class TestRun:
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        cases = [("n_bs = 4\nm_bs = 6", "n_bs"),
-                 ("kappa_per_m = nan", "kappa_per_m"),
-                 ("bs_ris_m = inf", "bs_ris_m"),
-                 ("snr_grid_db = nan", "snr_grid_db"),
-                 ("max_iterations = 0", "max_iterations"),
-                 ("fixed_step = -1", "fixed_step"),
-                 ("nlos_excess_min_m = -50", "nlos_excess_min_m"),
-                 ("nlos_excess_min_m = 20", "nlos_excess_min_m"),
-                 ("sweep = vs_bits\nsweep_grid = 2.5", "sweep_grid"),
-                 ("sweep = vs_phimax\nsweep_grid = 120, 120", "sweep_grid"),
-                 ("kappa_per_m = 100", "kappa_per_m")]
-        for text, key in cases:
+        cases = [("n_bs = 4\nm_bs = 6", None, "n_bs"),
+                 ("kappa_per_m = nan", 1, "kappa_per_m"),
+                 ("bs_ris_m = inf", 1, "bs_ris_m"),
+                 ("snr_grid_db = nan", 1, "snr_grid_db"),
+                 ("max_iterations = 0", 1, "max_iterations"),
+                 ("fixed_step = -1", 1, "fixed_step"),
+                 ("nlos_excess_min_m = -50", 1, "nlos_excess_min_m"),
+                 ("nlos_excess_min_m = 20", None, "nlos_excess_min_m"),
+                 ("sweep = vs_bits\nsweep_grid = 2.5", 2, "sweep_grid"),
+                 ("sweep = vs_phimax\nsweep_grid = 120, 120", 2, "sweep_grid"),
+                 ("kappa_per_m = 100", None, "kappa_per_m")]
+        for text, line, key in cases:
             bad.write_text(text + "\n")
             assert cli_main(["run", "--config", str(bad)]) == 2, text
             err = capsys.readouterr().err
-            assert err.startswith(f"config error: {bad}: ") and key in err, err
+            where = f"{bad}:{line}" if line else f"{bad}"
+            assert err.startswith(f"config error: {where}: ") and key in err, err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, workers, tiny_cfg_path, tmp_path, capsys):
@@ -118,6 +121,8 @@ class TestPresets:
         assert cli_main(["presets", "show", name]) == 0
         out = capsys.readouterr().out
         assert out == config_to_text(preset(name))
+        with open(os.path.join(GOLDEN_PRESETS, f"{name}.cfg"), "rb") as fh:
+            assert out.encode() == fh.read()
         path = tmp_path / "shown.cfg"
         path.write_text(out)
         assert load_config(path) == preset(name)
@@ -158,7 +163,7 @@ class TestReplay:
     def test_replay_reproduces_sweep_rows(self, tmp_path, capsys):
         """Replaying every dump of a sweep gives back its agd and random rows."""
         cfg = ExperimentConfig(n_bs=8, n_ris=8, n_ms=4, m_bs=4, m_ms=4, n_streams=3,
-                               n_realizations=3, snr_grid_dB=(-5.0, 10.0),
+                               n_realizations=3, snr_grid_db=(-5.0, 10.0),
                                schemes=("agd", "cgd", "random"), master_seed=5,
                                sweep="vs_phimax", sweep_grid=(120.0, 306.82),
                                optimizer=OptimizerSettings(max_iterations=10))
@@ -207,7 +212,8 @@ class TestReplay:
             bad[at["paths_h2"]] += " 7"
             line = at["paths_h2"] + 1
         elif case == "invalid_config":  # a config value that fails validation
-            bad[bad.index("config n_ris = 8")] = "config n_ris = 0"
+            line = bad.index("config n_ris = 8") + 1
+            bad[line - 1] = "config n_ris = 0"
         elif case == "config_value":  # a config value that does not parse
             line = bad.index("config n_ris = 8") + 1
             bad[line - 1] = "config n_ris = eight"

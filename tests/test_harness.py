@@ -7,13 +7,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzris import channel
 from thzris.graphene import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
-                            SweepResult, _hop_reference, calibrate_fixed_step,
+                            SweepResult, calibrate_fixed_step,
                             config_reference, config_to_text, emit_csv, load_config,
                             parse_config, preset, preset_names, run_experiment,
                             stream_seed)
@@ -25,7 +25,7 @@ GOLDEN = os.path.join(GOLDEN_DIR, "tiny_sweep.csv")
 
 def tiny_config(**overrides) -> ExperimentConfig:
     base = dict(n_bs=8, n_ris=8, n_ms=4, m_bs=4, m_ms=4, n_streams=2,
-                n_realizations=3, snr_grid_dB=(0.0, 10.0),
+                n_realizations=3, snr_grid_db=(0.0, 10.0),
                 schemes=("agd", "no_ris", "random"), master_seed=7,
                 optimizer=OptimizerSettings(max_iterations=10))
     base.update(overrides)
@@ -35,8 +35,13 @@ def tiny_config(**overrides) -> ExperimentConfig:
 @st.composite
 def valid_configs(draw) -> ExperimentConfig:
     """Configs that pass validate(), spanning every key kind; the exhaustive
-    scheme is left out so n_ris and bits range freely."""
+    scheme is left out so n_ris and bits range freely. kappa_per_m is drawn
+    after the RIS-hop distances so that kappa * (bs_ris_m + ris_ms_m) <= 1000:
+    the absorption factor of the direct hop's reference (the product of both
+    RIS hops') is then at least exp(-500), and every hop's LoS reference is
+    positive and finite."""
     pos = st.floats(1e-6, 1e6, allow_nan=False)
+    bs_ris_m, ris_ms_m = draw(pos), draw(pos)
     n_streams = draw(st.integers(1, 4))
     m_bs, m_ms = draw(st.integers(n_streams, 8)), draw(st.integers(n_streams, 8))
     lo = draw(st.floats(0.0, 50.0))
@@ -45,29 +50,26 @@ def valid_configs(draw) -> ExperimentConfig:
              "vs_phimax": st.floats(0.5, 360.0)}
     grid = tuple(draw(st.lists(grids.get(sweep, st.floats(-1e3, 1e3)),
                                min_size=sweep in grids, max_size=4, unique=True)))
-    fixed_step = draw(st.none() | st.floats(1e-6, 10.0))
     opt = OptimizerSettings(max_iterations=draw(st.integers(1, 1000)),
-                            fixed_step=fixed_step or OptimizerSettings().fixed_step)
-    config = ExperimentConfig(
+                            fixed_step=draw(st.just("auto") | st.floats(1e-6, 10.0)))
+    return ExperimentConfig(
         n_bs=draw(st.integers(m_bs, 600)), n_ris=draw(st.integers(1, 300)),
         n_ms=draw(st.integers(m_ms, 64)), m_bs=m_bs, m_ms=m_ms, n_streams=n_streams,
-        carrier_freq_Hz=draw(pos) * 1e6, bs_ris_m=draw(pos), ris_ms_m=draw(pos),
-        bs_ms_m=draw(pos), kappa_per_m=draw(st.floats(0.0, 10.0)),
+        carrier_freq_hz=draw(pos) * 1e6, bs_ris_m=bs_ris_m, ris_ms_m=ris_ms_m,
+        bs_ms_m=draw(pos),
+        kappa_per_m=draw(st.floats(0.0, min(10.0, 1000.0 / (bs_ris_m + ris_ms_m)))),
         xi=draw(st.floats(0.0, 1.0)), n_nlos=draw(st.integers(0, 5)),
         n_nlos_direct=draw(st.integers(1, 5)),
-        nlos_excess_range_m=(lo, draw(st.floats(lo, 100.0))),
+        nlos_excess_min_m=lo, nlos_excess_max_m=draw(st.floats(lo, 100.0)),
         ris_element_period_m=draw(pos), phi_max_deg=draw(st.floats(0.5, 360.0)),
         bits=draw(st.integers(1, 6)), mean_amplitude=draw(st.floats(0.5, 1.0)),
-        snr_grid_dB=tuple(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))),
         n_realizations=draw(st.integers(1, 500)), master_seed=draw(st.integers(0, 2 ** 64 - 1)),
         schemes=tuple(draw(st.lists(st.sampled_from([s for s in SCHEMES if s != "exhaustive"]),
                                     min_size=1, max_size=4))),
         sweep=sweep, sweep_grid=grid,
         direct_blockage_db=draw(st.floats(0.0, 60.0)),
-        record_wall_time=draw(st.booleans()), calibrate_cgd=fixed_step is None,
-        optimizer=opt)
-    assume(all(0.0 < _hop_reference(config, hop) < np.inf for hop in channel.Hop))
-    return config
+        record_wall_time=draw(st.booleans()), optimizer=opt)
 
 
 class TestConfigValidation:
@@ -109,7 +111,7 @@ class TestLoadConfig:
         cfg = load_config(path)
         defaults = ExperimentConfig()
         assert cfg.n_bs == 32 and cfg.master_seed == 5
-        assert cfg.carrier_freq_Hz == defaults.carrier_freq_Hz
+        assert cfg.carrier_freq_hz == defaults.carrier_freq_hz
         assert cfg.phi_max_deg == defaults.phi_max_deg
         assert cfg.schemes == defaults.schemes
 
@@ -129,38 +131,43 @@ class TestLoadConfig:
                 load_config(path)
 
     def test_constraint_violation_named(self, tmp_path):
+        """A failed check about one key names the line that sets it; a check
+        about several keys, or about a key left at its default, names the file."""
         path = tmp_path / "bad.cfg"
         cases = [
-            ("n_bs = 4\nm_bs = 6", "n_bs >= m_bs"),
-            ("kappa_per_m = nan", "kappa_per_m must be finite"),
-            ("bs_ris_m = inf", "bs_ris_m must be finite"),
-            ("snr_grid_db = 0, nan", "snr_grid_db must be finite"),
-            ("sweep = vs_phimax\nsweep_grid = 90, -inf", "sweep_grid must be finite"),
-            ("fixed_step = nan", "fixed_step must be finite"),
-            ("max_iterations = 0", "max_iterations must be >= 1"),
-            ("fixed_step = -1", "fixed_step must be > 0"),
-            ("nlos_excess_min_m = -50", "0 <= nlos_excess_min_m <= nlos_excess_max_m"),
-            ("nlos_excess_min_m = 20", "0 <= nlos_excess_min_m <= nlos_excess_max_m"),
-            ("sweep = vs_bits\nsweep_grid = 2.5", "needs int sweep_grid values (bits)"),
-            ("sweep = vs_nris\nsweep_grid = 8, 12.5", "needs int sweep_grid values (n_ris)"),
-            ("sweep = vs_phimax\nsweep_grid = 90, 400", "sweep_grid value 400: phi_max_deg"),
-            ("sweep = vs_phimax\nsweep_grid = 120, 120", "sweep_grid repeats a value"),
-            ("kappa_per_m = 100", "h2 hop's LoS reference is 0, not positive and finite; "
-                                  "lower kappa_per_m"),
+            ("n_bs = 4\nm_bs = 6", None, "n_bs >= m_bs"),
+            ("kappa_per_m = nan", 1, "kappa_per_m must be finite"),
+            ("bs_ris_m = inf", 1, "bs_ris_m must be finite"),
+            ("snr_grid_db = 0, nan", 1, "snr_grid_db must be finite"),
+            ("sweep = vs_phimax\nsweep_grid = 90, -inf", 2, "sweep_grid must be finite"),
+            ("fixed_step = nan", 1, "fixed_step must be finite"),
+            ("n_bs = 8\nmax_iterations = 0", 2, "max_iterations must be >= 1"),
+            ("fixed_step = -1", 1, "fixed_step must be > 0"),
+            ("# a comment\n\nxi = 2", 3, "xi must lie in [0, 1]"),
+            ("nlos_excess_min_m = -50", 1, "nlos_excess_min_m must be >= 0"),
+            ("nlos_excess_min_m = 20", None, "nlos_excess_min_m <= nlos_excess_max_m violated"),
+            ("sweep = vs_bits", None, "needs a non-empty sweep_grid"),
+            ("sweep = vs_bits\nsweep_grid = 2.5", 2, "needs int sweep_grid values (bits)"),
+            ("sweep = vs_nris\nsweep_grid = 8, 12.5", 2, "needs int sweep_grid values (n_ris)"),
+            ("sweep = vs_phimax\nsweep_grid = 90, 400", 2, "sweep_grid value 400: phi_max_deg"),
+            ("sweep = vs_phimax\nsweep_grid = 120, 120", 2, "sweep_grid repeats a value"),
+            ("kappa_per_m = 100", None, "h2 hop's LoS reference is 0, not positive and finite; "
+                                        "lower kappa_per_m"),
         ]
-        for text, message in cases:
+        for text, line, message in cases:
             path.write_text(text + "\n")
-            with pytest.raises(ConfigError, match=r"bad\.cfg: .*" + re.escape(message)):
+            where = "bad.cfg" + (f":{line}" if line else "")
+            with pytest.raises(ConfigError, match=re.escape(f"{where}: ") + ".*"
+                               + re.escape(message)):
                 load_config(path)
 
     def test_schema_reaches_every_field(self):
-        """Each config key is a lower-cased ExperimentConfig or OptimizerSettings
-        field name, and each field has a key, except the derived ones."""
-        names = {f.name.lower() for cls in (ExperimentConfig, OptimizerSettings)
-                 for f in fields(cls)}
-        derived = {"optimizer", "calibrate_cgd", "nlos_excess_range_m"}
-        pair = {"nlos_excess_min_m", "nlos_excess_max_m"}
-        assert set(CONFIG_SCHEMA) - pair == names - derived
+        """Each config key is the name of exactly one ExperimentConfig or
+        OptimizerSettings field, and each field but `optimizer` has a key."""
+        config_fields = {f.name for f in fields(ExperimentConfig)}
+        optimizer_fields = {f.name for f in fields(OptimizerSettings)}
+        assert not config_fields & optimizer_fields
+        assert set(CONFIG_SCHEMA) == (config_fields - {"optimizer"}) | optimizer_fields
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -179,10 +186,11 @@ class TestLoadConfig:
         path.write_text("snr_grid_db = -5, 0, 5\nschemes = agd, random\n"
                         "fixed_step = 0.05\n")
         cfg = load_config(path)
-        assert cfg.snr_grid_dB == (-5.0, 0.0, 5.0)
+        assert cfg.snr_grid_db == (-5.0, 0.0, 5.0)
         assert cfg.schemes == ("agd", "random")
-        assert cfg.calibrate_cgd is False
         assert cfg.optimizer.fixed_step == 0.05
+        path.write_text("fixed_step = AUTO\n")
+        assert load_config(path).optimizer.fixed_step == "auto"
 
     def test_round_trip_through_text(self, tmp_path):
         cfg = tiny_config(sweep="vs_bits", sweep_grid=(1.0, 2.0))
@@ -228,7 +236,7 @@ class TestStreamSeeds:
 class TestRunExperiment:
     def test_row_counting_single_scheme(self):
         cfg = tiny_config(schemes=("random",), n_realizations=1,
-                          snr_grid_dB=(10.0,))
+                          snr_grid_db=(10.0,))
         result = run_experiment(cfg)
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -247,7 +255,7 @@ class TestRunExperiment:
                           optimizer=OptimizerSettings(max_iterations=60))
         result = run_experiment(cfg)
         rates = {(r.scheme, r.snr_db): r.mean_rate for r in result.rows}
-        for snr in cfg.snr_grid_dB:
+        for snr in cfg.snr_grid_db:
             assert rates[("agd", snr)] >= rates[("random", snr)]
 
     def test_deterministic_across_worker_counts(self):
@@ -262,7 +270,7 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         rates = {(r.scheme, r.snr_db): r.mean_rate for r in result.rows}
         # discrete optimum dominates every other quantized scheme per SNR
-        for snr in cfg.snr_grid_dB:
+        for snr in cfg.snr_grid_db:
             assert rates[("exhaustive", snr)] >= rates[("agd", snr)] - 1e-9
             assert rates[("exhaustive", snr)] >= rates[("random", snr)] - 1e-9
 
@@ -320,6 +328,18 @@ class TestEmitCsv:
         emit_csv(run_experiment(cfg), path)
         assert path.read_bytes() == open(GOLDEN, "rb").read()
 
+    def test_desk_preset_matches_committed_golden(self, tmp_path):
+        """fig7-desk cut to 3 realizations: N = 64, 400 A-GD iterations and the
+        calibrated C-GD step (0.001), none of which the tiny golden reaches.
+        Its cgd rows are the same at the uncalibrated step 0.01, so the dumped
+        config pins the calibration."""
+        path = tmp_path / "fig7_desk_r3.csv"
+        emit_csv(run_experiment(replace(preset("fig7-desk"), n_realizations=3),
+                                dump_dir=str(tmp_path)), path)
+        with open(os.path.join(GOLDEN_DIR, "fig7_desk_r3.csv"), "rb") as fh:
+            assert path.read_bytes() == fh.read()
+        assert "config fixed_step = 0.001\n" in (tmp_path / "real00000.txt").read_text()
+
     def test_unwritable_path_raises_with_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv(SweepResult(rows=()), tmp_path / "no" / "such" / "dir" / "x.csv")
@@ -354,14 +374,14 @@ class TestChannelDumps:
 
     def test_dumps_record_calibrated_cgd_step(self, tmp_path):
         cfg = tiny_config(n_realizations=2, schemes=("agd", "cgd"), sweep="vs_phimax",
-                          sweep_grid=(120.0, 306.82))
+                          sweep_grid=(120.0, 306.82),
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         run_experiment(cfg, dump_dir=str(tmp_path))
         for value in cfg.sweep_grid:
             point = replace(cfg, sweep="none", sweep_grid=(), phi_max_deg=value)
             step = calibrate_fixed_step(point)
             for r in range(cfg.n_realizations):
                 real = channel.load_realization(tmp_path / f"real{r:05d}_phi_max_deg{value!r}.txt")
-                assert real.config.calibrate_cgd is False
                 assert real.config.optimizer.fixed_step == step
 
     def test_edited_config_sets_rebuilt_geometry(self, tmp_path):
@@ -370,7 +390,7 @@ class TestChannelDumps:
         cfg = tiny_config(n_realizations=1)
         run_experiment(cfg, dump_dir=str(tmp_path))
         text = (tmp_path / "real00000.txt").read_text()
-        edited = replace(cfg, carrier_freq_Hz=3e11, ris_element_period_m=0.001)
+        edited = replace(cfg, carrier_freq_hz=3e11, ris_element_period_m=0.001)
         for key, value in (("carrier_freq_hz", "3e11"), ("ris_element_period_m", "0.001")):
             text, n = re.subn(rf"^config {key} = .*$", f"config {key} = {value}", text,
                               flags=re.MULTILINE)
@@ -378,7 +398,7 @@ class TestChannelDumps:
         (tmp_path / "edited.txt").write_text(text)
         real = channel.load_realization(tmp_path / "edited.txt")
         assert real.config == edited
-        lam = SPEED_OF_LIGHT / edited.carrier_freq_Hz
+        lam = SPEED_OF_LIGHT / edited.carrier_freq_hz
         for matrix, paths, hop in ((real.h1, real.paths_h1, channel.Hop.BS_RIS),
                                    (real.h2, real.paths_h2, channel.Hop.RIS_MS)):
             np.testing.assert_array_equal(matrix, channel.reconstruct_channel(

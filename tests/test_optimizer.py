@@ -14,7 +14,7 @@ import pytest
 from thzris.beamforming import cascaded_channel
 from thzris.graphene import build_codebook
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
-                              QuadraticForm, adaptive_step, build_quadratic_form, dump_trace,
+                              QuadraticForm, adaptive_step, build_quadratic_form,
                               gradient, objective, quadratic_model_coeffs,
                               quantize_phases, run_agd, run_cgd,
                               run_exhaustive, run_random_phase)
@@ -310,6 +310,11 @@ class TestRunAgd:
 
 
 class TestRunCgd:
+    def test_auto_step_rejected(self):
+        settings = OptimizerSettings(max_iterations=5, fixed_step="auto")
+        with pytest.raises(ValueError, match="numeric fixed_step"):
+            run_cgd(random_form(np.random.default_rng(20)), CODEBOOK, settings)
+
     def test_zero_like_step_freezes(self):
         rng = np.random.default_rng(21)
         form = random_form(rng)
@@ -454,23 +459,6 @@ class TestQuantizePhases:
             expect = dist.min()
             got_diff = abs(phi - got)
             assert min(got_diff, 2 * math.pi - got_diff) == pytest.approx(expect, abs=1e-9)
-
-
-class TestTraceDump:
-    def test_rows_round_trip(self, tmp_path):
-        rng = np.random.default_rng(40)
-        form = random_form(rng)
-        trace = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=5))
-        path = tmp_path / "trace.txt"
-        dump_trace(trace, path)
-        rows = [ln.split() for ln in path.read_text().splitlines()
-                if not ln.startswith("#")]
-        assert len(rows) == len(trace.iterations)
-        for row, (it, obj, lam, gnorm) in zip(rows, trace.iterations):
-            assert int(row[0]) == it
-            assert float(row[1]) == obj
-            assert float(row[2]) == lam
-            assert float(row[3]) == gnorm
 
 
 class TestScaleBehavior:
