@@ -12,9 +12,8 @@ Modules:
 
 from .beamforming import (BeamformerPair, achievable_rate, cascaded_channel,
                           jensen_upper_bound, svd_beamformers)
-from .channel import (ArrayGeometry, ChannelRealization, Hop, LinkGeometry,
-                      PathParams, los_gain, nlos_gain, sample_channel,
-                      upa_response)
+from .channel import (ArrayGeometry, ChannelRealization, Hop, PathParams,
+                      los_gain, nlos_gain, sample_channel, upa_response)
 from .graphene import (ElementGeometry, GrapheneParams, PhaseCodebook,
                        analytic_phase_response, build_codebook,
                        effective_permittivity, fermi_level_from_voltage,

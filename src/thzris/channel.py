@@ -74,28 +74,6 @@ class PathParams:
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
-    """Propagation parameters of one hop."""
-
-    carrier_freq_Hz: float
-    distance_m: float
-    absorption_coeff_per_m: float = 0.2
-    reflection_coeff: float = 1e-6
-    n_nlos_paths: int = 2
-    nlos_excess_range_m: tuple = (1.0, 10.0)
-
-    def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be > 0")
-        if self.absorption_coeff_per_m < 0:
-            raise ValueError("absorption_coeff_per_m must be >= 0")
-        if not 0.0 <= self.reflection_coeff <= 1.0:
-            raise ValueError("reflection_coeff must lie in [0, 1]")
-        if self.n_nlos_paths < 0:
-            raise ValueError("n_nlos_paths must be >= 0")
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """Both hop matrices of one Monte-Carlo draw plus their path lists, the
     realization index and the sweep-point config that drew them."""
@@ -140,29 +118,39 @@ def upa_response(geom: ArrayGeometry, azimuth_rad: float, elevation_rad: float,
     return np.exp(1j * phase).ravel() / math.sqrt(geom.size)
 
 
-def los_gain(link: LinkGeometry) -> complex:
+# hop -> the ExperimentConfig field holding its direct-line length
+HOP_DISTANCE = {Hop.BS_RIS: "bs_ris_m", Hop.RIS_MS: "ris_ms_m", Hop.BS_MS_DIRECT: "bs_ms_m"}
+
+
+def hop_distance(config: "ExperimentConfig", hop: Hop) -> float:
+    """Configured length (m) of the hop's direct line."""
+    return getattr(config, HOP_DISTANCE[hop])
+
+
+def los_gain(config: "ExperimentConfig", hop: Hop) -> complex:
     """LoS complex gain: spreading loss, molecular absorption, delay phase."""
-    f = link.carrier_freq_Hz
-    r0 = link.distance_m
+    f = config.carrier_freq_hz
+    r0 = hop_distance(config, hop)
     tau_los = r0 / SPEED_OF_LIGHT
     mag = (SPEED_OF_LIGHT / (4.0 * math.pi * f * r0)
-           * math.exp(-0.5 * link.absorption_coeff_per_m * r0))
+           * math.exp(-0.5 * config.kappa_per_m * r0))
     return mag * np.exp(-2j * math.pi * f * tau_los)
 
 
-def nlos_gain(link: LinkGeometry, r1_m: float, r2_m: float) -> complex:
+def nlos_gain(config: "ExperimentConfig", hop: Hop, r1_m: float, r2_m: float) -> complex:
     """Reflected-path complex gain for a detour of r1 + r2 meters.
 
-    The reflection coefficient of the scattering material multiplies the
+    The reflection coefficient xi of the scattering material multiplies the
     spreading/absorption loss; the delay phase uses the excess path length.
     """
+    r0 = hop_distance(config, hop)
     detour = r1_m + r2_m
-    if detour < link.distance_m:
+    if detour < r0:
         raise ValueError("r1 + r2 must be >= the direct distance")
-    f = link.carrier_freq_Hz
-    tau_ref = link.distance_m / SPEED_OF_LIGHT + (detour - link.distance_m) / SPEED_OF_LIGHT
-    mag = (SPEED_OF_LIGHT * link.reflection_coeff / (4.0 * math.pi * f * detour)
-           * math.exp(-0.5 * link.absorption_coeff_per_m * detour))
+    f = config.carrier_freq_hz
+    tau_ref = r0 / SPEED_OF_LIGHT + (detour - r0) / SPEED_OF_LIGHT
+    mag = (SPEED_OF_LIGHT * config.xi / (4.0 * math.pi * f * detour)
+           * math.exp(-0.5 * config.kappa_per_m * detour))
     return mag * np.exp(-2j * math.pi * f * tau_ref)
 
 
@@ -191,33 +179,6 @@ def _draw_path_angles(rng) -> tuple:
     return aoa_az, aoa_el, aod_az, aod_el
 
 
-def sample_paths(link: LinkGeometry, rng, include_los: bool = True) -> tuple:
-    """Draw the path list of one hop.
-
-    Angles are uniform over the sphere sectors (azimuth in [0, 2pi), elevation
-    in [0, pi)). Reflected-path detours split the direct distance at a uniform
-    fraction in (0.3, 0.7) and add a uniform excess from nlos_excess_range_m.
-    """
-    paths = []
-    if include_los:
-        gain = los_gain(link)
-        paths.append(PathParams(PathKind.LOS, *_draw_path_angles(rng),
-                                complex_gain=complex(gain),
-                                delay_s=link.distance_m / SPEED_OF_LIGHT))
-    lo, hi = link.nlos_excess_range_m
-    for _ in range(link.n_nlos_paths):
-        angles = _draw_path_angles(rng)
-        u = rng.uniform(0.3, 0.7)
-        excess = rng.uniform(lo, hi)
-        r1 = link.distance_m * u
-        r2 = link.distance_m * (1.0 - u) + excess
-        gain = nlos_gain(link, r1, r2)
-        delay = (link.distance_m + (r1 + r2 - link.distance_m)) / SPEED_OF_LIGHT
-        paths.append(PathParams(PathKind.NLOS, *angles,
-                                complex_gain=complex(gain), delay_s=delay))
-    return tuple(paths)
-
-
 def hop_arrays(config: "ExperimentConfig", hop: Hop) -> tuple:
     """(rx_geom, tx_geom) for a hop under the configured terminal sizes.
 
@@ -236,30 +197,34 @@ def hop_arrays(config: "ExperimentConfig", hop: Hop) -> tuple:
     return ms, bs
 
 
-def hop_link(config: "ExperimentConfig", hop: Hop) -> LinkGeometry:
-    distance = {Hop.BS_RIS: config.bs_ris_m,
-                Hop.RIS_MS: config.ris_ms_m,
-                Hop.BS_MS_DIRECT: config.bs_ms_m}[hop]
-    n_nlos = config.n_nlos_direct if hop is Hop.BS_MS_DIRECT else config.n_nlos
-    return LinkGeometry(carrier_freq_Hz=config.carrier_freq_hz,
-                        distance_m=distance,
-                        absorption_coeff_per_m=config.kappa_per_m,
-                        reflection_coeff=config.xi,
-                        n_nlos_paths=n_nlos,
-                        nlos_excess_range_m=(config.nlos_excess_min_m,
-                                             config.nlos_excess_max_m))
-
-
 def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
     """Sample one hop matrix; returns (matrix, path list).
 
-    The direct BS->MS hop has its LoS blocked and carries reflected paths
-    only. Deterministic given the RNG stream; the matrix equals
-    `reconstruct_channel` applied to the returned paths.
+    The RIS hops carry one LoS path and n_nlos reflected paths; the direct
+    BS->MS hop has its LoS blocked and carries n_nlos_direct reflected paths
+    only. Angles are uniform over the sphere sectors (azimuth in [0, 2pi),
+    elevation in [0, pi)). Reflected-path detours split the direct distance at
+    a uniform fraction in (0.3, 0.7) and add a uniform excess in
+    [nlos_excess_min_m, nlos_excess_max_m]. Deterministic given the RNG stream;
+    the matrix equals `reconstruct_channel` applied to the returned paths.
     """
-    link = hop_link(config, hop)
-    include_los = hop is not Hop.BS_MS_DIRECT
-    paths = sample_paths(link, rng, include_los=include_los)
+    r0 = hop_distance(config, hop)
+    paths = []
+    if hop is not Hop.BS_MS_DIRECT:
+        paths.append(PathParams(PathKind.LOS, *_draw_path_angles(rng),
+                                complex_gain=complex(los_gain(config, hop)),
+                                delay_s=r0 / SPEED_OF_LIGHT))
+    n_nlos = config.n_nlos_direct if hop is Hop.BS_MS_DIRECT else config.n_nlos
+    for _ in range(n_nlos):
+        angles = _draw_path_angles(rng)
+        u = rng.uniform(0.3, 0.7)
+        excess = rng.uniform(config.nlos_excess_min_m, config.nlos_excess_max_m)
+        r1 = r0 * u
+        r2 = r0 * (1.0 - u) + excess
+        paths.append(PathParams(PathKind.NLOS, *angles,
+                                complex_gain=complex(nlos_gain(config, hop, r1, r2)),
+                                delay_s=(r0 + (r1 + r2 - r0)) / SPEED_OF_LIGHT))
+    paths = tuple(paths)
     return _hop_matrix(config, hop, paths), paths
 
 

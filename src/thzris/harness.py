@@ -40,6 +40,10 @@ SWEPT_FIELD = {"vs_nris": ("n_ris", int), "vs_phimax": ("phi_max_deg", float),
                "vs_bits": ("bits", int)}
 SWEEPS = ("none", "vs_snr", *SWEPT_FIELD)
 
+# quantize_phases allocates (n_ris, 2**bits) float arrays: 134 MB each at 16
+# bits and n_ris = 256, while 40 bits would ask for terabytes
+MAX_BITS = 16
+
 CGD_CALIBRATION_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 CGD_CALIBRATION_REALIZATIONS = 10
 
@@ -107,11 +111,6 @@ class ExperimentConfig:
         return build_codebook(math.radians(self.phi_max_deg), self.bits,
                               uniform_amplitude=self.mean_amplitude)
 
-    def los_reference(self, hop: Hop) -> float:
-        """LoS gain magnitude of the configured hop geometry; the deterministic
-        amplitude scale that rate evaluation divides out."""
-        return abs(channel.los_gain(channel.hop_link(self, hop)))
-
     def validate(self) -> None:
         for key, value in _config_values(self).items():
             kind = CONFIG_SCHEMA[key][0]
@@ -131,6 +130,8 @@ class ExperimentConfig:
                     "n_nlos_direct", "bits"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", key)
+        if self.bits > MAX_BITS:
+            raise ConfigError(f"bits must be <= {MAX_BITS}", "bits")
         for key in ("carrier_freq_hz", "bs_ris_m", "ris_ms_m", "bs_ms_m",
                     "ris_element_period_m"):
             if getattr(self, key) <= 0:
@@ -143,17 +144,24 @@ class ExperimentConfig:
                               f"(min {self.nlos_excess_min_m}, max {self.nlos_excess_max_m})")
         if not 0.0 <= self.xi <= 1.0:
             raise ConfigError("xi must lie in [0, 1]", "xi")
-        if not 0.0 < self.phi_max_deg <= 360.0:
+        # in radians, so that a subnormal value cannot leave the codebook a 0 rad span
+        if not (0.0 < math.radians(self.phi_max_deg) and self.phi_max_deg <= 360.0):
             raise ConfigError("phi_max_deg must lie in (0, 360]", "phi_max_deg")
         if not 0.5 <= self.mean_amplitude <= 1.0:
             raise ConfigError("mean_amplitude must lie in [0.5, 1]", "mean_amplitude")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty", "snr_grid_db")
         for hop in Hop:
-            ref = _hop_reference(self, hop)
+            try:
+                ref = _hop_reference(self, hop)
+            except (OverflowError, ZeroDivisionError):   # a magnitude beyond float range
+                ref = math.inf
             if not 0.0 < ref < math.inf:
+                keys = (("bs_ris_m", "ris_ms_m", "direct_blockage_db") if hop is Hop.BS_MS_DIRECT
+                        else (channel.HOP_DISTANCE[hop],))
                 raise ConfigError(f"the {hop.value} hop's LoS reference is {ref:g}, not "
-                                  "positive and finite; lower kappa_per_m or the distances")
+                                  "positive and finite; it is computed from "
+                                  + ", ".join(("carrier_freq_hz", "kappa_per_m") + keys))
         unknown = set(self.schemes) - set(SCHEMES)
         if not self.schemes or unknown:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}"
@@ -203,9 +211,10 @@ def _hop_reference(config: ExperimentConfig, hop: Hop) -> float:
     direct hop the cascade budget (product of both RIS-hop references) times the
     excess obstruction loss, which the obstacle adds to its reflected paths."""
     if hop is Hop.BS_MS_DIRECT:
-        return (config.los_reference(Hop.BS_RIS) * config.los_reference(Hop.RIS_MS)
+        return (abs(channel.los_gain(config, Hop.BS_RIS))
+                * abs(channel.los_gain(config, Hop.RIS_MS))
                 * 10.0 ** (config.direct_blockage_db / 20.0))
-    return config.los_reference(hop)
+    return abs(channel.los_gain(config, hop))
 
 
 def _sample_referenced_hop(config: ExperimentConfig, hop: Hop, rng) -> tuple:

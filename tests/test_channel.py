@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from thzris.channel import (ArrayGeometry, Hop, LinkGeometry, PathKind,
+from thzris.channel import (ArrayGeometry, Hop, PathKind,
                             hop_arrays, los_gain, nlos_gain,
                             reconstruct_channel, sample_channel, upa_dims,
                             upa_response)
@@ -76,18 +76,18 @@ class TestUpaResponse:
 
 class TestPathGains:
     def test_absorption_off_is_free_space(self):
-        link = LinkGeometry(1.6e12, 25.0, absorption_coeff_per_m=0.0)
+        config = ExperimentConfig(bs_ms_m=25.0, kappa_per_m=0.0)
         expect = SPEED_OF_LIGHT / (4 * math.pi * 1.6e12 * 25.0)
-        assert abs(los_gain(link)) == pytest.approx(expect, rel=1e-12)
+        assert abs(los_gain(config, Hop.BS_MS_DIRECT)) == pytest.approx(expect, rel=1e-12)
 
     def test_doubling_distance_halves_magnitude(self):
-        near = LinkGeometry(1.6e12, 10.0, absorption_coeff_per_m=0.0)
-        far = LinkGeometry(1.6e12, 20.0, absorption_coeff_per_m=0.0)
-        assert abs(los_gain(near)) == pytest.approx(2 * abs(los_gain(far)), rel=1e-12)
+        config = ExperimentConfig(bs_ris_m=10.0, ris_ms_m=20.0, kappa_per_m=0.0)
+        near, far = los_gain(config, Hop.BS_RIS), los_gain(config, Hop.RIS_MS)
+        assert abs(near) == pytest.approx(2 * abs(far), rel=1e-12)
 
     def test_frozen_los_gain(self):
-        link = LinkGeometry(1.6e12, 25.0, absorption_coeff_per_m=0.2)
-        gain = los_gain(link)
+        config = ExperimentConfig(bs_ms_m=25.0, kappa_per_m=0.2)
+        gain = los_gain(config, Hop.BS_MS_DIRECT)
         assert abs(gain) == pytest.approx(4.8956982603763823e-08, rel=1e-12)
         # delay phase is ~8.4e5 rad before reduction; double-precision argument
         # rounding leaves ~1e-10 relative slack on the complex value
@@ -95,30 +95,29 @@ class TestPathGains:
         assert gain.imag == pytest.approx(3.7342656046454816e-08, rel=1e-9)
 
     def test_perfect_absorber_kills_reflection(self):
-        link = LinkGeometry(1.6e12, 10.0, reflection_coeff=0.0)
-        assert nlos_gain(link, 6.0, 7.0) == 0.0
+        config = ExperimentConfig(bs_ris_m=10.0, xi=0.0)
+        assert nlos_gain(config, Hop.BS_RIS, 6.0, 7.0) == 0.0
 
     def test_degenerate_detour_matches_los_form(self):
-        link = LinkGeometry(1.6e12, 10.0, absorption_coeff_per_m=0.2,
-                            reflection_coeff=1e-6)
-        got = nlos_gain(link, 4.0, 6.0)  # r1 + r2 == r
+        config = ExperimentConfig(bs_ris_m=10.0, kappa_per_m=0.2, xi=1e-6)
+        got = nlos_gain(config, Hop.BS_RIS, 4.0, 6.0)  # r1 + r2 == r
         expect_mag = (SPEED_OF_LIGHT * 1e-6 / (4 * math.pi * 1.6e12 * 10.0)
                       * math.exp(-0.5 * 0.2 * 10.0))
         assert abs(got) == pytest.approx(expect_mag, rel=1e-12)
-        assert cmath.phase(got) == pytest.approx(cmath.phase(los_gain(link)), abs=1e-6)
+        assert cmath.phase(got) == pytest.approx(cmath.phase(los_gain(config, Hop.BS_RIS)),
+                                                 abs=1e-6)
 
     def test_frozen_nlos_gain(self):
-        link = LinkGeometry(1.6e12, 10.0, absorption_coeff_per_m=0.2,
-                            reflection_coeff=1e-6)
-        gain = nlos_gain(link, 6.0, 7.0)
+        config = ExperimentConfig(bs_ris_m=10.0, kappa_per_m=0.2, xi=1e-6)
+        gain = nlos_gain(config, Hop.BS_RIS, 6.0, 7.0)
         assert abs(gain) == pytest.approx(3.1258251236322122e-13, rel=1e-12)
         assert gain.real == pytest.approx(-1.5367809726633133e-13, rel=1e-9)
         assert gain.imag == pytest.approx(-2.7219638031374214e-13, rel=1e-9)
 
     def test_short_detour_rejected(self):
-        link = LinkGeometry(1.6e12, 10.0)
+        config = ExperimentConfig(bs_ris_m=10.0)
         with pytest.raises(ValueError):
-            nlos_gain(link, 4.0, 5.0)
+            nlos_gain(config, Hop.BS_RIS, 4.0, 5.0)
 
 
 class TestSampleChannel:

@@ -65,7 +65,10 @@ class TestRun:
                  ("nlos_excess_min_m = 20", None, "nlos_excess_min_m"),
                  ("sweep = vs_bits\nsweep_grid = 2.5", 2, "sweep_grid"),
                  ("sweep = vs_phimax\nsweep_grid = 120, 120", 2, "sweep_grid"),
-                 ("kappa_per_m = 100", None, "kappa_per_m")]
+                 ("kappa_per_m = 100", None, "kappa_per_m"),
+                 ("direct_blockage_db = 1e4", None, "direct_blockage_db"),
+                 ("carrier_freq_hz = 1e-300\nbs_ris_m = 1e-30", None, "bs_ris_m"),
+                 ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits")]
         for text, line, key in cases:
             bad.write_text(text + "\n")
             assert cli_main(["run", "--config", str(bad)]) == 2, text

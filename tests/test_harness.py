@@ -150,9 +150,19 @@ class TestLoadConfig:
             ("sweep = vs_bits\nsweep_grid = 2.5", 2, "needs int sweep_grid values (bits)"),
             ("sweep = vs_nris\nsweep_grid = 8, 12.5", 2, "needs int sweep_grid values (n_ris)"),
             ("sweep = vs_phimax\nsweep_grid = 90, 400", 2, "sweep_grid value 400: phi_max_deg"),
+            ("phi_max_deg = 5e-324", 1, "phi_max_deg must lie in (0, 360]"),
             ("sweep = vs_phimax\nsweep_grid = 120, 120", 2, "sweep_grid repeats a value"),
             ("kappa_per_m = 100", None, "h2 hop's LoS reference is 0, not positive and finite; "
-                                        "lower kappa_per_m"),
+                                        "it is computed from carrier_freq_hz, kappa_per_m, "
+                                        "ris_ms_m"),
+            ("direct_blockage_db = 1e4", None, "direct hop's LoS reference is inf, not positive "
+                                               "and finite; it is computed from carrier_freq_hz, "
+                                               "kappa_per_m, bs_ris_m, ris_ms_m, "
+                                               "direct_blockage_db"),
+            ("carrier_freq_hz = 1e-300\nbs_ris_m = 1e-30", None,
+             "h1 hop's LoS reference is inf, not positive and finite; it is computed from "
+             "carrier_freq_hz, kappa_per_m, bs_ris_m"),
+            ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits must be <= 16"),
         ]
         for text, line, message in cases:
             path.write_text(text + "\n")
@@ -339,6 +349,15 @@ class TestEmitCsv:
         with open(os.path.join(GOLDEN_DIR, "fig7_desk_r3.csv"), "rb") as fh:
             assert path.read_bytes() == fh.read()
         assert "config fixed_step = 0.001\n" in (tmp_path / "real00000.txt").read_text()
+
+    def test_desk_dump_matches_committed_golden(self, tmp_path):
+        """One fig7-desk realization's dump, byte for byte: path gains and
+        delays are written with repr, so this pins them to the last ulp, which
+        the 9-digit CSV goldens do not."""
+        run_experiment(replace(preset("fig7-desk"), n_realizations=1, schemes=("no_ris",)),
+                       dump_dir=str(tmp_path))
+        with open(os.path.join(GOLDEN_DIR, "dump_fig7_desk_r0.txt"), "rb") as fh:
+            assert (tmp_path / "real00000.txt").read_bytes() == fh.read()
 
     def test_unwritable_path_raises_with_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):

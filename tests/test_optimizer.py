@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thzris.beamforming import cascaded_channel
 from thzris.graphene import build_codebook
@@ -68,6 +70,21 @@ class TestBuildQuadraticForm:
             he = cascaded_channel(h1, h2, theta)
             trace = np.linalg.norm(he) ** 2
             assert quad == pytest.approx(trace, rel=1e-10)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_quadratic_form_equals_cascaded_trace_property(self, n_ris, n_bs, n_ms,
+                                                           seed, data):
+        """theta^H D theta == ||H2 diag(theta) H1||_F^2 over drawn shapes and
+        phases (the channel entries come from the drawn seed)."""
+        rng = np.random.default_rng(seed)
+        h1, h2 = crandn(rng, n_ris, n_bs), crandn(rng, n_ms, n_ris)
+        phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * math.pi),
+                                             min_size=n_ris, max_size=n_ris)))
+        theta = MU * np.exp(1j * phases)
+        quad = float(np.real(theta.conj() @ build_quadratic_form(h1, h2).matrix @ theta))
+        trace = np.linalg.norm(cascaded_channel(h1, h2, theta)) ** 2
+        assert quad == pytest.approx(trace, rel=1e-10)
 
     def test_hermitian_and_psd(self):
         rng = np.random.default_rng(3)
@@ -447,6 +464,18 @@ class TestQuantizePhases:
         once = quantize_phases(phases, CODEBOOK)
         assert all(p in CODEBOOK.phases_rad for p in once)
         np.testing.assert_array_equal(quantize_phases(once, CODEBOOK), once)
+
+    @given(st.integers(1, 4),
+           st.floats(0.0, 360.0, exclude_min=True).filter(lambda d: math.radians(d) > 0),
+           st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=32))
+    def test_idempotent_property(self, bits, phi_max_deg, phases):
+        """Quantizing a quantized phase vector returns it unchanged, for every
+        1-4 bit codebook with phi_max in (0, 360] degrees. Degree values so
+        small that their radians round to 0 make no codebook, and the config
+        rejects them (TestLoadConfig::test_constraint_violation_named)."""
+        codebook = build_codebook(math.radians(phi_max_deg), bits)
+        once = quantize_phases(np.array(phases), codebook)
+        np.testing.assert_array_equal(quantize_phases(once, codebook), once)
 
     def test_nearest_by_circular_distance(self):
         grid = CODEBOOK.phases_array()
