@@ -11,7 +11,7 @@ Modules:
 """
 
 from .beamforming import (BeamformerPair, achievable_rate, cascaded_channel,
-                          jensen_upper_bound, svd_beamformers)
+                          svd_beamformers)
 from .channel import (ArrayGeometry, ChannelRealization, Hop, PathParams,
                       los_gain, nlos_gain, sample_channel, upa_response)
 from .graphene import (ElementGeometry, GrapheneParams, PhaseCodebook,

@@ -74,12 +74,3 @@ def achievable_rate(he: np.ndarray, pair: BeamformerPair, snr_linear: float) -> 
         raise np.linalg.LinAlgError("log-det of the rate matrix is not finite")
     return float(logdet / math.log(2.0))
 
-
-def jensen_upper_bound(he: np.ndarray, snr_linear: float, n_streams: int) -> float:
-    """Concavity upper bound N_s log2(1 + snr/N_s tr(H_e H_e^H)).
-
-    Tight exactly when the effective channel is rank one and carries a single
-    stream.
-    """
-    total_power = float(np.sum(np.abs(np.asarray(he)) ** 2))
-    return n_streams * math.log2(1.0 + snr_linear / n_streams * total_power)

@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration/usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -108,8 +107,9 @@ def _cmd_presets(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if not math.isfinite(args.snr_db):
-        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
+    if not abs(args.snr_db) <= harness.MAX_SNR_DB:   # also rejects nan
+        raise ConfigError(f"--snr-db must be finite and lie in [-{harness.MAX_SNR_DB}, "
+                          f"{harness.MAX_SNR_DB}], got {args.snr_db}")
     real, config, rates = harness.replay_realization(args.channel_dump, args.snr_db)
     print(f"seed {real.seed}")
     print(f"h1 {real.h1.shape[0]}x{real.h1.shape[1]}  ||h1||_F = "

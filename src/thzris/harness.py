@@ -24,6 +24,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,9 @@ SWEEPS = ("none", "vs_snr", *SWEPT_FIELD)
 # quantize_phases allocates (n_ris, 2**bits) float arrays: 134 MB each at 16
 # bits and n_ris = 256, while 40 bits would ask for terabytes
 MAX_BITS = 16
+# 10 ** (snr / 10) overflows a float above 3080 dB and the rate's log-det stops
+# being finite near 3050 dB; +-300 dB still evaluates at desk and paper scale
+MAX_SNR_DB = 300
 
 CGD_CALIBRATION_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 CGD_CALIBRATION_REALIZATIONS = 10
@@ -151,26 +155,33 @@ class ExperimentConfig:
             raise ConfigError("mean_amplitude must lie in [0.5, 1]", "mean_amplitude")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty", "snr_grid_db")
+        if any(abs(snr) > MAX_SNR_DB for snr in self.snr_grid_db):
+            raise ConfigError(f"snr_grid_db values must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}] dB, "
+                              f"got {_format_value(self.snr_grid_db)}", "snr_grid_db")
         for hop in Hop:
-            try:
-                ref = _hop_reference(self, hop)
-            except (OverflowError, ZeroDivisionError):   # a magnitude beyond float range
-                ref = math.inf
+            ref = _magnitude(_hop_reference, self, hop)
             if not 0.0 < ref < math.inf:
                 keys = (("bs_ris_m", "ris_ms_m", "direct_blockage_db") if hop is Hop.BS_MS_DIRECT
                         else (channel.HOP_DISTANCE[hop],))
                 raise ConfigError(f"the {hop.value} hop's LoS reference is {ref:g}, not "
                                   "positive and finite; it is computed from "
                                   + ", ".join(("carrier_freq_hz", "kappa_per_m") + keys))
+        gain = _magnitude(channel.nlos_gain, self, Hop.BS_MS_DIRECT, self.bs_ms_m,
+                          self.nlos_excess_min_m)
+        if not math.isfinite(gain):
+            raise ConfigError(f"the direct hop's reflected-path gain at its shortest detour is "
+                              f"{gain:g}, not finite; it is computed from carrier_freq_hz, "
+                              "kappa_per_m, xi, bs_ms_m, nlos_excess_min_m")
         unknown = set(self.schemes) - set(SCHEMES)
         if not self.schemes or unknown:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}"
                               + (f"; unknown: {sorted(unknown)}" if unknown else ""), "schemes")
         if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep must be one of {SWEEPS}", "sweep")
-        if len(set(self.sweep_grid)) != len(self.sweep_grid):
-            raise ConfigError(f"sweep_grid repeats a value: {_format_value(self.sweep_grid)}",
-                              "sweep_grid")
+        for key in ("schemes", "snr_grid_db", "sweep_grid"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} repeats a value: {_format_value(values)}", key)
         if "exhaustive" in self.schemes and \
                 (2 ** self.bits) ** self.n_ris > optimizer.EXHAUSTIVE_LIMIT:
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
@@ -217,10 +228,12 @@ def _hop_reference(config: ExperimentConfig, hop: Hop) -> float:
     return abs(channel.los_gain(config, hop))
 
 
-def _sample_referenced_hop(config: ExperimentConfig, hop: Hop, rng) -> tuple:
-    """Sample a hop; returns (referenced matrix, raw matrix, path list)."""
-    h_raw, paths = channel.sample_channel(config, hop, rng)
-    return h_raw / _hop_reference(config, hop), h_raw, paths
+def _magnitude(fn, *args) -> float:
+    """abs(fn(*args)), or inf where its float arithmetic overflows or divides by zero."""
+    try:
+        return abs(fn(*args))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _sweep_points(config: ExperimentConfig) -> list:
@@ -258,8 +271,10 @@ def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
 def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
                r: int) -> dict:
     """Scheme -> (rates over cfg.snr_grid_db, iterations, wall ms) of the RIS
-    schemes on realization r's referenced hops at one sweep point. The sweep
-    and channel-dump replay both run this."""
+    schemes on realization r's raw hops at one sweep point, each hop divided by
+    its reference here. The sweep and channel-dump replay both run this."""
+    h1 = h1 / _hop_reference(cfg, Hop.BS_RIS)
+    h2 = h2 / _hop_reference(cfg, Hop.RIS_MS)
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
     codebook = cfg.codebook()
     out = {}
@@ -273,40 +288,31 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
     return out
 
 
-def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -> tuple:
-    """Rates/iterations/wall-time arrays for one channel realization.
-
-    Shapes: rates (n_points, n_schemes, n_snr); iters and wall (n_points,
-    n_schemes). Scheme axis follows sorted(config.schemes).
-    """
-    schemes = sorted(config.schemes)
-    n_snr = len(config.snr_grid_db)
-    rates = np.zeros((len(points), len(schemes), n_snr))
-    iters = np.zeros((len(points), len(schemes)))
-    wall = np.zeros((len(points), len(schemes)))
-
-    direct = None
-    if "no_ris" in schemes:
-        hd, _, _ = _sample_referenced_hop(config, Hop.BS_MS_DIRECT,
-                                          stream_rng(config.master_seed, r, "direct"))
-        direct = (_rates_for_channel(hd, config), 0, 0.0)
-
-    for k, (value, cfg) in enumerate(points):
-        h1, h1_raw, paths_h1 = _sample_referenced_hop(
-            cfg, Hop.BS_RIS, stream_rng(cfg.master_seed, r, "h1"))
-        h2, h2_raw, paths_h2 = _sample_referenced_hop(
-            cfg, Hop.RIS_MS, stream_rng(cfg.master_seed, r, "h2"))
+def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -> list:
+    """One {scheme: (rates, iterations, wall ms)} per sweep point for channel
+    realization r. The direct hop depends on no swept field, so its no_ris
+    result is drawn once and shared by every point."""
+    direct = {}
+    if "no_ris" in config.schemes:
+        hd, _ = channel.sample_channel(config, Hop.BS_MS_DIRECT,
+                                       stream_rng(config.master_seed, r, "direct"))
+        direct["no_ris"] = (_rates_for_channel(
+            hd / _hop_reference(config, Hop.BS_MS_DIRECT), config), 0, 0.0)
+    ris_schemes = [s for s in config.schemes if s != "no_ris"]
+    out = []
+    for _, cfg in points:
+        h1, paths_h1 = channel.sample_channel(cfg, Hop.BS_RIS,
+                                              stream_rng(cfg.master_seed, r, "h1"))
+        h2, paths_h2 = channel.sample_channel(cfg, Hop.RIS_MS,
+                                              stream_rng(cfg.master_seed, r, "h2"))
         if dump_dir is not None:
-            real = channel.ChannelRealization(
-                h1=h1_raw, h2=h2_raw, paths_h1=paths_h1, paths_h2=paths_h2,
-                realization=r, config=cfg)
+            real = channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
+                                              paths_h2=paths_h2, realization=r, config=cfg)
             name = SWEPT_FIELD.get(config.sweep, ("",))[0]   # suffix: swept field's value
             suffix = f"_{name}{getattr(cfg, name)}" if name else ""
             channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        point = _run_point(h1, h2, cfg, [s for s in schemes if s != "no_ris"], r)
-        for s, scheme in enumerate(schemes):
-            rates[k, s], iters[k, s], wall[k, s] = point.get(scheme, direct)
-    return rates, iters, wall
+        out.append({**direct, **_run_point(h1, h2, cfg, ris_schemes, r)})
+    return out
 
 
 def replay_realization(path, snr_db: float) -> tuple:
@@ -315,9 +321,7 @@ def replay_realization(path, snr_db: float) -> tuple:
     (realization, point config, {scheme: rate})."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
-    point = _run_point(real.h1 / _hop_reference(cfg, Hop.BS_RIS),
-                       real.h2 / _hop_reference(cfg, Hop.RIS_MS), cfg,
-                       ("agd", "random"), real.realization)
+    point = _run_point(real.h1, real.h2, cfg, ("agd", "random"), real.realization)
     return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
@@ -328,10 +332,12 @@ def calibrate_fixed_step(config: ExperimentConfig,
     calibration batch (streams disjoint from the main experiment)."""
     forms = []
     for c in range(n_realizations):
-        h1, _, _ = _sample_referenced_hop(config, Hop.BS_RIS,
-                                          stream_rng(config.master_seed, c, "calib-h1"))
-        h2, _, _ = _sample_referenced_hop(config, Hop.RIS_MS,
-                                          stream_rng(config.master_seed, c, "calib-h2"))
+        h1, _ = channel.sample_channel(config, Hop.BS_RIS,
+                                       stream_rng(config.master_seed, c, "calib-h1"))
+        h2, _ = channel.sample_channel(config, Hop.RIS_MS,
+                                       stream_rng(config.master_seed, c, "calib-h2"))
+        # rebound so the raw hops are freed before the form is built
+        h1, h2 = h1 / _hop_reference(config, Hop.BS_RIS), h2 / _hop_reference(config, Hop.RIS_MS)
         form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
         forms.append(form)
     codebook = config.codebook()
@@ -351,39 +357,31 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     With cgd calibrated, each point config carries the C-GD step it runs."""
     config.validate()
     points = _sweep_points(config)
-    schemes = sorted(config.schemes)
-    if "cgd" in schemes and config.optimizer.fixed_step == "auto":
+    if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
         points = [(value, replace(cfg, optimizer=replace(
                       cfg.optimizer, fixed_step=calibrate_fixed_step(cfg))))
                   for value, cfg in points]
 
-    n_real = config.n_realizations
-    results = [None] * n_real
+    run = partial(_run_realization, config=config, points=points, dump_dir=dump_dir)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_realization, r, config, points, dump_dir): r
-                       for r in range(n_real)}
-            for fut, r in futures.items():
-                results[r] = fut.result()
+            results = list(pool.map(run, range(config.n_realizations)))
     else:
-        for r in range(n_real):
-            results[r] = _run_realization(r, config, points, dump_dir)
-
-    rates = np.stack([res[0] for res in results])   # (R, K, S, Q)
-    iters = np.stack([res[1] for res in results])
-    wall = np.stack([res[2] for res in results])
+        results = list(map(run, range(config.n_realizations)))
 
     rows = []
     for k, (value, _) in enumerate(points):
-        for s, scheme in enumerate(schemes):
+        for scheme in config.schemes:
+            # (R, Q) rates, (R,) iterations and wall ms over the realizations
+            rates, iters, wall = map(np.array, zip(*(res[k][scheme] for res in results)))
             for q, snr in enumerate(config.snr_grid_db):
                 rows.append(SweepRow(
                     sweep_value=float(value), scheme=scheme, snr_db=float(snr),
-                    mean_rate=float(np.mean(rates[:, k, s, q])),
-                    std_rate=float(np.std(rates[:, k, s, q])),
-                    n_real=n_real,
-                    mean_iters=float(np.mean(iters[:, k, s])),
-                    mean_wall_ms=float(np.mean(wall[:, k, s]))))
+                    mean_rate=float(np.mean(rates[:, q])),
+                    std_rate=float(np.std(rates[:, q])),
+                    n_real=config.n_realizations,
+                    mean_iters=float(np.mean(iters)),
+                    mean_wall_ms=float(np.mean(wall))))
     rows.sort(key=lambda row: (row.sweep_value, row.scheme, row.snr_db))
     return SweepResult(rows=tuple(rows))
 

@@ -17,6 +17,8 @@ from thzris import beamforming as bf
 from thzris import harness, optimizer as opt
 from thzris.graphene import build_codebook
 
+from test_beamforming import jensen_upper_bound
+
 CODEBOOK = build_codebook(math.radians(306.82), 2, uniform_amplitude=0.8)
 MU = 0.8
 
@@ -101,7 +103,7 @@ def test_criterion_3_svd_rate_consistency():
         s = np.linalg.svd(he, compute_uv=False)
         closed = float(np.sum(np.log2(1 + snr / ns * s[:ns] ** 2)))
         worst_rate = max(worst_rate, abs(general - closed) / max(closed, 1e-12))
-        bound = bf.jensen_upper_bound(he, snr, ns)
+        bound = jensen_upper_bound(he, snr, ns)
         jensen_ok = jensen_ok and bound >= general - 1e-12
         worst_power = max(worst_power,
                           abs(np.linalg.norm(pair.precoder) ** 2 - ns))

@@ -68,7 +68,14 @@ class TestRun:
                  ("kappa_per_m = 100", None, "kappa_per_m"),
                  ("direct_blockage_db = 1e4", None, "direct_blockage_db"),
                  ("carrier_freq_hz = 1e-300\nbs_ris_m = 1e-30", None, "bs_ris_m"),
-                 ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits")]
+                 ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits"),
+                 ("carrier_freq_hz = 1e-150\nbs_ris_m = 1e6\nris_ms_m = 1e6\n"
+                  "kappa_per_m = 0\nbs_ms_m = 1e-180\nnlos_excess_min_m = 0\n"
+                  "nlos_excess_max_m = 0", None, "reflected-path gain"),
+                 ("snr_grid_db = 4000", 1, "snr_grid_db"),
+                 ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db"),
+                 ("schemes = random, random", 1, "schemes"),
+                 ("snr_grid_db = 10, 10", 1, "snr_grid_db")]
         for text, line, key in cases:
             bad.write_text(text + "\n")
             assert cli_main(["run", "--config", str(bad)]) == 2, text
@@ -157,7 +164,8 @@ class TestReplay:
         assert "agd" in out_text and "random" in out_text
 
     def test_non_finite_snr_flag_exits_2(self, capsys):
-        for raw in ("nan", "inf", "-inf"):
+        # 4000 dB overflows 10 ** (snr / 10); the flag is bound to +-MAX_SNR_DB
+        for raw in ("nan", "inf", "-inf", "4000", "-4000"):
             code = cli_main(["replay", "--channel-dump", "/no/such/file.txt",
                              f"--snr-db={raw}"])
             assert code == 2

@@ -63,10 +63,11 @@ def valid_configs(draw) -> ExperimentConfig:
         nlos_excess_min_m=lo, nlos_excess_max_m=draw(st.floats(lo, 100.0)),
         ris_element_period_m=draw(pos), phi_max_deg=draw(st.floats(0.5, 360.0)),
         bits=draw(st.integers(1, 6)), mean_amplitude=draw(st.floats(0.5, 1.0)),
-        snr_grid_db=tuple(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5))),
+        snr_grid_db=tuple(draw(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=5,
+                                        unique=True))),
         n_realizations=draw(st.integers(1, 500)), master_seed=draw(st.integers(0, 2 ** 64 - 1)),
         schemes=tuple(draw(st.lists(st.sampled_from([s for s in SCHEMES if s != "exhaustive"]),
-                                    min_size=1, max_size=4))),
+                                    min_size=1, max_size=4, unique=True))),
         sweep=sweep, sweep_grid=grid,
         direct_blockage_db=draw(st.floats(0.0, 60.0)),
         record_wall_time=draw(st.booleans()), optimizer=opt)
@@ -163,6 +164,14 @@ class TestLoadConfig:
              "h1 hop's LoS reference is inf, not positive and finite; it is computed from "
              "carrier_freq_hz, kappa_per_m, bs_ris_m"),
             ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits must be <= 16"),
+            ("carrier_freq_hz = 1e-150\nbs_ris_m = 1e6\nris_ms_m = 1e6\nkappa_per_m = 0\n"
+             "bs_ms_m = 1e-180\nnlos_excess_min_m = 0\nnlos_excess_max_m = 0", None,
+             "direct hop's reflected-path gain at its shortest detour is inf, not finite; it "
+             "is computed from carrier_freq_hz, kappa_per_m, xi, bs_ms_m, nlos_excess_min_m"),
+            ("snr_grid_db = 4000", 1, "snr_grid_db values must lie in [-300, 300] dB"),
+            ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db values must lie in [-300, 300]"),
+            ("schemes = random, random", 1, "schemes repeats a value: random,random"),
+            ("snr_grid_db = 10, 10", 1, "snr_grid_db repeats a value: 10.0,10.0"),
         ]
         for text, line, message in cases:
             path.write_text(text + "\n")
@@ -337,6 +346,16 @@ class TestEmitCsv:
         path = tmp_path / "tiny.csv"
         emit_csv(run_experiment(cfg), path)
         assert path.read_bytes() == open(GOLDEN, "rb").read()
+
+    def test_multi_point_all_schemes_matches_committed_golden(self, tmp_path):
+        """Two vs_nris points with every scheme: exhaustive (16 and 256
+        iterations), no_ris repeated across points, C-GD calibrated per point."""
+        cfg = tiny_config(schemes=SCHEMES, sweep="vs_nris", sweep_grid=(2.0, 4.0),
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
+        path = tmp_path / "tiny_vs_nris.csv"
+        emit_csv(run_experiment(cfg), path)
+        with open(os.path.join(GOLDEN_DIR, "tiny_vs_nris_all_schemes.csv"), "rb") as fh:
+            assert path.read_bytes() == fh.read()
 
     def test_desk_preset_matches_committed_golden(self, tmp_path):
         """fig7-desk cut to 3 realizations: N = 64, 400 A-GD iterations and the

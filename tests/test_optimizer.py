@@ -353,15 +353,16 @@ class TestRunCgd:
     def test_adaptive_wins_or_ties_on_channel_like_instances(self):
         # near-rank-one forms (LoS-dominated cascades); the constant step is
         # calibrated on the first ten instances like the experiment harness
-        from thzris.channel import Hop
-        from thzris.harness import (ExperimentConfig, _sample_referenced_hop,
-                                    stream_rng)
+        from thzris.channel import Hop, sample_channel
+        from thzris.harness import ExperimentConfig, _hop_reference, stream_rng
 
         cfg = ExperimentConfig(n_ris=16)
         forms = []
         for r in range(200):
-            h1, _, _ = _sample_referenced_hop(cfg, Hop.BS_RIS, stream_rng(60, r, "h1"))
-            h2, _, _ = _sample_referenced_hop(cfg, Hop.RIS_MS, stream_rng(60, r, "h2"))
+            h1 = (sample_channel(cfg, Hop.BS_RIS, stream_rng(60, r, "h1"))[0]
+                  / _hop_reference(cfg, Hop.BS_RIS))
+            h2 = (sample_channel(cfg, Hop.RIS_MS, stream_rng(60, r, "h2"))[0]
+                  / _hop_reference(cfg, Hop.RIS_MS))
             forms.append(build_quadratic_form(h1, h2).trace_normalized()[0])
         grid = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
         means = []
