@@ -18,7 +18,7 @@ from .graphene import (ElementGeometry, GrapheneParams, PhaseCodebook,
                        analytic_phase_response, build_codebook,
                        effective_permittivity, fermi_level_from_voltage,
                        surface_conductivity)
-from .harness import (ConfigError, ExperimentConfig, SweepResult, emit_csv,
+from .harness import (ConfigError, ExperimentConfig, emit_csv,
                       load_config, preset, preset_names, run_experiment)
 from .optimizer import (GdTrace, OptimizerSettings, QuadraticForm,
                         adaptive_step, build_quadratic_form, gradient,

@@ -81,15 +81,14 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, stem + ".csv")
 
-    result = harness.run_experiment(config, workers=args.workers,
-                                    dump_dir=args.dump_channels)
-    harness.emit_csv(result, out_path)
+    rows = harness.run_experiment(config, workers=args.workers, dump_dir=args.dump_channels)
+    harness.emit_csv(rows, out_path)
 
     top_snr = max(config.snr_grid_db)
-    print(f"wrote {len(result.rows)} rows to {out_path}")
+    print(f"wrote {len(rows)} rows to {out_path}")
     print(f"mean rate at {top_snr:g} dB (first sweep point):")
-    first_value = result.rows[0].sweep_value
-    for row in result.rows:
+    first_value = rows[0].sweep_value
+    for row in rows:
         if row.snr_db == top_snr and row.sweep_value == first_value:
             print(f"  {row.scheme:<10} {row.mean_rate:8.3f} bps/Hz")
     return 0

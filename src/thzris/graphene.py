@@ -15,23 +15,21 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import constants as const
 
-# Universal constants (SI), CODATA as shipped with scipy.
-ELEMENTARY_CHARGE = const.e          # C
-HBAR = const.hbar                    # J s
-BOLTZMANN = const.k                  # J/K
-VACUUM_PERMITTIVITY = const.epsilon_0  # F/m
-SPEED_OF_LIGHT = const.c             # m/s
+# SI constants: e, h (hbar = h / 2 pi), kB and c are exact in the 2019 SI; eps0 is CODATA 2022
+ELEMENTARY_CHARGE = 1.602176634e-19            # C
+HBAR = 6.62607015e-34 / (2 * math.pi)          # J s
+BOLTZMANN = 1.380649e-23                       # J/K
+VACUUM_PERMITTIVITY = 8.8541878188e-12         # F/m
+SPEED_OF_LIGHT = 299792458.0                   # m/s
 
 
 @dataclass(frozen=True)
 class GrapheneParams:
     """Material and bias-circuit parameters of the tunable graphene sheet.
 
-    Defaults are typical CVD-graphene values at room temperature; they only
-    affect the physics demo path, not the beamforming pipeline (which uses the
-    calibrated codebook).
+    Defaults are typical CVD-graphene values at room temperature, read only by the
+    element-physics functions below; the sweep's phase states come from build_codebook.
     """
 
     temperature_K: float = 300.0

@@ -28,6 +28,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from . import beamforming, channel, optimizer
 from .channel import Hop
@@ -70,11 +71,6 @@ class SweepRow(NamedTuple):
     n_real: int
     mean_iters: float
     mean_wall_ms: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple
 
 
 @dataclass(frozen=True)
@@ -172,6 +168,16 @@ class ExperimentConfig:
             raise ConfigError(f"the direct hop's reflected-path gain at its shortest detour is "
                               f"{gain:g}, not finite; it is computed from carrier_freq_hz, "
                               "kappa_per_m, xi, bs_ms_m, nlos_excess_min_m")
+        # no_ris divides its hop by the cascade budget, which its gains do not track. Its rate
+        # forms s_i^2 and snr/Ns s_i^2 <= max(1, snr) ||H||_F^2 <= bound, as gain is the largest
+        bound = _magnitude(lambda: max(1.0, 10.0 ** (max(self.snr_grid_db) / 10.0))
+                           * self.n_nlos_direct * self.n_bs * self.n_ms
+                           * (gain / _magnitude(_hop_reference, self, Hop.BS_MS_DIRECT)) ** 2)
+        if not math.isfinite(bound):
+            raise ConfigError(f"the direct hop's rate terms are bounded by {bound:g}, not "
+                              "finite; the bound is computed from snr_grid_db, n_nlos_direct, "
+                              "n_bs, n_ms, carrier_freq_hz, kappa_per_m, xi, bs_ms_m, "
+                              "nlos_excess_min_m, bs_ris_m, ris_ms_m, direct_blockage_db")
         unknown = set(self.schemes) - set(SCHEMES)
         if not self.schemes or unknown:
             raise ConfigError(f"schemes must be a non-empty subset of {SCHEMES}"
@@ -213,8 +219,8 @@ def stream_seed(master_seed: int, realization: int, tag: str) -> int:
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
 
-def stream_rng(master_seed: int, realization: int, tag: str) -> np.random.Generator:
-    return np.random.default_rng(stream_seed(master_seed, realization, tag))
+def stream_rng(master_seed: int, realization: int, tag: str) -> Generator:
+    return default_rng(stream_seed(master_seed, realization, tag))
 
 
 def _hop_reference(config: ExperimentConfig, hop: Hop) -> float:
@@ -231,7 +237,7 @@ def _hop_reference(config: ExperimentConfig, hop: Hop) -> float:
 def _magnitude(fn, *args) -> float:
     """abs(fn(*args)), or inf where its float arithmetic overflows or divides by zero."""
     try:
-        return abs(fn(*args))
+        return float(abs(fn(*args)))
     except (OverflowError, ZeroDivisionError):
         return math.inf
 
@@ -352,9 +358,9 @@ def calibrate_fixed_step(config: ExperimentConfig,
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   dump_dir=None) -> SweepResult:
-    """Run the configured Monte-Carlo sweep; deterministic for any worker count.
-    With cgd calibrated, each point config carries the C-GD step it runs."""
+                   dump_dir=None) -> tuple:
+    """The configured Monte-Carlo sweep's SweepRows, sorted; deterministic for any
+    worker count. With cgd calibrated, each point config carries the C-GD step it runs."""
     config.validate()
     points = _sweep_points(config)
     if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
@@ -382,8 +388,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
                     n_real=config.n_realizations,
                     mean_iters=float(np.mean(iters)),
                     mean_wall_ms=float(np.mean(wall))))
-    rows.sort(key=lambda row: (row.sweep_value, row.scheme, row.snr_db))
-    return SweepResult(rows=tuple(rows))
+    return tuple(sorted(rows, key=lambda row: (row.sweep_value, row.scheme, row.snr_db)))
 
 
 CSV_HEADER = ",".join(SweepRow._fields)
@@ -397,11 +402,9 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def emit_csv(result: SweepResult, path) -> None:
+def emit_csv(rows, path) -> None:
     """Write the sweep table: 9-significant-digit floats, LF endings, UTF-8."""
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row) for row in rows]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")

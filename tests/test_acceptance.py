@@ -32,8 +32,8 @@ def report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def rate_table(result):
-    return {(r.sweep_value, r.scheme, r.snr_db): r.mean_rate for r in result.rows}
+def rate_table(rows):
+    return {(r.sweep_value, r.scheme, r.snr_db): r.mean_rate for r in rows}
 
 
 def test_criterion_1_quadratic_form_oracles():
@@ -137,9 +137,9 @@ def test_criterion_5_scheme_ordering_desk_scale():
     """fig7 analog: A-GD >= C-GD >= random > no-RIS at every SNR, monotone."""
     t0 = time.perf_counter()
     config = harness.preset("fig7-desk")
-    result = harness.run_experiment(config)
+    rows = harness.run_experiment(config)
     dt = time.perf_counter() - t0
-    rates = rate_table(result)
+    rates = rate_table(rows)
     ordering = True
     monotone = True
     prev = {s: -math.inf for s in config.schemes}
@@ -163,9 +163,9 @@ def test_criterion_6_phase_range_saturation():
     """fig5 analog: calibrated 306.82 deg range within 2% of the ideal 360,
     and at least 1 bps/Hz above a 60 deg range at 10 dB."""
     t0 = time.perf_counter()
-    result = harness.run_experiment(harness.preset("fig5-desk"))
+    rows = harness.run_experiment(harness.preset("fig5-desk"))
     dt = time.perf_counter() - t0
-    rates = rate_table(result)
+    rates = rate_table(rows)
     at = lambda deg: rates[(deg, "agd", 10.0)]
     ratio = at(306.82) / at(360.0)
     gap = at(306.82) - at(60.0)
@@ -177,9 +177,9 @@ def test_criterion_6_phase_range_saturation():
 def test_criterion_7_quantization_sufficiency():
     """fig6 analog: 2 bits within 5% of 4 bits; 1 bit measurably worse."""
     t0 = time.perf_counter()
-    result = harness.run_experiment(harness.preset("fig6-desk"))
+    rows = harness.run_experiment(harness.preset("fig6-desk"))
     dt = time.perf_counter() - t0
-    rates = rate_table(result)
+    rates = rate_table(rows)
     at = lambda b: rates[(b, "agd", 10.0)]
     ratio = at(2.0) / at(4.0)
     gap = at(2.0) - at(1.0)
@@ -193,9 +193,9 @@ def test_criterion_8_paper_scale_gap():
     scheme's margin over random phases at 10 dB, trend-level >= 5 bps/Hz
     (nominal benchmark ~8.4 bps/Hz)."""
     t0 = time.perf_counter()
-    result = harness.run_experiment(harness.preset("fig7-paper"))
+    rows = harness.run_experiment(harness.preset("fig7-paper"))
     dt = time.perf_counter() - t0
-    rates = rate_table(result)
+    rates = rate_table(rows)
     gap = rates[(0.0, "agd", 10.0)] - rates[(0.0, "random", 10.0)]
     ok = gap >= 5.0
     report(8, ok, f"agd minus random at 10 dB = {gap:.2f} bps/Hz "

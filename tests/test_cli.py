@@ -2,10 +2,13 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import thzris
 from thzris.cli import cli_main
 from thzris.harness import (ExperimentConfig, config_to_text, load_config, preset,
                             preset_names, replay_realization, run_experiment)
@@ -72,6 +75,10 @@ class TestRun:
                  ("carrier_freq_hz = 1e-150\nbs_ris_m = 1e6\nris_ms_m = 1e6\n"
                   "kappa_per_m = 0\nbs_ms_m = 1e-180\nnlos_excess_min_m = 0\n"
                   "nlos_excess_max_m = 0", None, "reflected-path gain"),
+                 ("kappa_per_m = 0\nbs_ms_m = 1\nschemes = no_ris\n"
+                  "bs_ris_m = 1e150\nris_ms_m = 1e150", None, "rate terms are bounded"),
+                 ("kappa_per_m = 0\nbs_ms_m = 1\nschemes = no_ris\n"
+                  "bs_ris_m = 1e147\nris_ms_m = 1e147", None, "rate terms are bounded"),
                  ("snr_grid_db = 4000", 1, "snr_grid_db"),
                  ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db"),
                  ("schemes = random, random", 1, "schemes"),
@@ -117,6 +124,22 @@ class TestRun:
             lines = fh.read().splitlines()
         sweep_values = sorted({float(ln.split(",")[0]) for ln in lines[1:]})
         assert sweep_values == sorted(preset(f"{fig}-desk").sweep_grid)
+
+
+    def test_loads_no_scipy(self, tiny_cfg_path, tmp_path):
+        """Neither `import thzris` nor a run loads a scipy module. It runs in a
+        fresh interpreter, since other tests may import scipy into this one."""
+        code = (
+            "import sys\n"
+            "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "from thzris.cli import cli_main\n"
+            "print(scipy())\n"
+            f"assert cli_main(['run', '--config', {tiny_cfg_path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(scipy())\n")
+        src = os.path.dirname(os.path.dirname(thzris.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.splitlines()[0] == "[]" and out.splitlines()[-1] == "[]", out
 
 
 class TestPresets:
@@ -178,9 +201,9 @@ class TestReplay:
                                schemes=("agd", "cgd", "random"), master_seed=5,
                                sweep="vs_phimax", sweep_grid=(120.0, 306.82),
                                optimizer=OptimizerSettings(max_iterations=10))
-        result = run_experiment(cfg, dump_dir=str(tmp_path))
+        rows = run_experiment(cfg, dump_dir=str(tmp_path))
         checked = 0
-        for row in result.rows:
+        for row in rows:
             if row.scheme == "cgd":
                 continue
             names = [f"real{r:05d}_phi_max_deg{row.sweep_value!r}.txt" for r in range(3)]

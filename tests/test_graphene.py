@@ -1,8 +1,8 @@
 """Tunable-element physics and codebook tests.
 
 Frozen reference values were produced by a standalone mpmath evaluation
-(50 digits) of the same closed-form expressions, using the SI-exact h, e, kB,
-c and the CODATA epsilon_0 shipped with scipy.
+(50 digits) of the same closed-form expressions, using the SI-exact h, e, kB
+and c and the CODATA 2022 epsilon_0 that graphene.py defines.
 """
 
 import math
@@ -102,14 +102,13 @@ class TestEffectivePermittivity:
         eps = effective_permittivity(1j * s, OMEGA_16THZ, 1e-9)
         expect = 1.0 - s / (OMEGA_16THZ * 8.8541878188e-12 * 1e-9)
         assert eps.imag == 0.0
-        assert eps.real == pytest.approx(expect, rel=1e-9)
+        assert eps.real == pytest.approx(expect, rel=1e-12)
 
     def test_frozen_chained_value(self):
         sigma = surface_conductivity(GrapheneParams(), 0.2 * EV, OMEGA_16THZ)
         eps = effective_permittivity(sigma, OMEGA_16THZ, 1e-9)
-        # tolerance covers CODATA revisions of epsilon_0 at the 1e-9 level
-        assert eps.real == pytest.approx(-26053.544932429265, rel=1e-8)
-        assert eps.imag == pytest.approx(2591.6935100037561, rel=1e-8)
+        assert eps.real == pytest.approx(-26053.544932429265, rel=1e-12)
+        assert eps.imag == pytest.approx(2591.6935100037561, rel=1e-12)
 
     def test_zero_thickness_rejected(self):
         with pytest.raises(ValueError):
@@ -145,7 +144,7 @@ class TestAnalyticPhaseResponse:
         sigma = surface_conductivity(GrapheneParams(), 0.2 * EV, OMEGA_16THZ)
         eps = effective_permittivity(sigma, OMEGA_16THZ, 1e-9)
         phi = analytic_phase_response(ElementGeometry(), eps, 1.6e12)
-        assert phi == pytest.approx(-14.604719238714590, rel=1e-8)
+        assert phi == pytest.approx(-14.604719238714590, rel=1e-12)
 
     def test_monotone_trend_over_fermi_sweep(self):
         # Fig-1 geometry at 1.6 THz: the analytic cavity model accumulates

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from thzris import channel
 from thzris.graphene import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
-                            SweepResult, calibrate_fixed_step,
+                            calibrate_fixed_step,
                             config_reference, config_to_text, emit_csv, load_config,
                             parse_config, preset, preset_names, run_experiment,
                             stream_seed)
@@ -36,10 +36,11 @@ def tiny_config(**overrides) -> ExperimentConfig:
 def valid_configs(draw) -> ExperimentConfig:
     """Configs that pass validate(), spanning every key kind; the exhaustive
     scheme is left out so n_ris and bits range freely. kappa_per_m is drawn
-    after the RIS-hop distances so that kappa * (bs_ris_m + ris_ms_m) <= 1000:
+    after the RIS-hop distances so that kappa * (bs_ris_m + ris_ms_m) <= 500:
     the absorption factor of the direct hop's reference (the product of both
-    RIS hops') is then at least exp(-500), and every hop's LoS reference is
-    positive and finite."""
+    RIS hops') is then at least exp(-250), every hop's LoS reference is
+    positive and finite, and the direct hop's rate bound, which grows as
+    exp(kappa * (bs_ris_m + ris_ms_m)), stays below 5e272."""
     pos = st.floats(1e-6, 1e6, allow_nan=False)
     bs_ris_m, ris_ms_m = draw(pos), draw(pos)
     n_streams = draw(st.integers(1, 4))
@@ -57,7 +58,7 @@ def valid_configs(draw) -> ExperimentConfig:
         n_ms=draw(st.integers(m_ms, 64)), m_bs=m_bs, m_ms=m_ms, n_streams=n_streams,
         carrier_freq_hz=draw(pos) * 1e6, bs_ris_m=bs_ris_m, ris_ms_m=ris_ms_m,
         bs_ms_m=draw(pos),
-        kappa_per_m=draw(st.floats(0.0, min(10.0, 1000.0 / (bs_ris_m + ris_ms_m)))),
+        kappa_per_m=draw(st.floats(0.0, min(10.0, 500.0 / (bs_ris_m + ris_ms_m)))),
         xi=draw(st.floats(0.0, 1.0)), n_nlos=draw(st.integers(0, 5)),
         n_nlos_direct=draw(st.integers(1, 5)),
         nlos_excess_min_m=lo, nlos_excess_max_m=draw(st.floats(lo, 100.0)),
@@ -168,6 +169,16 @@ class TestLoadConfig:
              "bs_ms_m = 1e-180\nnlos_excess_min_m = 0\nnlos_excess_max_m = 0", None,
              "direct hop's reflected-path gain at its shortest detour is inf, not finite; it "
              "is computed from carrier_freq_hz, kappa_per_m, xi, bs_ms_m, nlos_excess_min_m"),
+            ("kappa_per_m = 0\nbs_ms_m = 1\nschemes = no_ris\nbs_ris_m = 1e150\n"
+             "ris_ms_m = 1e150", None,
+             "direct hop's rate terms are bounded by inf, not finite; the bound is computed "
+             "from snr_grid_db, n_nlos_direct, n_bs, n_ms, carrier_freq_hz, kappa_per_m, xi, "
+             "bs_ms_m, nlos_excess_min_m, bs_ris_m, ris_ms_m, direct_blockage_db"),
+            ("kappa_per_m = 0\nbs_ms_m = 1\nschemes = no_ris\nbs_ris_m = 1e147\n"
+             "ris_ms_m = 1e147", None, "direct hop's rate terms are bounded by inf"),
+            ("kappa_per_m = 0\nbs_ms_m = 1\nschemes = no_ris\nbs_ris_m = 1e78\n"
+             "ris_ms_m = 1e78\nsnr_grid_db = -300", None,
+             "direct hop's rate terms are bounded by inf"),
             ("snr_grid_db = 4000", 1, "snr_grid_db values must lie in [-300, 300] dB"),
             ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db values must lie in [-300, 300]"),
             ("schemes = random, random", 1, "schemes repeats a value: random,random"),
@@ -256,24 +267,24 @@ class TestRunExperiment:
     def test_row_counting_single_scheme(self):
         cfg = tiny_config(schemes=("random",), n_realizations=1,
                           snr_grid_db=(10.0,))
-        result = run_experiment(cfg)
-        assert len(result.rows) == 1
-        row = result.rows[0]
+        rows = run_experiment(cfg)
+        assert len(rows) == 1
+        row = rows[0]
         assert row.scheme == "random" and row.n_real == 1
         assert row.mean_iters == 1.0 and row.mean_wall_ms == 0.0
 
     def test_rows_sorted_and_complete(self):
         cfg = tiny_config(sweep="vs_bits", sweep_grid=(2.0, 1.0))
-        result = run_experiment(cfg)
-        keys = [(r.sweep_value, r.scheme, r.snr_db) for r in result.rows]
+        rows = run_experiment(cfg)
+        keys = [(r.sweep_value, r.scheme, r.snr_db) for r in rows]
         assert keys == sorted(keys)
-        assert len(result.rows) == 2 * 3 * 2  # sweep x scheme x snr
+        assert len(rows) == 2 * 3 * 2  # sweep x scheme x snr
 
     def test_optimized_beats_random_in_mean(self):
         cfg = tiny_config(n_realizations=10,
                           optimizer=OptimizerSettings(max_iterations=60))
-        result = run_experiment(cfg)
-        rates = {(r.scheme, r.snr_db): r.mean_rate for r in result.rows}
+        rows = run_experiment(cfg)
+        rates = {(r.scheme, r.snr_db): r.mean_rate for r in rows}
         for snr in cfg.snr_grid_db:
             assert rates[("agd", snr)] >= rates[("random", snr)]
 
@@ -286,8 +297,8 @@ class TestRunExperiment:
     def test_exhaustive_scheme_dominates_others(self):
         cfg = tiny_config(n_ris=4, schemes=("agd", "exhaustive", "random"),
                           n_realizations=2)
-        result = run_experiment(cfg)
-        rates = {(r.scheme, r.snr_db): r.mean_rate for r in result.rows}
+        rows = run_experiment(cfg)
+        rates = {(r.scheme, r.snr_db): r.mean_rate for r in rows}
         # discrete optimum dominates every other quantized scheme per SNR
         for snr in cfg.snr_grid_db:
             assert rates[("exhaustive", snr)] >= rates[("agd", snr)] - 1e-9
@@ -295,19 +306,19 @@ class TestRunExperiment:
 
     def test_wall_time_column_off_by_default(self):
         cfg = tiny_config()
-        result = run_experiment(cfg)
-        assert all(r.mean_wall_ms == 0.0 for r in result.rows)
+        rows = run_experiment(cfg)
+        assert all(r.mean_wall_ms == 0.0 for r in rows)
 
     def test_wall_time_capture_opt_in(self):
         cfg = tiny_config(record_wall_time=True, schemes=("agd",))
-        result = run_experiment(cfg)
-        assert any(r.mean_wall_ms > 0.0 for r in result.rows)
+        rows = run_experiment(cfg)
+        assert any(r.mean_wall_ms > 0.0 for r in rows)
 
     def test_no_ris_rate_constant_across_sweep(self):
         cfg = tiny_config(sweep="vs_bits", sweep_grid=(1.0, 3.0))
-        result = run_experiment(cfg)
+        rows = run_experiment(cfg)
         vals = {}
-        for r in result.rows:
+        for r in rows:
             if r.scheme == "no_ris":
                 vals.setdefault(r.snr_db, set()).add(round(r.mean_rate, 12))
         assert all(len(v) == 1 for v in vals.values())
@@ -331,7 +342,7 @@ class TestEmitCsv:
 
     def test_empty_result_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(SweepResult(rows=()), path)
+        emit_csv((), path)
         assert path.read_bytes() == (self.HEADER + "\n").encode()
 
     def test_repeat_runs_byte_identical(self, tmp_path):
@@ -380,7 +391,7 @@ class TestEmitCsv:
 
     def test_unwritable_path_raises_with_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):
-            emit_csv(SweepResult(rows=()), tmp_path / "no" / "such" / "dir" / "x.csv")
+            emit_csv((), tmp_path / "no" / "such" / "dir" / "x.csv")
 
 
 class TestChannelDumps:
