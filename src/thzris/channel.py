@@ -62,7 +62,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class PathParams:
-    """One propagation path: geometry angles, complex gain, absolute delay."""
+    """One propagation path: geometry angles and complex gain, whose phase
+    carries the path's delay."""
 
     kind: PathKind
     aoa_azimuth_rad: float
@@ -70,7 +71,6 @@ class PathParams:
     aod_azimuth_rad: float
     aod_elevation_rad: float
     complex_gain: complex
-    delay_s: float
 
 
 @dataclass(frozen=True)
@@ -212,8 +212,7 @@ def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
     paths = []
     if hop is not Hop.BS_MS_DIRECT:
         paths.append(PathParams(PathKind.LOS, *_draw_path_angles(rng),
-                                complex_gain=complex(los_gain(config, hop)),
-                                delay_s=r0 / SPEED_OF_LIGHT))
+                                complex_gain=complex(los_gain(config, hop))))
     n_nlos = config.n_nlos_direct if hop is Hop.BS_MS_DIRECT else config.n_nlos
     for _ in range(n_nlos):
         angles = _draw_path_angles(rng)
@@ -221,9 +220,10 @@ def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
         excess = rng.uniform(config.nlos_excess_min_m, config.nlos_excess_max_m)
         r1 = r0 * u
         r2 = r0 * (1.0 - u) + excess
+        while r1 + r2 < r0:   # rounding can split a detour of excess 0 short of r0
+            r2 = math.nextafter(r2, math.inf)
         paths.append(PathParams(PathKind.NLOS, *angles,
-                                complex_gain=complex(nlos_gain(config, hop, r1, r2)),
-                                delay_s=(r0 + (r1 + r2 - r0)) / SPEED_OF_LIGHT))
+                                complex_gain=complex(nlos_gain(config, hop, r1, r2))))
     paths = tuple(paths)
     return _hop_matrix(config, hop, paths), paths
 
@@ -236,14 +236,14 @@ def _hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
 
 # --- channel dump / replay -------------------------------------------------
 
-_DUMP_VERSION = "# thzris channel dump v3"
+_DUMP_VERSION = "# thzris channel dump v4"
 
 
 def dump_realization(real: ChannelRealization, config: "ExperimentConfig",
                      path) -> None:
     """Write one realization drawn under the sweep-point `config` as plain text
-    (v3): the realization index, the config as `config key = value` lines, then
-    one row per path (kind, four angles, gain re/im, delay). The config is the
+    (v4): the realization index, the config as `config key = value` lines, then
+    one row per path (kind, four angles, gain re/im). The config is the
     only record of the array geometry, carrier and seed; enables exact replay."""
     from .harness import config_to_text   # harness imports this module
     lines = [_DUMP_VERSION, f"realization {real.realization}"]
@@ -254,8 +254,7 @@ def dump_realization(real: ChannelRealization, config: "ExperimentConfig",
             lines.append(" ".join([p.kind.value,
                                    repr(p.aoa_azimuth_rad), repr(p.aoa_elevation_rad),
                                    repr(p.aod_azimuth_rad), repr(p.aod_elevation_rad),
-                                   repr(p.complex_gain.real), repr(p.complex_gain.imag),
-                                   repr(p.delay_s)]))
+                                   repr(p.complex_gain.real), repr(p.complex_gain.imag)]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -280,15 +279,14 @@ def _dump_number(tok: str, cast, where: str):
 
 def _path_row(path, n: int, tok: list) -> PathParams:
     where = f"{path}:{n}"
-    if len(tok) != 8 or tok[0] not in ("LoS", "NLoS"):
-        raise DumpError(f"{where}: expected a path row (LoS or NLoS, then 7 numbers)")
+    if len(tok) != 7 or tok[0] not in ("LoS", "NLoS"):
+        raise DumpError(f"{where}: expected a path row (LoS or NLoS, then 6 numbers)")
     num = [_dump_number(t, float, where) for t in tok[1:]]
-    return PathParams(PathKind(tok[0]), *num[:4], complex_gain=complex(num[4], num[5]),
-                      delay_s=num[6])
+    return PathParams(PathKind(tok[0]), *num[:4], complex_gain=complex(num[4], num[5]))
 
 
 def load_realization(path) -> ChannelRealization:
-    """Parse a v3 channel dump: the config lines give the sweep-point config,
+    """Parse a v4 channel dump: the config lines give the sweep-point config,
     whose arrays and carrier rebuild both hop matrices from the path rows.
 
     A malformed dump, or a hop that rebuilds to an all-zero matrix, raises

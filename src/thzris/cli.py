@@ -37,9 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory (default .)")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel realization workers (default 1)")
-    run.add_argument("--sweep", choices=harness.SWEEPS,
-                     help="override the sweep kind (uses the grid of the desk preset "
-                          "that runs it)")
+    run.add_argument("--sweep", choices=harness.SWEEPS, metavar="FIELD",
+                     help="override the swept field, one of %(choices)s (uses the grid "
+                          "of the desk preset that sweeps it)")
     run.add_argument("--dump-channels", metavar="DIR",
                      help="write per-realization channel dumps into DIR")
     run.add_argument("--timing", action="store_true",
@@ -72,8 +72,6 @@ def _cmd_run(args) -> int:
     if args.sweep is not None and args.sweep != config.sweep:
         config = replace(config, sweep=args.sweep,
                          sweep_grid=harness.desk_sweep_grid(args.sweep))
-    if args.timing:
-        config = replace(config, record_wall_time=True)
     config.validate()
 
     if args.dump_channels:
@@ -81,7 +79,8 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, stem + ".csv")
 
-    rows = harness.run_experiment(config, workers=args.workers, dump_dir=args.dump_channels)
+    rows = harness.run_experiment(config, workers=args.workers, dump_dir=args.dump_channels,
+                                  timing=args.timing)
     harness.emit_csv(rows, out_path)
 
     top_snr = max(config.snr_grid_db)

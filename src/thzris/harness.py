@@ -36,11 +36,9 @@ from .graphene import PhaseCodebook, build_codebook
 from .optimizer import OptimizerSettings
 
 SCHEMES = ("agd", "cgd", "exhaustive", "no_ris", "random")
-# sweep kind -> (ExperimentConfig field each grid value sets, its type);
-# "none" and "vs_snr" run the config as a single point
-SWEPT_FIELD = {"vs_nris": ("n_ris", int), "vs_phimax": ("phi_max_deg", float),
-               "vs_bits": ("bits", int)}
-SWEEPS = ("none", "vs_snr", *SWEPT_FIELD)
+# the ExperimentConfig field each sweep_grid value sets; "none" runs the config
+# as a single point
+SWEEPS = ("none", "n_ris", "phi_max_deg", "bits")
 
 # quantize_phases allocates (n_ris, 2**bits) float arrays: 134 MB each at 16
 # bits and n_ris = 256, while 40 bits would ask for terabytes
@@ -104,7 +102,6 @@ class ExperimentConfig:
     sweep: str = "none"
     sweep_grid: tuple = ()
     direct_blockage_db: float = 20.0
-    record_wall_time: bool = False
     optimizer: OptimizerSettings = OptimizerSettings(fixed_step="auto")
 
     def codebook(self) -> PhaseCodebook:
@@ -192,14 +189,14 @@ class ExperimentConfig:
                 (2 ** self.bits) ** self.n_ris > optimizer.EXHAUSTIVE_LIMIT:
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
                               f"exceeds {optimizer.EXHAUSTIVE_LIMIT}")
-        if self.sweep in SWEPT_FIELD:
-            name, kind = SWEPT_FIELD[self.sweep]
+        if self.sweep != "none":
+            kind = type(getattr(ExperimentConfig, self.sweep))   # the type of its default
             if not self.sweep_grid:
                 raise ConfigError(f"sweep '{self.sweep}' needs a non-empty sweep_grid",
                                   "sweep_grid")
             if any(kind(v) != v for v in self.sweep_grid):
                 raise ConfigError(f"sweep '{self.sweep}' needs {kind.__name__} sweep_grid "
-                                  f"values ({name}), got {_format_value(self.sweep_grid)}",
+                                  f"values, got {_format_value(self.sweep_grid)}",
                                   "sweep_grid")
             for value, point in _sweep_points(self):
                 try:
@@ -245,10 +242,10 @@ def _magnitude(fn, *args) -> float:
 def _sweep_points(config: ExperimentConfig) -> list:
     """Sorted (sweep_value, point config) pairs; a point config holds its grid
     value in the swept field and sweeps nothing itself."""
-    if config.sweep not in SWEPT_FIELD:
+    if config.sweep == "none":
         return [(0.0, config)]
-    name, kind = SWEPT_FIELD[config.sweep]
-    return [(float(kind(v)), replace(config, sweep="none", sweep_grid=(), **{name: kind(v)}))
+    kind = type(getattr(ExperimentConfig, config.sweep))
+    return [(float(v), replace(config, sweep="none", sweep_grid=(), **{config.sweep: kind(v)}))
             for v in sorted(config.sweep_grid)]
 
 
@@ -289,7 +286,7 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
         phases, n_iters = _optimize_phases(scheme, form, cfg, codebook, r)
         theta = codebook.mean_amplitude * np.exp(1j * phases)
         he = beamforming.cascaded_channel(h1, h2, theta)
-        wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.record_wall_time else 0.0
+        wall_ms = (time.perf_counter() - t0) * 1e3
         out[scheme] = (_rates_for_channel(he, cfg), n_iters, wall_ms)
     return out
 
@@ -297,7 +294,8 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
 def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -> list:
     """One {scheme: (rates, iterations, wall ms)} per sweep point for channel
     realization r. The direct hop depends on no swept field, so its no_ris
-    result is drawn once and shared by every point."""
+    result is drawn once and shared by every point; the RIS hops are drawn
+    only for a RIS scheme or a channel dump."""
     direct = {}
     if "no_ris" in config.schemes:
         hd, _ = channel.sample_channel(config, Hop.BS_MS_DIRECT,
@@ -305,6 +303,8 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
         direct["no_ris"] = (_rates_for_channel(
             hd / _hop_reference(config, Hop.BS_MS_DIRECT), config), 0, 0.0)
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
+    if not ris_schemes and dump_dir is None:
+        return [direct] * len(points)
     out = []
     for _, cfg in points:
         h1, paths_h1 = channel.sample_channel(cfg, Hop.BS_RIS,
@@ -314,10 +314,11 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
         if dump_dir is not None:
             real = channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
                                               paths_h2=paths_h2, realization=r, config=cfg)
-            name = SWEPT_FIELD.get(config.sweep, ("",))[0]   # suffix: swept field's value
-            suffix = f"_{name}{getattr(cfg, name)}" if name else ""
+            name = config.sweep   # the file name carries the swept field's value
+            suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
             channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        out.append({**direct, **_run_point(h1, h2, cfg, ris_schemes, r)})
+        point = _run_point(h1, h2, cfg, ris_schemes, r) if ris_schemes else {}
+        out.append({**direct, **point})
     return out
 
 
@@ -358,9 +359,10 @@ def calibrate_fixed_step(config: ExperimentConfig,
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   dump_dir=None) -> tuple:
+                   dump_dir=None, timing: bool = False) -> tuple:
     """The configured Monte-Carlo sweep's SweepRows, sorted; deterministic for any
-    worker count. With cgd calibrated, each point config carries the C-GD step it runs."""
+    worker count. With cgd calibrated, each point config carries the C-GD step it runs.
+    mean_wall_ms is 0 unless `timing` is set, which makes the rows non-reproducible."""
     config.validate()
     points = _sweep_points(config)
     if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
@@ -387,7 +389,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
                     std_rate=float(np.std(rates[:, q])),
                     n_real=config.n_realizations,
                     mean_iters=float(np.mean(iters)),
-                    mean_wall_ms=float(np.mean(wall))))
+                    mean_wall_ms=float(np.mean(wall)) if timing else 0.0))
     return tuple(sorted(rows, key=lambda row: (row.sweep_value, row.scheme, row.snr_db)))
 
 
@@ -441,10 +443,9 @@ CONFIG_SCHEMA = {
     "n_realizations": ("int", "Monte-Carlo channel realizations"),
     "master_seed": ("int", "64-bit master seed"),
     "schemes": ("str_list", f"subset of {'/'.join(SCHEMES)}"),
-    "sweep": ("str", f"one of {'/'.join(SWEEPS)}"),
-    "sweep_grid": ("float_list", "swept parameter values (unused for none/vs_snr)"),
+    "sweep": ("str", f"swept field, one of {'/'.join(SWEEPS)}"),
+    "sweep_grid": ("float_list", "values of the swept field (unused for none)"),
     "direct_blockage_db": ("float", "excess obstruction loss of the blocked direct link (dB)"),
-    "record_wall_time": ("bool", "capture wall-clock column (breaks byte determinism)"),
     "max_iterations": ("int", "gradient-descent iteration budget"),
     "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates per sweep point"),
 }
@@ -465,12 +466,6 @@ def _parse_value(kind: str, raw: str, where: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"expected true/false, got '{raw}'")
         if kind == "float_list":
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
         if kind == "str_list":
@@ -533,8 +528,6 @@ def parse_config(raw_lines, path) -> ExperimentConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     if isinstance(value, float):
@@ -570,14 +563,14 @@ _DESK = dict(n_bs=64, n_ris=64, n_ms=16, n_realizations=50, optimizer=_PRESET_OP
 _PAPER = dict(n_bs=512, n_ris=256, n_ms=32, n_realizations=100, optimizer=_PRESET_OPT)
 
 _FIG = {
-    "fig5": dict(sweep="vs_phimax",
+    "fig5": dict(sweep="phi_max_deg",
                  sweep_grid=(60.0, 120.0, 180.0, 240.0, 306.82, 360.0),
                  snr_grid_db=(10.0,)),
-    "fig6": dict(sweep="vs_bits", sweep_grid=(1.0, 2.0, 3.0, 4.0),
+    "fig6": dict(sweep="bits", sweep_grid=(1.0, 2.0, 3.0, 4.0),
                  snr_grid_db=(10.0,)),
-    "fig7": dict(sweep="vs_snr",
+    "fig7": dict(sweep="none",
                  snr_grid_db=(-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)),
-    "fig8": dict(sweep="vs_nris", snr_grid_db=(10.0,)),
+    "fig8": dict(sweep="n_ris", snr_grid_db=(10.0,)),
 }
 
 _FIG8_GRID = {"desk": (16.0, 32.0, 64.0, 96.0, 128.0),
@@ -585,7 +578,7 @@ _FIG8_GRID = {"desk": (16.0, 32.0, 64.0, 96.0, 128.0),
 
 
 def desk_sweep_grid(sweep: str) -> tuple:
-    """Grid of the desk preset that runs this sweep kind; () if none sweeps a grid."""
+    """Grid of the desk preset that sweeps this field; () for none."""
     for fig, overrides in _FIG.items():
         if overrides["sweep"] == sweep:
             return preset(f"{fig}-desk").sweep_grid

@@ -156,6 +156,14 @@ class TestSampleChannel:
                 oracle += w * p.complex_gain * np.outer(arx, atx.conj())
             assert (np.linalg.norm(h - oracle) / np.linalg.norm(oracle)) <= 1e-12
 
+    def test_zero_excess_detours_never_fall_short(self):
+        """Without a detour excess, r0 u + r0 (1 - u) can round below r0 and
+        make nlos_gain raise; the sampler moves r2 up until it does not."""
+        config = tiny_config(n_nlos=3, nlos_excess_min_m=0.0, nlos_excess_max_m=0.0)
+        for hop in Hop:
+            for r in range(200):
+                sample_channel(config, hop, stream_rng(1, r, hop.value))
+
     def test_direct_hop_has_no_los(self):
         config = tiny_config()
         _, paths = sample_channel(config, Hop.BS_MS_DIRECT, stream_rng(2, 0, "d"))

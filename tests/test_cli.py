@@ -66,8 +66,10 @@ class TestRun:
                  ("fixed_step = -1", 1, "fixed_step"),
                  ("nlos_excess_min_m = -50", 1, "nlos_excess_min_m"),
                  ("nlos_excess_min_m = 20", None, "nlos_excess_min_m"),
-                 ("sweep = vs_bits\nsweep_grid = 2.5", 2, "sweep_grid"),
-                 ("sweep = vs_phimax\nsweep_grid = 120, 120", 2, "sweep_grid"),
+                 ("sweep = bits\nsweep_grid = 2.5", 2, "sweep_grid"),
+                 ("sweep = phi_max_deg\nsweep_grid = 120, 120", 2, "sweep_grid"),
+                 ("sweep = vs_phimax", 1, "sweep"),
+                 ("n_bs = 8\nrecord_wall_time = false", 2, "record_wall_time"),
                  ("kappa_per_m = 100", None, "kappa_per_m"),
                  ("direct_blockage_db = 1e4", None, "direct_blockage_db"),
                  ("carrier_freq_hz = 1e-300\nbs_ris_m = 1e-30", None, "bs_ris_m"),
@@ -109,13 +111,13 @@ class TestRun:
     def test_sweep_override(self, tiny_cfg_path, tmp_path):
         out = str(tmp_path / "out")
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", out,
-                         "--sweep", "vs_bits"]) == 0
+                         "--sweep", "bits"]) == 0
         lines = open(os.path.join(out, "tiny.csv")).read().splitlines()
         sweep_values = {ln.split(",")[0] for ln in lines[1:]}
         assert sweep_values == {"1", "2", "3", "4"}
 
-    @pytest.mark.parametrize("sweep,fig", [("vs_phimax", "fig5"), ("vs_bits", "fig6"),
-                                           ("vs_nris", "fig8")])
+    @pytest.mark.parametrize("sweep,fig", [("phi_max_deg", "fig5"), ("bits", "fig6"),
+                                           ("n_ris", "fig8")])
     def test_sweep_override_uses_desk_preset_grid(self, sweep, fig, tiny_cfg_path, tmp_path):
         out = str(tmp_path / "out")
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", out,
@@ -125,6 +127,20 @@ class TestRun:
         sweep_values = sorted({float(ln.split(",")[0]) for ln in lines[1:]})
         assert sweep_values == sorted(preset(f"{fig}-desk").sweep_grid)
 
+    def test_timing_flag_fills_wall_column(self, tiny_cfg_path, tmp_path):
+        """--timing fills mean_wall_ms; without it the column is 0 and the CSV is
+        byte-identical at any worker count."""
+        def run(name, *flags):
+            out = str(tmp_path / name)
+            assert cli_main(["run", "--config", tiny_cfg_path, "--out", out, *flags]) == 0
+            with open(os.path.join(out, "tiny.csv"), "rb") as fh:
+                return fh.read()
+
+        walls = [float(ln.split(b",")[-1]) for ln in run("timed", "--timing").splitlines()[1:]]
+        assert walls and all(w > 0.0 for w in walls)
+        serial = run("w1", "--workers", "1")
+        assert serial == run("w2", "--workers", "2")
+        assert all(ln.endswith(b",0") for ln in serial.splitlines()[1:])
 
     def test_loads_no_scipy(self, tiny_cfg_path, tmp_path):
         """Neither `import thzris` nor a run loads a scipy module. It runs in a
@@ -199,7 +215,7 @@ class TestReplay:
         cfg = ExperimentConfig(n_bs=8, n_ris=8, n_ms=4, m_bs=4, m_ms=4, n_streams=3,
                                n_realizations=3, snr_grid_db=(-5.0, 10.0),
                                schemes=("agd", "cgd", "random"), master_seed=5,
-                               sweep="vs_phimax", sweep_grid=(120.0, 306.82),
+                               sweep="phi_max_deg", sweep_grid=(120.0, 306.82),
                                optimizer=OptimizerSettings(max_iterations=10))
         rows = run_experiment(cfg, dump_dir=str(tmp_path))
         checked = 0
@@ -221,7 +237,8 @@ class TestReplay:
 
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
                                       "inf_path", "token_count", "invalid_config", "config_value",
-                                      "v1", "v2", "zero_hop", "removed_key"])
+                                      "v1", "v2", "v3", "v3_path_row", "zero_hop",
+                                      "removed_key"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
@@ -251,8 +268,12 @@ class TestReplay:
         elif case == "config_value":  # a config value that does not parse
             line = bad.index("config n_ris = 8") + 1
             bad[line - 1] = "config n_ris = eight"
-        elif case in ("v1", "v2"):    # earlier formats: the version line is refused
+        elif case in ("v1", "v2", "v3"):   # earlier formats: the version line is refused
             bad[0], line = f"# thzris channel dump {case}", 1
+        elif case == "v3_path_row":   # a v3 row's trailing delay under the v4 version line
+            row = at["paths_h1"] + 1
+            bad[row] += " 8.339102379953801e-11"
+            line = row + 1
         elif case == "zero_hop":      # h1 without its path rows rebuilds to zero
             bad = lines[:at["paths_h1"]] + ["paths_h1 0"] + lines[at["paths_h2"]:]
             line = at["paths_h1"] + 1

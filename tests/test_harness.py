@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzris import channel
+from thzris import channel, optimizer
 from thzris.graphene import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             calibrate_fixed_step,
@@ -47,8 +47,8 @@ def valid_configs(draw) -> ExperimentConfig:
     m_bs, m_ms = draw(st.integers(n_streams, 8)), draw(st.integers(n_streams, 8))
     lo = draw(st.floats(0.0, 50.0))
     sweep = draw(st.sampled_from(SWEEPS))
-    grids = {"vs_nris": st.integers(1, 300).map(float), "vs_bits": st.integers(1, 6).map(float),
-             "vs_phimax": st.floats(0.5, 360.0)}
+    grids = {"n_ris": st.integers(1, 300).map(float), "bits": st.integers(1, 6).map(float),
+             "phi_max_deg": st.floats(0.5, 360.0)}
     grid = tuple(draw(st.lists(grids.get(sweep, st.floats(-1e3, 1e3)),
                                min_size=sweep in grids, max_size=4, unique=True)))
     opt = OptimizerSettings(max_iterations=draw(st.integers(1, 1000)),
@@ -70,8 +70,7 @@ def valid_configs(draw) -> ExperimentConfig:
         schemes=tuple(draw(st.lists(st.sampled_from([s for s in SCHEMES if s != "exhaustive"]),
                                     min_size=1, max_size=4, unique=True))),
         sweep=sweep, sweep_grid=grid,
-        direct_blockage_db=draw(st.floats(0.0, 60.0)),
-        record_wall_time=draw(st.booleans()), optimizer=opt)
+        direct_blockage_db=draw(st.floats(0.0, 60.0)), optimizer=opt)
 
 
 class TestConfigValidation:
@@ -88,13 +87,13 @@ class TestConfigValidation:
 
     def test_exhaustive_guard(self):
         for infeasible in (dict(n_ris=64),
-                           dict(sweep="vs_nris", sweep_grid=(4.0, 64.0)),
-                           dict(sweep="vs_bits", sweep_grid=(1.0, 4.0))):
+                           dict(sweep="n_ris", sweep_grid=(4.0, 64.0)),
+                           dict(sweep="bits", sweep_grid=(1.0, 4.0))):
             cfg = tiny_config(schemes=("exhaustive",), **{"n_ris": 8, **infeasible})
             with pytest.raises(ConfigError, match="exhaustive"):
                 cfg.validate()
         tiny_config(schemes=("exhaustive",), n_ris=8).validate()
-        tiny_config(schemes=("exhaustive",), n_ris=4, sweep="vs_bits",
+        tiny_config(schemes=("exhaustive",), n_ris=4, sweep="bits",
                     sweep_grid=(1.0, 2.0)).validate()
 
     def test_unknown_scheme(self):
@@ -103,7 +102,7 @@ class TestConfigValidation:
 
     def test_sweep_needs_grid(self):
         with pytest.raises(ConfigError, match="sweep_grid"):
-            tiny_config(sweep="vs_bits", sweep_grid=()).validate()
+            tiny_config(sweep="bits", sweep_grid=()).validate()
 
 
 class TestLoadConfig:
@@ -127,7 +126,7 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         # n_antennas never existed; the others are knobs of earlier versions
         for key in ("n_antennas", "c2_epsilon", "fallback_step", "init_phases",
-                    "n_random_draws"):
+                    "n_random_draws", "record_wall_time"):
             path.write_text(f"n_bs = 16\n{key} = 1\n")
             with pytest.raises(ConfigError, match=rf"bad\.cfg:2: unknown key '{key}'"):
                 load_config(path)
@@ -141,19 +140,21 @@ class TestLoadConfig:
             ("kappa_per_m = nan", 1, "kappa_per_m must be finite"),
             ("bs_ris_m = inf", 1, "bs_ris_m must be finite"),
             ("snr_grid_db = 0, nan", 1, "snr_grid_db must be finite"),
-            ("sweep = vs_phimax\nsweep_grid = 90, -inf", 2, "sweep_grid must be finite"),
+            ("sweep = phi_max_deg\nsweep_grid = 90, -inf", 2, "sweep_grid must be finite"),
             ("fixed_step = nan", 1, "fixed_step must be finite"),
             ("n_bs = 8\nmax_iterations = 0", 2, "max_iterations must be >= 1"),
             ("fixed_step = -1", 1, "fixed_step must be > 0"),
             ("# a comment\n\nxi = 2", 3, "xi must lie in [0, 1]"),
             ("nlos_excess_min_m = -50", 1, "nlos_excess_min_m must be >= 0"),
             ("nlos_excess_min_m = 20", None, "nlos_excess_min_m <= nlos_excess_max_m violated"),
-            ("sweep = vs_bits", None, "needs a non-empty sweep_grid"),
-            ("sweep = vs_bits\nsweep_grid = 2.5", 2, "needs int sweep_grid values (bits)"),
-            ("sweep = vs_nris\nsweep_grid = 8, 12.5", 2, "needs int sweep_grid values (n_ris)"),
-            ("sweep = vs_phimax\nsweep_grid = 90, 400", 2, "sweep_grid value 400: phi_max_deg"),
+            ("sweep = bits", None, "needs a non-empty sweep_grid"),
+            ("sweep = bits\nsweep_grid = 2.5", 2, "sweep 'bits' needs int sweep_grid values"),
+            ("sweep = n_ris\nsweep_grid = 8, 12.5", 2, "sweep 'n_ris' needs int sweep_grid values"),
+            ("sweep = phi_max_deg\nsweep_grid = 90, 400", 2, "sweep_grid value 400: phi_max_deg"),
+            ("sweep = vs_phimax", 1, "sweep must be one of ('none', 'n_ris', 'phi_max_deg', "
+                                     "'bits')"),
             ("phi_max_deg = 5e-324", 1, "phi_max_deg must lie in (0, 360]"),
-            ("sweep = vs_phimax\nsweep_grid = 120, 120", 2, "sweep_grid repeats a value"),
+            ("sweep = phi_max_deg\nsweep_grid = 120, 120", 2, "sweep_grid repeats a value"),
             ("kappa_per_m = 100", None, "h2 hop's LoS reference is 0, not positive and finite; "
                                         "it is computed from carrier_freq_hz, kappa_per_m, "
                                         "ris_ms_m"),
@@ -223,7 +224,7 @@ class TestLoadConfig:
         assert load_config(path).optimizer.fixed_step == "auto"
 
     def test_round_trip_through_text(self, tmp_path):
-        cfg = tiny_config(sweep="vs_bits", sweep_grid=(1.0, 2.0))
+        cfg = tiny_config(sweep="bits", sweep_grid=(1.0, 2.0))
         path = tmp_path / "round.cfg"
         path.write_text(config_to_text(cfg))
         again = load_config(path)
@@ -274,7 +275,7 @@ class TestRunExperiment:
         assert row.mean_iters == 1.0 and row.mean_wall_ms == 0.0
 
     def test_rows_sorted_and_complete(self):
-        cfg = tiny_config(sweep="vs_bits", sweep_grid=(2.0, 1.0))
+        cfg = tiny_config(sweep="bits", sweep_grid=(2.0, 1.0))
         rows = run_experiment(cfg)
         keys = [(r.sweep_value, r.scheme, r.snr_db) for r in rows]
         assert keys == sorted(keys)
@@ -310,12 +311,35 @@ class TestRunExperiment:
         assert all(r.mean_wall_ms == 0.0 for r in rows)
 
     def test_wall_time_capture_opt_in(self):
-        cfg = tiny_config(record_wall_time=True, schemes=("agd",))
-        rows = run_experiment(cfg)
-        assert any(r.mean_wall_ms > 0.0 for r in rows)
+        rows = run_experiment(tiny_config(schemes=("agd",)), timing=True)
+        assert all(r.mean_wall_ms > 0.0 for r in rows)
+
+    def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):
+        """no_ris needs neither RIS hop nor their quadratic form."""
+        calls = {"sample": 0, "form": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(channel, "sample_channel", counted("sample", channel.sample_channel))
+        monkeypatch.setattr(optimizer, "build_quadratic_form",
+                            counted("form", optimizer.build_quadratic_form))
+        run_experiment(replace(preset("fig7-desk"), n_realizations=5, schemes=("no_ris",)))
+        assert calls == {"sample": 5, "form": 0}
+
+    def test_detour_without_excess_runs(self):
+        """A zero detour excess must not round a reflected path below the direct
+        distance: r1 + r2 < r0 made nlos_gain raise on some of these draws."""
+        cfg = ExperimentConfig(n_bs=4, n_ris=4, n_ms=4, m_bs=4, m_ms=4,
+                               nlos_excess_min_m=0.0, nlos_excess_max_m=0.0,
+                               schemes=("no_ris",), n_realizations=200)
+        assert len(run_experiment(cfg)) == len(cfg.snr_grid_db)
 
     def test_no_ris_rate_constant_across_sweep(self):
-        cfg = tiny_config(sweep="vs_bits", sweep_grid=(1.0, 3.0))
+        cfg = tiny_config(sweep="bits", sweep_grid=(1.0, 3.0))
         rows = run_experiment(cfg)
         vals = {}
         for r in rows:
@@ -359,9 +383,9 @@ class TestEmitCsv:
         assert path.read_bytes() == open(GOLDEN, "rb").read()
 
     def test_multi_point_all_schemes_matches_committed_golden(self, tmp_path):
-        """Two vs_nris points with every scheme: exhaustive (16 and 256
+        """Two n_ris points with every scheme: exhaustive (16 and 256
         iterations), no_ris repeated across points, C-GD calibrated per point."""
-        cfg = tiny_config(schemes=SCHEMES, sweep="vs_nris", sweep_grid=(2.0, 4.0),
+        cfg = tiny_config(schemes=SCHEMES, sweep="n_ris", sweep_grid=(2.0, 4.0),
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         path = tmp_path / "tiny_vs_nris.csv"
         emit_csv(run_experiment(cfg), path)
@@ -381,9 +405,10 @@ class TestEmitCsv:
         assert "config fixed_step = 0.001\n" in (tmp_path / "real00000.txt").read_text()
 
     def test_desk_dump_matches_committed_golden(self, tmp_path):
-        """One fig7-desk realization's dump, byte for byte: path gains and
-        delays are written with repr, so this pins them to the last ulp, which
-        the 9-digit CSV goldens do not."""
+        """One fig7-desk realization's dump, byte for byte: path angles and
+        gains are written with repr, so this pins them to the last ulp, which
+        the 9-digit CSV goldens do not. no_ris alone still draws and dumps the
+        RIS hops."""
         run_experiment(replace(preset("fig7-desk"), n_realizations=1, schemes=("no_ris",)),
                        dump_dir=str(tmp_path))
         with open(os.path.join(GOLDEN_DIR, "dump_fig7_desk_r0.txt"), "rb") as fh:
@@ -413,7 +438,7 @@ class TestChannelDumps:
         assert real.seed == stream_seed(cfg.master_seed, 0, "h1")
 
     def test_one_dump_per_sweep_point(self, tmp_path):
-        cfg = tiny_config(n_realizations=2, sweep="vs_phimax", sweep_grid=(120.0, 306.82))
+        cfg = tiny_config(n_realizations=2, sweep="phi_max_deg", sweep_grid=(120.0, 306.82))
         run_experiment(cfg, dump_dir=str(tmp_path))
         names = sorted(p.name for p in tmp_path.iterdir())
         assert len(names) == cfg.n_realizations * len(cfg.sweep_grid)
@@ -422,7 +447,7 @@ class TestChannelDumps:
         assert real.config.phi_max_deg == 120.0
 
     def test_dumps_record_calibrated_cgd_step(self, tmp_path):
-        cfg = tiny_config(n_realizations=2, schemes=("agd", "cgd"), sweep="vs_phimax",
+        cfg = tiny_config(n_realizations=2, schemes=("agd", "cgd"), sweep="phi_max_deg",
                           sweep_grid=(120.0, 306.82),
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         run_experiment(cfg, dump_dir=str(tmp_path))
@@ -470,17 +495,17 @@ class TestPresets:
 
     def test_fig5_grid_includes_calibrated_range(self):
         cfg = preset("fig5-desk")
-        assert cfg.sweep == "vs_phimax"
+        assert cfg.sweep == "phi_max_deg"
         assert 306.82 in cfg.sweep_grid and 360.0 in cfg.sweep_grid and 60.0 in cfg.sweep_grid
 
     def test_fig6_sweeps_bits(self):
         cfg = preset("fig6-desk")
-        assert cfg.sweep == "vs_bits"
+        assert cfg.sweep == "bits"
         assert set(cfg.sweep_grid) == {1.0, 2.0, 3.0, 4.0}
 
     def test_fig8_sweeps_element_count(self):
         cfg = preset("fig8-paper")
-        assert cfg.sweep == "vs_nris"
+        assert cfg.sweep == "n_ris"
         assert max(cfg.sweep_grid) == 256.0
 
     def test_unknown_preset(self):
