@@ -1,7 +1,7 @@
 """Link-level simulation lab for graphene-RIS assisted terahertz MIMO.
 
 Modules:
-  graphene    - tunable element physics and the discrete phase codebook
+  graphene    - the discrete phase codebook of the tunable graphene element
   channel     - sparse geometric THz MIMO channel model
   beamforming - cascaded channel, SVD transceivers, achievable rate
   optimizer   - RIS phase optimization (adaptive/constant gradient descent,
@@ -14,10 +14,7 @@ from .beamforming import (BeamformerPair, achievable_rate, cascaded_channel,
                           svd_beamformers)
 from .channel import (ArrayGeometry, ChannelRealization, Hop, PathParams,
                       los_gain, nlos_gain, sample_channel, upa_response)
-from .graphene import (ElementGeometry, GrapheneParams, PhaseCodebook,
-                       analytic_phase_response, build_codebook,
-                       effective_permittivity, fermi_level_from_voltage,
-                       surface_conductivity)
+from .graphene import PhaseCodebook, build_codebook
 from .harness import (ConfigError, ExperimentConfig, emit_csv,
                       load_config, preset, preset_names, run_experiment)
 from .optimizer import (GdTrace, OptimizerSettings, QuadraticForm,

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphene import SPEED_OF_LIGHT
-
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import ExperimentConfig
+
+SPEED_OF_LIGHT = 299792458.0   # m/s, exact in the SI
 
 
 class Hop(Enum):

@@ -106,7 +106,7 @@ class ExperimentConfig:
 
     def codebook(self) -> PhaseCodebook:
         return build_codebook(math.radians(self.phi_max_deg), self.bits,
-                              uniform_amplitude=self.mean_amplitude)
+                              mean_amplitude=self.mean_amplitude)
 
     def validate(self) -> None:
         for key, value in _config_values(self).items():
@@ -300,8 +300,9 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
     if "no_ris" in config.schemes:
         hd, _ = channel.sample_channel(config, Hop.BS_MS_DIRECT,
                                        stream_rng(config.master_seed, r, "direct"))
-        direct["no_ris"] = (_rates_for_channel(
-            hd / _hop_reference(config, Hop.BS_MS_DIRECT), config), 0, 0.0)
+        t0 = time.perf_counter()
+        rates = _rates_for_channel(hd / _hop_reference(config, Hop.BS_MS_DIRECT), config)
+        direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     if not ris_schemes and dump_dir is None:
         return [direct] * len(points)

@@ -215,7 +215,7 @@ def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
 
 def run_random_phase(form: QuadraticForm, codebook: PhaseCodebook, rng) -> GdTrace:
     """One uniform draw of codebook phases: a non-optimizing surface."""
-    phases = codebook.phases_array()[rng.integers(0, codebook.size, size=form.n_ris)]
+    phases = codebook.phases_rad[rng.integers(0, codebook.size, size=form.n_ris)]
     trace_obj = -objective(form, phases, codebook.mean_amplitude)
     return GdTrace(iterations=[(0, trace_obj, 0.0, 0.0)], best_phases_rad=phases,
                    best_objective=trace_obj, quantized_phases_rad=phases,
@@ -236,7 +236,7 @@ def run_exhaustive(form: QuadraticForm, codebook: PhaseCodebook) -> tuple:
     if n_comb > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive search over {n_comb} candidates exceeds "
                          f"the {EXHAUSTIVE_LIMIT} limit")
-    grid = codebook.phases_array()
+    grid = codebook.phases_rad
     shape = (codebook.size,) * n
     mu2 = codebook.mean_amplitude ** 2
     values = np.empty(n_comb)
@@ -261,7 +261,7 @@ def quantize_phases(phases: np.ndarray, codebook: PhaseCodebook) -> np.ndarray:
     break toward the lower-index entry.
     """
     wrapped = np.mod(np.asarray(phases, dtype=float), TWO_PI)
-    grid = codebook.phases_array()
+    grid = codebook.phases_rad
     diff = np.abs(wrapped[:, None] - grid[None, :])
     dist = np.minimum(diff, TWO_PI - diff)
     best = dist.min(axis=1)

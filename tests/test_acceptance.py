@@ -19,7 +19,7 @@ from thzris.graphene import build_codebook
 
 from test_beamforming import jensen_upper_bound
 
-CODEBOOK = build_codebook(math.radians(306.82), 2, uniform_amplitude=0.8)
+CODEBOOK = build_codebook(math.radians(306.82), 2, mean_amplitude=0.8)
 MU = 0.8
 
 

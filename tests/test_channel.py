@@ -11,12 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from thzris.channel import (ArrayGeometry, Hop, PathKind,
+from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind,
                             hop_arrays, los_gain, nlos_gain,
                             reconstruct_channel, sample_channel, upa_dims,
                             upa_response)
-from thzris.graphene import SPEED_OF_LIGHT
-from thzris.harness import ExperimentConfig, stream_rng
+from thzris.harness import ExperimentConfig, _hop_reference, preset, stream_rng
+from thzris.optimizer import build_quadratic_form
 
 WAVELENGTH = SPEED_OF_LIGHT / 1.6e12
 
@@ -75,6 +75,9 @@ class TestUpaResponse:
 
 
 class TestPathGains:
+    def test_speed_of_light_is_exact_si(self):
+        assert SPEED_OF_LIGHT == 299792458.0
+
     def test_absorption_off_is_free_space(self):
         config = ExperimentConfig(bs_ms_m=25.0, kappa_per_m=0.0)
         expect = SPEED_OF_LIGHT / (4 * math.pi * 1.6e12 * 25.0)
@@ -204,3 +207,17 @@ class TestReconstructHelper:
         geom = ArrayGeometry(2, 2, 70e-6)
         h = reconstruct_channel((), geom, geom, WAVELENGTH)
         assert not h.any()
+
+
+class TestPresetRegime:
+    def test_fig7_desk_form_is_rank_one(self):
+        """At xi = 1e-6 the reflected paths sit far below LoS, so the sweep's
+        trace-normalized form D of fig7-desk realization 0 is rank one: one
+        stream carries nearly all of the rate (lambda2 / lambda1 reads ~3e-13;
+        it is ~3e-5 at xi = 0.01)."""
+        cfg = preset("fig7-desk")
+        h1, h2 = (sample_channel(cfg, hop, stream_rng(cfg.master_seed, 0, hop.value))[0]
+                  / _hop_reference(cfg, hop) for hop in (Hop.BS_RIS, Hop.RIS_MS))
+        form, _ = build_quadratic_form(h1, h2).trace_normalized()
+        lam = np.linalg.eigvalsh(form.matrix)
+        assert lam[-2] / lam[-1] < 1e-9

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzris import channel, optimizer
-from thzris.graphene import SPEED_OF_LIGHT
+from thzris.channel import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             calibrate_fixed_step,
                             config_reference, config_to_text, emit_csv, load_config,
@@ -311,7 +311,8 @@ class TestRunExperiment:
         assert all(r.mean_wall_ms == 0.0 for r in rows)
 
     def test_wall_time_capture_opt_in(self):
-        rows = run_experiment(tiny_config(schemes=("agd",)), timing=True)
+        rows = run_experiment(tiny_config(schemes=("agd", "no_ris")), timing=True)
+        assert {r.scheme for r in rows} == {"agd", "no_ris"}
         assert all(r.mean_wall_ms > 0.0 for r in rows)
 
     def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):

@@ -21,7 +21,7 @@ from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               quantize_phases, run_agd, run_cgd,
                               run_exhaustive, run_random_phase)
 
-CODEBOOK = build_codebook(math.radians(306.82), 2, uniform_amplitude=0.8)
+CODEBOOK = build_codebook(math.radians(306.82), 2, mean_amplitude=0.8)
 MU = 0.8
 
 
@@ -383,7 +383,7 @@ class TestRunRandomPhase:
         rng = np.random.default_rng(24)
         h1, h2 = crandn(rng, 1, 3), crandn(rng, 2, 1)
         form = build_quadratic_form(h1, h2)
-        cb1 = build_codebook(2 * math.pi, 1, uniform_amplitude=0.8)
+        cb1 = build_codebook(2 * math.pi, 1, mean_amplitude=0.8)
         seen = {round(run_random_phase(form, cb1, np.random.default_rng(s)).best_objective, 12)
                 for s in range(40)}
         assert len(seen) <= 2
@@ -400,8 +400,8 @@ class TestRunRandomPhase:
         rng = np.random.default_rng(26)
         h1, h2 = crandn(rng, 3, 4), crandn(rng, 2, 3)
         form = build_quadratic_form(h1, h2)
-        cb1 = build_codebook(2 * math.pi, 1, uniform_amplitude=0.8)
-        grid = cb1.phases_array()
+        cb1 = build_codebook(2 * math.pi, 1, mean_amplitude=0.8)
+        grid = cb1.phases_rad
         exact = []
         for idx in range(2 ** 3):
             combo = [(idx >> k) & 1 for k in (2, 1, 0)]
@@ -439,7 +439,7 @@ class TestRunExhaustive:
         rng = np.random.default_rng(29)
         form = random_form(rng, n_ris=4)
         _, best = run_exhaustive(form, CODEBOOK)
-        grid = CODEBOOK.phases_array()
+        grid = CODEBOOK.phases_rad
         for _ in range(50):
             phases = grid[rng.integers(0, 4, size=4)]
             assert best >= -objective(form, phases, MU) - 1e-10
@@ -447,7 +447,7 @@ class TestRunExhaustive:
 
 class TestQuantizePhases:
     def test_codebook_phase_fixed_point(self):
-        phases = CODEBOOK.phases_array()
+        phases = CODEBOOK.phases_rad
         np.testing.assert_array_equal(quantize_phases(phases, CODEBOOK), phases)
 
     def test_wraparound_maps_to_zero(self):
@@ -455,7 +455,7 @@ class TestQuantizePhases:
         assert got[0] == 0.0
 
     def test_midpoint_tie_breaks_low(self):
-        grid = CODEBOOK.phases_array()
+        grid = CODEBOOK.phases_rad
         mid = 0.5 * (grid[1] + grid[2])
         assert quantize_phases(np.array([mid]), CODEBOOK)[0] == grid[1]
 
@@ -479,7 +479,7 @@ class TestQuantizePhases:
         np.testing.assert_array_equal(quantize_phases(once, codebook), once)
 
     def test_nearest_by_circular_distance(self):
-        grid = CODEBOOK.phases_array()
+        grid = CODEBOOK.phases_rad
         rng = np.random.default_rng(31)
         for _ in range(200):
             phi = rng.uniform(0, 2 * math.pi)
