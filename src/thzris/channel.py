@@ -89,7 +89,7 @@ class ChannelRealization:
     def seed(self) -> int:
         """Seed of the h1 stream, derived from the config's master seed."""
         from .harness import stream_seed   # harness imports this module
-        return stream_seed(self.config.master_seed, self.realization, "h1")
+        return stream_seed(self.config.master_seed, self.realization, Hop.BS_RIS.value)
 
 
 def upa_dims(n_elements: int) -> tuple:

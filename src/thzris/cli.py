@@ -37,9 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory (default .)")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel realization workers (default 1)")
-    run.add_argument("--sweep", choices=harness.SWEEPS, metavar="FIELD",
-                     help="override the swept field, one of %(choices)s (uses the grid "
-                          "of the desk preset that sweeps it)")
     run.add_argument("--dump-channels", metavar="DIR",
                      help="write per-realization channel dumps into DIR")
     run.add_argument("--timing", action="store_true",
@@ -69,10 +66,6 @@ def _cmd_run(args) -> int:
         stem = args.preset
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    if args.sweep is not None and args.sweep != config.sweep:
-        config = replace(config, sweep=args.sweep,
-                         sweep_grid=harness.desk_sweep_grid(args.sweep))
-    config.validate()
 
     if args.dump_channels:
         os.makedirs(args.dump_channels, exist_ok=True)

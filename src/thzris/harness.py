@@ -249,33 +249,23 @@ def _sweep_points(config: ExperimentConfig) -> list:
             for v in sorted(config.sweep_grid)]
 
 
+def _draw_hop(cfg: ExperimentConfig, hop: Hop, r: int, prefix: str = "") -> tuple:
+    """Realization r's (matrix, paths) of one hop, drawn from stream prefix + hop.value."""
+    return channel.sample_channel(cfg, hop, stream_rng(cfg.master_seed, r, prefix + hop.value))
+
+
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     pair = beamforming.svd_beamformers(he, config.n_streams)
     return np.array([beamforming.achievable_rate(he, pair, 10.0 ** (snr / 10.0))
                      for snr in config.snr_grid_db])
 
 
-def _optimize_phases(scheme: str, form, cfg: ExperimentConfig,
-                     codebook: PhaseCodebook, r: int):
-    """Quantized phase vector plus the iteration count for one scheme."""
-    if scheme in ("agd", "cgd"):
-        run = optimizer.run_agd if scheme == "agd" else optimizer.run_cgd
-        trace = run(form, codebook, cfg.optimizer)
-        return trace.quantized_phases_rad, cfg.optimizer.max_iterations
-    if scheme == "random":
-        rng = stream_rng(cfg.master_seed, r, "random")
-        return optimizer.run_random_phase(form, codebook, rng).quantized_phases_rad, 1
-    if scheme == "exhaustive":
-        phases, _ = optimizer.run_exhaustive(form, codebook)
-        return phases, codebook.size ** form.n_ris
-    raise ValueError(f"unknown optimization scheme '{scheme}'")
-
-
 def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
                r: int) -> dict:
     """Scheme -> (rates over cfg.snr_grid_db, iterations, wall ms) of the RIS
     schemes on realization r's raw hops at one sweep point, each hop divided by
-    its reference here. The sweep and channel-dump replay both run this."""
+    its reference here; a scheme's wall time spans its optimization through its
+    rates. The sweep and channel-dump replay both run this."""
     h1 = h1 / _hop_reference(cfg, Hop.BS_RIS)
     h2 = h2 / _hop_reference(cfg, Hop.RIS_MS)
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
@@ -283,11 +273,19 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
     out = {}
     for scheme in schemes:
         t0 = time.perf_counter()
-        phases, n_iters = _optimize_phases(scheme, form, cfg, codebook, r)
-        theta = codebook.mean_amplitude * np.exp(1j * phases)
-        he = beamforming.cascaded_channel(h1, h2, theta)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        out[scheme] = (_rates_for_channel(he, cfg), n_iters, wall_ms)
+        if scheme in ("agd", "cgd"):
+            run = optimizer.run_agd if scheme == "agd" else optimizer.run_cgd
+            phases = run(form, codebook, cfg.optimizer).quantized_phases_rad
+            n_iters = cfg.optimizer.max_iterations
+        elif scheme == "random":
+            rng = stream_rng(cfg.master_seed, r, "random")
+            phases = optimizer.run_random_phase(form, codebook, rng).quantized_phases_rad
+            n_iters = 1
+        else:   # exhaustive, the one other scheme validate() admits
+            phases, _ = optimizer.run_exhaustive(form, codebook)
+            n_iters = codebook.size ** form.n_ris
+        he = beamforming.cascaded_channel(h1, h2, codebook.mean_amplitude * np.exp(1j * phases))
+        out[scheme] = (_rates_for_channel(he, cfg), n_iters, (time.perf_counter() - t0) * 1e3)
     return out
 
 
@@ -298,8 +296,7 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
     only for a RIS scheme or a channel dump."""
     direct = {}
     if "no_ris" in config.schemes:
-        hd, _ = channel.sample_channel(config, Hop.BS_MS_DIRECT,
-                                       stream_rng(config.master_seed, r, "direct"))
+        hd, _ = _draw_hop(config, Hop.BS_MS_DIRECT, r)
         t0 = time.perf_counter()
         rates = _rates_for_channel(hd / _hop_reference(config, Hop.BS_MS_DIRECT), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
@@ -308,10 +305,8 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
         return [direct] * len(points)
     out = []
     for _, cfg in points:
-        h1, paths_h1 = channel.sample_channel(cfg, Hop.BS_RIS,
-                                              stream_rng(cfg.master_seed, r, "h1"))
-        h2, paths_h2 = channel.sample_channel(cfg, Hop.RIS_MS,
-                                              stream_rng(cfg.master_seed, r, "h2"))
+        h1, paths_h1 = _draw_hop(cfg, Hop.BS_RIS, r)
+        h2, paths_h2 = _draw_hop(cfg, Hop.RIS_MS, r)
         if dump_dir is not None:
             real = channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
                                               paths_h2=paths_h2, realization=r, config=cfg)
@@ -333,24 +328,20 @@ def replay_realization(path, snr_db: float) -> tuple:
     return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
-def calibrate_fixed_step(config: ExperimentConfig,
-                         grid: tuple = CGD_CALIBRATION_GRID,
-                         n_realizations: int = CGD_CALIBRATION_REALIZATIONS) -> float:
+def calibrate_fixed_step(config: ExperimentConfig) -> float:
     """Pick the constant step with the best mean objective on a small seeded
     calibration batch (streams disjoint from the main experiment)."""
     forms = []
-    for c in range(n_realizations):
-        h1, _ = channel.sample_channel(config, Hop.BS_RIS,
-                                       stream_rng(config.master_seed, c, "calib-h1"))
-        h2, _ = channel.sample_channel(config, Hop.RIS_MS,
-                                       stream_rng(config.master_seed, c, "calib-h2"))
+    for c in range(CGD_CALIBRATION_REALIZATIONS):
+        h1, _ = _draw_hop(config, Hop.BS_RIS, c, "calib-")
+        h2, _ = _draw_hop(config, Hop.RIS_MS, c, "calib-")
         # rebound so the raw hops are freed before the form is built
         h1, h2 = h1 / _hop_reference(config, Hop.BS_RIS), h2 / _hop_reference(config, Hop.RIS_MS)
         form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
         forms.append(form)
     codebook = config.codebook()
-    best_step, best_mean = grid[0], -math.inf
-    for step in grid:
+    best_step, best_mean = CGD_CALIBRATION_GRID[0], -math.inf
+    for step in CGD_CALIBRATION_GRID:
         settings = replace(config.optimizer, fixed_step=step)
         mean_obj = float(np.mean([optimizer.run_cgd(f, codebook, settings).best_objective
                                   for f in forms]))
@@ -576,14 +567,6 @@ _FIG = {
 
 _FIG8_GRID = {"desk": (16.0, 32.0, 64.0, 96.0, 128.0),
               "paper": (64.0, 128.0, 192.0, 256.0)}
-
-
-def desk_sweep_grid(sweep: str) -> tuple:
-    """Grid of the desk preset that sweeps this field; () for none."""
-    for fig, overrides in _FIG.items():
-        if overrides["sweep"] == sweep:
-            return preset(f"{fig}-desk").sweep_grid
-    return ()
 
 
 def preset_names() -> list:

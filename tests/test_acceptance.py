@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from thzris import beamforming as bf
 from thzris import harness, optimizer as opt
@@ -133,12 +134,19 @@ def test_criterion_4_discrete_optimum_proximity():
                   f"p10 {p10:.3f} (>=0.8), {dt:.1f}s (<30s)")
 
 
-def test_criterion_5_scheme_ordering_desk_scale():
-    """fig7 analog: A-GD >= C-GD >= random > no-RIS at every SNR, monotone."""
+@pytest.fixture(scope="module")
+def fig7_desk_serial():
+    """fig7-desk's rows at workers=1 and the seconds they took, shared by
+    criteria 5 and 10."""
     t0 = time.perf_counter()
+    rows = harness.run_experiment(harness.preset("fig7-desk"), workers=1)
+    return rows, time.perf_counter() - t0
+
+
+def test_criterion_5_scheme_ordering_desk_scale(fig7_desk_serial):
+    """fig7 analog: A-GD >= C-GD >= random > no-RIS at every SNR, monotone."""
     config = harness.preset("fig7-desk")
-    rows = harness.run_experiment(config)
-    dt = time.perf_counter() - t0
+    rows, dt = fig7_desk_serial
     rates = rate_table(rows)
     ordering = True
     monotone = True
@@ -225,12 +233,11 @@ def test_criterion_9_complexity_scaling():
                   f"times {[f'{times[n]*1e3:.1f}ms' for n in (64, 128, 256)]}")
 
 
-def test_criterion_10_csv_determinism(tmp_path):
+def test_criterion_10_csv_determinism(fig7_desk_serial, tmp_path):
     """fig7-desk run twice with different worker counts: byte-identical CSV."""
-    config = harness.preset("fig7-desk")
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    harness.emit_csv(harness.run_experiment(config, workers=1), path_a)
-    harness.emit_csv(harness.run_experiment(config, workers=2), path_b)
+    harness.emit_csv(fig7_desk_serial[0], path_a)
+    harness.emit_csv(harness.run_experiment(harness.preset("fig7-desk"), workers=2), path_b)
     same = path_a.read_bytes() == path_b.read_bytes()
     report(10, same, f"workers=1 vs workers=2 CSVs byte-identical: {same} "
                      f"({path_a.stat().st_size} bytes)")

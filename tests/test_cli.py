@@ -103,29 +103,14 @@ class TestRun:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_unknown_flag_exits_2(self, tiny_cfg_path, capsys):
-        code = cli_main(["run", "--config", tiny_cfg_path, "--frobnicate"])
-        capsys.readouterr()
-        assert code == 2
-
-    def test_sweep_override(self, tiny_cfg_path, tmp_path):
-        out = str(tmp_path / "out")
-        assert cli_main(["run", "--config", tiny_cfg_path, "--out", out,
-                         "--sweep", "bits"]) == 0
-        lines = open(os.path.join(out, "tiny.csv")).read().splitlines()
-        sweep_values = {ln.split(",")[0] for ln in lines[1:]}
-        assert sweep_values == {"1", "2", "3", "4"}
-
-    @pytest.mark.parametrize("sweep,fig", [("phi_max_deg", "fig5"), ("bits", "fig6"),
-                                           ("n_ris", "fig8")])
-    def test_sweep_override_uses_desk_preset_grid(self, sweep, fig, tiny_cfg_path, tmp_path):
-        out = str(tmp_path / "out")
-        assert cli_main(["run", "--config", tiny_cfg_path, "--out", out,
-                         "--sweep", sweep]) == 0
-        with open(os.path.join(out, "tiny.csv")) as fh:
-            lines = fh.read().splitlines()
-        sweep_values = sorted({float(ln.split(",")[0]) for ln in lines[1:]})
-        assert sweep_values == sorted(preset(f"{fig}-desk").sweep_grid)
+    def test_unknown_flag_exits_2(self, tiny_cfg_path, tmp_path, capsys):
+        """A config file or preset chooses the sweep; run has no --sweep flag."""
+        for flags in (["--frobnicate"], ["--sweep", "bits"]):
+            out = tmp_path / "out"
+            code = cli_main(["run", "--config", tiny_cfg_path, "--out", str(out), *flags])
+            capsys.readouterr()
+            assert code == 2, flags
+            assert not out.exists()
 
     def test_timing_flag_fills_wall_column(self, tiny_cfg_path, tmp_path):
         """--timing fills mean_wall_ms; without it the column is 0 and the CSV is

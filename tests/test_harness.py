@@ -3,6 +3,7 @@
 import os
 import re
 import tempfile
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzris import channel, optimizer
+from thzris import channel, harness, optimizer
 from thzris.channel import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             calibrate_fixed_step,
@@ -310,10 +311,21 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert all(r.mean_wall_ms == 0.0 for r in rows)
 
-    def test_wall_time_capture_opt_in(self):
-        rows = run_experiment(tiny_config(schemes=("agd", "no_ris")), timing=True)
-        assert {r.scheme for r in rows} == {"agd", "no_ris"}
-        assert all(r.mean_wall_ms > 0.0 for r in rows)
+    def test_wall_time_capture_opt_in(self, monkeypatch):
+        """Every scheme's wall time includes its rate evaluation, which is
+        slowed here by 20 ms a call."""
+        rates_for_channel = harness._rates_for_channel
+
+        def slow(*args):
+            time.sleep(0.02)
+            return rates_for_channel(*args)
+
+        monkeypatch.setattr(harness, "_rates_for_channel", slow)
+        rows = run_experiment(tiny_config(), timing=True)
+        assert {r.scheme for r in rows} == {"agd", "no_ris", "random"}
+        assert all(r.mean_wall_ms >= 20.0 for r in rows), rows
+        # timing fills only the wall column
+        assert run_experiment(tiny_config()) == tuple(r._replace(mean_wall_ms=0.0) for r in rows)
 
     def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):
         """no_ris needs neither RIS hop nor their quadratic form."""
@@ -352,13 +364,12 @@ class TestRunExperiment:
 class TestCalibration:
     def test_picks_grid_member(self):
         cfg = tiny_config()
-        step = calibrate_fixed_step(cfg, n_realizations=3)
+        step = calibrate_fixed_step(cfg)
         assert step in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
     def test_deterministic(self):
         cfg = tiny_config()
-        assert calibrate_fixed_step(cfg, n_realizations=3) == \
-            calibrate_fixed_step(cfg, n_realizations=3)
+        assert calibrate_fixed_step(cfg) == calibrate_fixed_step(cfg)
 
 
 class TestEmitCsv:
