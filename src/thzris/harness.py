@@ -19,8 +19,10 @@ trace-normalized quadratic form for the same reason (order-one step sizes).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -260,32 +262,55 @@ def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
                      for snr in config.snr_grid_db])
 
 
-def _run_point(h1: np.ndarray, h2: np.ndarray, cfg: ExperimentConfig, schemes,
-               r: int) -> dict:
-    """Scheme -> (rates over cfg.snr_grid_db, iterations, wall ms) of the RIS
-    schemes on realization r's raw hops at one sweep point, each hop divided by
-    its reference here; a scheme's wall time spans its optimization through its
-    rates. The sweep and channel-dump replay both run this."""
-    h1 = h1 / _hop_reference(cfg, Hop.BS_RIS)
-    h2 = h2 / _hop_reference(cfg, Hop.RIS_MS)
+def _continuous_problem(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg with phi_max_deg and bits at their defaults. Point configs equal under
+    this share each realization's RIS hops, quadratic form and A-GD/C-GD
+    trajectories, and their calibrated C-GD step, since these read the codebook
+    only through mean_amplitude; they differ only in the final quantization and
+    the rates."""
+    return replace(cfg, phi_max_deg=ExperimentConfig.phi_max_deg, bits=ExperimentConfig.bits)
+
+
+def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> list:
+    """One scheme -> (rates over snr_grid_db, iterations, wall ms) dict per point
+    config in cfgs, which share one _continuous_problem, for the RIS schemes on
+    realization r's raw hops. The hops are divided by their references and the
+    form is built once; A-GD and C-GD descend once, and each point quantizes
+    their best continuous phases with its own codebook. random and exhaustive
+    run per point. A scheme's wall time spans its optimization through a
+    point's rates, so a shared descent's time counts in every point's. The
+    sweep and channel-dump replay both run this."""
+    h1 = h1 / _hop_reference(cfgs[0], Hop.BS_RIS)
+    h2 = h2 / _hop_reference(cfgs[0], Hop.RIS_MS)
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    codebook = cfg.codebook()
-    out = {}
-    for scheme in schemes:
-        t0 = time.perf_counter()
-        if scheme in ("agd", "cgd"):
-            run = optimizer.run_agd if scheme == "agd" else optimizer.run_cgd
-            phases = run(form, codebook, cfg.optimizer).quantized_phases_rad
-            n_iters = cfg.optimizer.max_iterations
-        elif scheme == "random":
-            rng = stream_rng(cfg.master_seed, r, "random")
-            phases = optimizer.run_random_phase(form, codebook, rng).quantized_phases_rad
-            n_iters = 1
-        else:   # exhaustive, the one other scheme validate() admits
-            phases, _ = optimizer.run_exhaustive(form, codebook)
-            n_iters = codebook.size ** form.n_ris
-        he = beamforming.cascaded_channel(h1, h2, codebook.mean_amplitude * np.exp(1j * phases))
-        out[scheme] = (_rates_for_channel(he, cfg), n_iters, (time.perf_counter() - t0) * 1e3)
+    codebooks = [cfg.codebook() for cfg in cfgs]
+    descents = {}   # scheme -> (best continuous phases, wall ms)
+    for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
+        if scheme in schemes:
+            t0 = time.perf_counter()
+            best = run(form, codebooks[0], cfgs[0].optimizer).best_phases_rad
+            descents[scheme] = (best, (time.perf_counter() - t0) * 1e3)
+    out = []
+    for cfg, codebook in zip(cfgs, codebooks):
+        point = {}
+        for scheme in schemes:
+            t0, shared_ms = time.perf_counter(), 0.0
+            if scheme in descents:
+                best, shared_ms = descents[scheme]
+                phases = optimizer.quantize_phases(best, codebook)
+                n_iters = cfg.optimizer.max_iterations
+            elif scheme == "random":
+                rng = stream_rng(cfg.master_seed, r, "random")
+                phases = optimizer.run_random_phase(form, codebook, rng).quantized_phases_rad
+                n_iters = 1
+            else:   # exhaustive, the one other scheme validate() admits
+                phases, _ = optimizer.run_exhaustive(form, codebook)
+                n_iters = codebook.size ** form.n_ris
+            theta = codebook.mean_amplitude * np.exp(1j * phases)
+            he = beamforming.cascaded_channel(h1, h2, theta)
+            point[scheme] = (_rates_for_channel(he, cfg), n_iters,
+                             shared_ms + (time.perf_counter() - t0) * 1e3)
+        out.append(point)
     return out
 
 
@@ -293,7 +318,7 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
     """One {scheme: (rates, iterations, wall ms)} per sweep point for channel
     realization r. The direct hop depends on no swept field, so its no_ris
     result is drawn once and shared by every point; the RIS hops are drawn
-    only for a RIS scheme or a channel dump."""
+    only for a RIS scheme or a channel dump, once per _continuous_problem."""
     direct = {}
     if "no_ris" in config.schemes:
         hd, _ = _draw_hop(config, Hop.BS_MS_DIRECT, r)
@@ -303,18 +328,24 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     if not ris_schemes and dump_dir is None:
         return [direct] * len(points)
-    out = []
-    for _, cfg in points:
-        h1, paths_h1 = _draw_hop(cfg, Hop.BS_RIS, r)
-        h2, paths_h2 = _draw_hop(cfg, Hop.RIS_MS, r)
+    groups = {}   # continuous problem -> indices of its points
+    for k, (_, cfg) in enumerate(points):
+        groups.setdefault(_continuous_problem(cfg), []).append(k)
+    out = [None] * len(points)
+    for ks in groups.values():
+        cfgs = [points[k][1] for k in ks]
+        h1, paths_h1 = _draw_hop(cfgs[0], Hop.BS_RIS, r)
+        h2, paths_h2 = _draw_hop(cfgs[0], Hop.RIS_MS, r)
         if dump_dir is not None:
-            real = channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
-                                              paths_h2=paths_h2, realization=r, config=cfg)
-            name = config.sweep   # the file name carries the swept field's value
-            suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
-            channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        point = _run_point(h1, h2, cfg, ris_schemes, r) if ris_schemes else {}
-        out.append({**direct, **point})
+            for cfg in cfgs:
+                real = channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
+                                                  paths_h2=paths_h2, realization=r, config=cfg)
+                name = config.sweep   # the file name carries the swept field's value
+                suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
+                channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
+        results = _run_point(h1, h2, cfgs, ris_schemes, r) if ris_schemes else [{}] * len(ks)
+        for k, point in zip(ks, results):
+            out[k] = {**direct, **point}
     return out
 
 
@@ -324,7 +355,7 @@ def replay_realization(path, snr_db: float) -> tuple:
     (realization, point config, {scheme: rate})."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
-    point = _run_point(real.h1, real.h2, cfg, ("agd", "random"), real.realization)
+    point, = _run_point(real.h1, real.h2, [cfg], ("agd", "random"), real.realization)
     return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
@@ -350,6 +381,22 @@ def calibrate_fixed_step(config: ExperimentConfig) -> float:
     return best_step
 
 
+def _bundled_openblas():
+    """The OpenBLAS library numpy bundles (numpy.libs), or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    name = next((n for n in names if n.startswith("libscipy_openblas")), None)
+    return None if name is None else ctypes.CDLL(os.path.join(libs, name))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker process, so that workers do
+    not oversubscribe the cores; a no-op where numpy's OpenBLAS lacks the call."""
+    set_threads = getattr(_bundled_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads(1)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1,
                    dump_dir=None, timing: bool = False) -> tuple:
     """The configured Monte-Carlo sweep's SweepRows, sorted; deterministic for any
@@ -358,13 +405,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     config.validate()
     points = _sweep_points(config)
     if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
+        # calibration reads the codebook only through mean_amplitude
+        steps = {key: calibrate_fixed_step(key)
+                 for key in dict.fromkeys(_continuous_problem(cfg) for _, cfg in points)}
         points = [(value, replace(cfg, optimizer=replace(
-                      cfg.optimizer, fixed_step=calibrate_fixed_step(cfg))))
+                      cfg.optimizer, fixed_step=steps[_continuous_problem(cfg)])))
                   for value, cfg in points]
 
     run = partial(_run_realization, config=config, points=points, dump_dir=dump_dir)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
+                                 initializer=_one_blas_thread) as pool:
             results = list(pool.map(run, range(config.n_realizations)))
     else:
         results = list(map(run, range(config.n_realizations)))

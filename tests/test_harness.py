@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -22,6 +23,10 @@ from thzris.optimizer import OptimizerSettings
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "tiny_sweep.csv")
+
+
+def _blas_threads() -> int:
+    return harness._bundled_openblas().scipy_openblas_get_num_threads64_()
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -313,19 +318,84 @@ class TestRunExperiment:
 
     def test_wall_time_capture_opt_in(self, monkeypatch):
         """Every scheme's wall time includes its rate evaluation, which is
-        slowed here by 20 ms a call."""
-        rates_for_channel = harness._rates_for_channel
+        slowed here by 20 ms a call, and on a 2-point bits sweep each point's
+        agd time also includes the one A-GD descent both share, slowed by 30 ms."""
+        rates_for_channel, run_agd = harness._rates_for_channel, optimizer.run_agd
 
-        def slow(*args):
-            time.sleep(0.02)
-            return rates_for_channel(*args)
+        def slow(fn, seconds):
+            def wrapper(*args):
+                time.sleep(seconds)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(harness, "_rates_for_channel", slow)
-        rows = run_experiment(tiny_config(), timing=True)
+        monkeypatch.setattr(harness, "_rates_for_channel", slow(rates_for_channel, 0.02))
+        monkeypatch.setattr(optimizer, "run_agd", slow(run_agd, 0.03))
+        cfg = tiny_config(sweep="bits", sweep_grid=(1.0, 2.0))
+        rows = run_experiment(cfg, timing=True)
         assert {r.scheme for r in rows} == {"agd", "no_ris", "random"}
+        assert {r.sweep_value for r in rows} == {1.0, 2.0}
         assert all(r.mean_wall_ms >= 20.0 for r in rows), rows
+        assert all(r.mean_wall_ms >= 50.0 for r in rows if r.scheme == "agd"), rows
         # timing fills only the wall column
-        assert run_experiment(tiny_config()) == tuple(r._replace(mean_wall_ms=0.0) for r in rows)
+        assert run_experiment(cfg) == tuple(r._replace(mean_wall_ms=0.0) for r in rows)
+
+    @pytest.mark.parametrize("sweep, grid", [("phi_max_deg", (60.0, 180.0, 360.0)),
+                                             ("bits", (1.0, 3.0))])
+    def test_sweep_rows_equal_single_point_runs(self, sweep, grid):
+        """The points of a codebook sweep share one descent and one calibration,
+        yet each row equals the row of its point run alone."""
+        cfg = tiny_config(n_ris=4, schemes=("agd", "cgd", "random", "exhaustive"),
+                          sweep=sweep, sweep_grid=grid,
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
+        rows = run_experiment(cfg)
+        kind = type(getattr(ExperimentConfig, sweep))
+        for value in grid:
+            alone = run_experiment(replace(cfg, sweep="none", sweep_grid=(),
+                                           **{sweep: kind(value)}))
+            assert tuple(r for r in rows if r.sweep_value == value) == \
+                tuple(r._replace(sweep_value=value) for r in alone)
+
+    @pytest.mark.parametrize("sweep, grid, n_problems", [
+        ("phi_max_deg", (60.0, 180.0, 360.0), 1), ("n_ris", (4.0, 8.0), 2)])
+    def test_codebook_sweep_calibrates_and_descends_once(self, monkeypatch, sweep, grid,
+                                                         n_problems):
+        """A phi_max_deg sweep's points share one continuous problem per
+        realization; an n_ris sweep's points each have their own."""
+        calls = {"calibrate": 0, "agd": 0, "cgd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "calibrate_fixed_step", counted("calibrate", lambda _: 1e-3))
+        monkeypatch.setattr(optimizer, "run_agd", counted("agd", optimizer.run_agd))
+        monkeypatch.setattr(optimizer, "run_cgd", counted("cgd", optimizer.run_cgd))
+        cfg = tiny_config(schemes=("agd", "cgd"), sweep=sweep, sweep_grid=grid,
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
+        run_experiment(cfg)
+        n = cfg.n_realizations * n_problems
+        assert calls == {"calibrate": n_problems, "agd": n, "cgd": n}
+
+    def test_pool_workers_use_one_blas_thread(self, monkeypatch):
+        """run_experiment's pool has no more workers than realizations, and
+        each worker runs with one BLAS thread."""
+        lib = harness._bundled_openblas()
+        if getattr(lib, "scipy_openblas_get_num_threads64_", None) is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count call")
+        pools = []
+
+        def recorded(**kwargs):
+            pools.append(kwargs)
+            return ProcessPoolExecutor(**kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", recorded)
+        cfg = tiny_config(n_realizations=2)
+        assert run_experiment(cfg, workers=4) == run_experiment(cfg)
+        assert pools == [dict(max_workers=2, initializer=harness._one_blas_thread)]
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._one_blas_thread) as pool:
+            assert pool.submit(_blas_threads).result() == 1
 
     def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):
         """no_ris needs neither RIS hop nor their quadratic form."""
