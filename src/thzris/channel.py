@@ -293,8 +293,11 @@ def load_realization(path) -> ChannelRealization:
     DumpError naming the file and line; an invalid config line raises
     ConfigError naming the file and line."""
     from .harness import parse_config   # harness imports this module
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DumpError(f"{path}: not UTF-8 text ({exc.reason})") from None
     version = lines[0].strip() if lines else ""
     if version != _DUMP_VERSION:
         raise DumpError(f"{path}:1: expected '{_DUMP_VERSION}', got '{version}'")

@@ -88,8 +88,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_presets(args) -> int:
     if args.action == "list":
-        for name in harness.preset_names():
-            print(name)
+        if args.name:
+            raise ConfigError(f"'presets list' takes no preset name, got '{args.name}'")
+        print("\n".join(harness.preset_names()))
         return 0
     if not args.name:
         raise ConfigError("'presets show' needs a preset name")

@@ -200,7 +200,7 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep '{self.sweep}' needs {kind.__name__} sweep_grid "
                                   f"values, got {_format_value(self.sweep_grid)}",
                                   "sweep_grid")
-            for value, point in _sweep_points(self):
+            for value, point in (p for group in _point_groups(self) for p in group):
                 try:
                     point.validate()
                 except ConfigError as exc:
@@ -241,48 +241,51 @@ def _magnitude(fn, *args) -> float:
         return math.inf
 
 
-def _sweep_points(config: ExperimentConfig) -> list:
-    """Sorted (sweep_value, point config) pairs; a point config holds its grid
-    value in the swept field and sweeps nothing itself."""
-    if config.sweep == "none":
-        return [(0.0, config)]
-    kind = type(getattr(ExperimentConfig, config.sweep))
-    return [(float(v), replace(config, sweep="none", sweep_grid=(), **{config.sweep: kind(v)}))
-            for v in sorted(config.sweep_grid)]
-
-
 def _draw_hop(cfg: ExperimentConfig, hop: Hop, r: int, prefix: str = "") -> tuple:
     """Realization r's (matrix, paths) of one hop, drawn from stream prefix + hop.value."""
     return channel.sample_channel(cfg, hop, stream_rng(cfg.master_seed, r, prefix + hop.value))
 
 
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    pair = beamforming.svd_beamformers(he, config.n_streams)
-    return np.array([beamforming.achievable_rate(he, pair, 10.0 ** (snr / 10.0))
-                     for snr in config.snr_grid_db])
+    """Rates over snr_grid_db: sum log2(1 + snr/Ns s_i^2) over he's Ns leading singular
+    values, achievable_rate's log-det under SVD beamforming; LinAlgError if not finite."""
+    s2 = np.linalg.svd(he, compute_uv=False)[:config.n_streams] ** 2
+    rates = np.array([np.sum(np.log2(1.0 + 10.0 ** (snr / 10.0) / config.n_streams * s2))
+                      for snr in config.snr_grid_db])
+    if not np.all(np.isfinite(rates)):
+        raise np.linalg.LinAlgError(f"a rate is not finite: {rates}")
+    return rates
 
 
-def _continuous_problem(cfg: ExperimentConfig) -> ExperimentConfig:
-    """cfg with phi_max_deg and bits at their defaults. Point configs equal under
-    this share each realization's RIS hops, quadratic form and A-GD/C-GD
-    trajectories, and their calibrated C-GD step, since these read the codebook
-    only through mean_amplitude; they differ only in the final quantization and
-    the rates."""
-    return replace(cfg, phi_max_deg=ExperimentConfig.phi_max_deg, bits=ExperimentConfig.bits)
+def _referenced_form(cfg: ExperimentConfig, h1: np.ndarray, h2: np.ndarray) -> tuple:
+    """(h1, h2, form): raw RIS hops divided by their LoS references, and their
+    trace-normalized quadratic form; fresh draws are freed before the form is built."""
+    h1, h2 = h1 / _hop_reference(cfg, Hop.BS_RIS), h2 / _hop_reference(cfg, Hop.RIS_MS)
+    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
+    return h1, h2, form
+
+
+def _point_groups(config: ExperimentConfig) -> list:
+    """The sweep's sorted (sweep_value, point config) pairs, a point config holding
+    its grid value in the swept field, in groups that share each realization's RIS
+    hops, form, descents and C-GD calibration: one group for a phi_max_deg or bits
+    sweep, whose points differ only in the codebook, which descents and calibration
+    read only through mean_amplitude, else one group per point."""
+    if config.sweep == "none":
+        return [[(0.0, config)]]
+    kind = type(getattr(ExperimentConfig, config.sweep))
+    points = [(float(v), replace(config, sweep="none", sweep_grid=(), **{config.sweep: kind(v)}))
+              for v in sorted(config.sweep_grid)]
+    return [points] if config.sweep in ("phi_max_deg", "bits") else [[p] for p in points]
 
 
 def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> list:
-    """One scheme -> (rates over snr_grid_db, iterations, wall ms) dict per point
-    config in cfgs, which share one _continuous_problem, for the RIS schemes on
-    realization r's raw hops. The hops are divided by their references and the
-    form is built once; A-GD and C-GD descend once, and each point quantizes
-    their best continuous phases with its own codebook. random and exhaustive
-    run per point. A scheme's wall time spans its optimization through a
-    point's rates, so a shared descent's time counts in every point's. The
-    sweep and channel-dump replay both run this."""
-    h1 = h1 / _hop_reference(cfgs[0], Hop.BS_RIS)
-    h2 = h2 / _hop_reference(cfgs[0], Hop.RIS_MS)
-    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
+    """One scheme -> (rates, iterations, wall ms) dict per point config of a
+    group, for the RIS schemes on realization r's raw hops. A-GD and C-GD descend
+    once and each point quantizes their best phases with its own codebook;
+    random and exhaustive run per point. A scheme's wall time spans its
+    optimization through a point's rates. The sweep and replay both run this."""
+    h1, h2, form = _referenced_form(cfgs[0], h1, h2)
     codebooks = [cfg.codebook() for cfg in cfgs]
     descents = {}   # scheme -> (best continuous phases, wall ms)
     for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
@@ -314,11 +317,11 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> l
     return out
 
 
-def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -> list:
-    """One {scheme: (rates, iterations, wall ms)} per sweep point for channel
-    realization r. The direct hop depends on no swept field, so its no_ris
-    result is drawn once and shared by every point; the RIS hops are drawn
-    only for a RIS scheme or a channel dump, once per _continuous_problem."""
+def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -> list:
+    """One {scheme: (rates, iterations, wall ms)} per sweep point, in point order,
+    for channel realization r. The direct hop depends on no swept field, so its
+    no_ris result is drawn once and shared by every point; the RIS hops are
+    drawn once per group, and only for a RIS scheme or a channel dump."""
     direct = {}
     if "no_ris" in config.schemes:
         hd, _ = _draw_hop(config, Hop.BS_MS_DIRECT, r)
@@ -326,14 +329,12 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
         rates = _rates_for_channel(hd / _hop_reference(config, Hop.BS_MS_DIRECT), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
-    if not ris_schemes and dump_dir is None:
-        return [direct] * len(points)
-    groups = {}   # continuous problem -> indices of its points
-    for k, (_, cfg) in enumerate(points):
-        groups.setdefault(_continuous_problem(cfg), []).append(k)
-    out = [None] * len(points)
-    for ks in groups.values():
-        cfgs = [points[k][1] for k in ks]
+    out = []
+    for group in groups:
+        cfgs = [cfg for _, cfg in group]
+        if not ris_schemes and dump_dir is None:
+            out += [direct] * len(cfgs)
+            continue
         h1, paths_h1 = _draw_hop(cfgs[0], Hop.BS_RIS, r)
         h2, paths_h2 = _draw_hop(cfgs[0], Hop.RIS_MS, r)
         if dump_dir is not None:
@@ -343,9 +344,8 @@ def _run_realization(r: int, config: ExperimentConfig, points: list, dump_dir) -
                 name = config.sweep   # the file name carries the swept field's value
                 suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
                 channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        results = _run_point(h1, h2, cfgs, ris_schemes, r) if ris_schemes else [{}] * len(ks)
-        for k, point in zip(ks, results):
-            out[k] = {**direct, **point}
+        results = _run_point(h1, h2, cfgs, ris_schemes, r) if ris_schemes else [{}] * len(cfgs)
+        out += [{**direct, **point} for point in results]
     return out
 
 
@@ -362,14 +362,10 @@ def replay_realization(path, snr_db: float) -> tuple:
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
     """Pick the constant step with the best mean objective on a small seeded
     calibration batch (streams disjoint from the main experiment)."""
-    forms = []
-    for c in range(CGD_CALIBRATION_REALIZATIONS):
-        h1, _ = _draw_hop(config, Hop.BS_RIS, c, "calib-")
-        h2, _ = _draw_hop(config, Hop.RIS_MS, c, "calib-")
-        # rebound so the raw hops are freed before the form is built
-        h1, h2 = h1 / _hop_reference(config, Hop.BS_RIS), h2 / _hop_reference(config, Hop.RIS_MS)
-        form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-        forms.append(form)
+    # fresh draws, so each raw hop is freed before its form is built
+    forms = [_referenced_form(config, _draw_hop(config, Hop.BS_RIS, c, "calib-")[0],
+                              _draw_hop(config, Hop.RIS_MS, c, "calib-")[0])[2]
+             for c in range(CGD_CALIBRATION_REALIZATIONS)]
     codebook = config.codebook()
     best_step, best_mean = CGD_CALIBRATION_GRID[0], -math.inf
     for step in CGD_CALIBRATION_GRID:
@@ -403,16 +399,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     worker count. With cgd calibrated, each point config carries the C-GD step it runs.
     mean_wall_ms is 0 unless `timing` is set, which makes the rows non-reproducible."""
     config.validate()
-    points = _sweep_points(config)
+    groups = _point_groups(config)
     if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
-        # calibration reads the codebook only through mean_amplitude
-        steps = {key: calibrate_fixed_step(key)
-                 for key in dict.fromkeys(_continuous_problem(cfg) for _, cfg in points)}
-        points = [(value, replace(cfg, optimizer=replace(
-                      cfg.optimizer, fixed_step=steps[_continuous_problem(cfg)])))
-                  for value, cfg in points]
-
-    run = partial(_run_realization, config=config, points=points, dump_dir=dump_dir)
+        for group in groups:   # calibrated once, on the group's first point
+            opt = replace(group[0][1].optimizer, fixed_step=calibrate_fixed_step(group[0][1]))
+            group[:] = [(value, replace(cfg, optimizer=opt)) for value, cfg in group]
+    run = partial(_run_realization, config=config, groups=groups, dump_dir=dump_dir)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
                                  initializer=_one_blas_thread) as pool:
@@ -421,7 +413,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         results = list(map(run, range(config.n_realizations)))
 
     rows = []
-    for k, (value, _) in enumerate(points):
+    for k, (value, _) in enumerate(point for group in groups for point in group):
         for scheme in config.schemes:
             # (R, Q) rates, (R,) iterations and wall ms over the realizations
             rates, iters, wall = map(np.array, zip(*(res[k][scheme] for res in results)))
@@ -490,7 +482,7 @@ CONFIG_SCHEMA = {
     "sweep_grid": ("float_list", "values of the swept field (unused for none)"),
     "direct_blockage_db": ("float", "excess obstruction loss of the blocked direct link (dB)"),
     "max_iterations": ("int", "gradient-descent iteration budget"),
-    "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates per sweep point"),
+    "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates once per n_ris value"),
 }
 
 
@@ -509,10 +501,11 @@ def _parse_value(kind: str, raw: str, where: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "float_list":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if kind == "str_list":
-            return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+        if kind.endswith("_list"):   # an empty value is the empty list
+            items = tuple(tok.strip() for tok in raw.split(",")) if raw.strip() else ()
+            if "" in items:
+                raise ValueError(f"empty list item in '{raw}'")
+            return tuple(map(float, items)) if kind == "float_list" else items
         if kind == "float_or_auto":
             return "auto" if raw.lower() == "auto" else float(raw)
         return raw
@@ -541,6 +534,8 @@ def load_config(path) -> ExperimentConfig:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:   # its position counts from a read buffer, not the file
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_config(raw_lines, path)
 
 

@@ -84,9 +84,12 @@ class TestRun:
                  ("snr_grid_db = 4000", 1, "snr_grid_db"),
                  ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db"),
                  ("schemes = random, random", 1, "schemes"),
-                 ("snr_grid_db = 10, 10", 1, "snr_grid_db")]
+                 ("snr_grid_db = 10, 10", 1, "snr_grid_db"),
+                 ("schemes = agd,,random,", 1, "schemes"),
+                 ("snr_grid_db = 0,,10,", 1, "snr_grid_db"),
+                 (b"n_bs = 8\n\xff\xfe\n", None, "not UTF-8 text")]
         for text, line, key in cases:
-            bad.write_text(text + "\n")
+            bad.write_bytes(text if isinstance(text, bytes) else (text + "\n").encode())
             assert cli_main(["run", "--config", str(bad)]) == 2, text
             err = capsys.readouterr().err
             where = f"{bad}:{line}" if line else f"{bad}"
@@ -161,6 +164,11 @@ class TestPresets:
         path.write_text(out)
         assert load_config(path) == preset(name)
 
+    def test_list_takes_no_name(self, capsys):
+        assert cli_main(["presets", "list", "fig5-desk"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: 'presets list' takes no preset name, got 'fig5-desk'\n"
+
     def test_show_unknown_exits_2(self, capsys):
         assert cli_main(["presets", "show", "fig12-desk"]) == 2
         capsys.readouterr()
@@ -223,14 +231,14 @@ class TestReplay:
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
                                       "inf_path", "token_count", "invalid_config", "config_value",
                                       "v1", "v2", "v3", "v3_path_row", "zero_hop",
-                                      "removed_key"])
+                                      "removed_key", "empty_item", "not_utf8"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
                          "--dump-channels", str(dumps)]) == 0
         lines = (dumps / "real00000.txt").read_text().splitlines()
         at = {ln.split()[0]: n for n, ln in enumerate(lines)}   # key -> index
-        bad, line = list(lines), None
+        bad, line, tail = list(lines), None, b""
         if case == "truncated":
             bad, line = lines[:5], 5
         elif case == "path_count":    # paths_h2's header becomes the extra h1 row
@@ -262,11 +270,16 @@ class TestReplay:
         elif case == "zero_hop":      # h1 without its path rows rebuilds to zero
             bad = lines[:at["paths_h1"]] + ["paths_h1 0"] + lines[at["paths_h2"]:]
             line = at["paths_h1"] + 1
+        elif case == "empty_item":
+            line = bad.index("config schemes = agd,random") + 1
+            bad[line - 1] = "config schemes = agd,,random,"
+        elif case == "not_utf8":      # names the file only
+            tail = b"\xff\xfe\n"
         else:                         # removed_key: a knob of earlier versions
             line = bad.index("config max_iterations = 10") + 1
             bad.insert(line - 1, "config init_phases = zeros")
         path = tmp_path / "bad.txt"
-        path.write_text("\n".join(bad) + "\n")
+        path.write_bytes(("\n".join(bad) + "\n").encode() + tail)
         capsys.readouterr()
         assert cli_main(["replay", "--channel-dump", str(path)]) == 2
         where = f"{path}:{line}" if line else f"{path}"

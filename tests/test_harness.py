@@ -2,8 +2,10 @@
 
 import os
 import re
+import sys
 import tempfile
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzris import channel, harness, optimizer
+from thzris import beamforming, channel, harness, optimizer
 from thzris.channel import SPEED_OF_LIGHT
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             calibrate_fixed_step,
@@ -190,6 +192,9 @@ class TestLoadConfig:
             ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db values must lie in [-300, 300]"),
             ("schemes = random, random", 1, "schemes repeats a value: random,random"),
             ("snr_grid_db = 10, 10", 1, "snr_grid_db repeats a value: 10.0,10.0"),
+            ("schemes = agd,,random,", 1, "schemes: empty list item in 'agd,,random,'"),
+            ("snr_grid_db = 0,,10,", 1, "snr_grid_db: empty list item in '0,,10,'"),
+            ("sweep = n_ris\nsweep_grid = 8,", 2, "sweep_grid: empty list item"),
         ]
         for text, line, message in cases:
             path.write_text(text + "\n")
@@ -228,6 +233,8 @@ class TestLoadConfig:
         assert cfg.optimizer.fixed_step == 0.05
         path.write_text("fixed_step = AUTO\n")
         assert load_config(path).optimizer.fixed_step == "auto"
+        path.write_text("sweep_grid =\nschemes = agd\n")   # an empty value is the empty list
+        assert load_config(path).sweep_grid == ()
 
     def test_round_trip_through_text(self, tmp_path):
         cfg = tiny_config(sweep="bits", sweep_grid=(1.0, 2.0))
@@ -255,6 +262,33 @@ class TestLoadConfig:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(config_to_text(cfg))
             assert load_config(path) == cfg
+
+
+class TestRatesForChannel:
+    @pytest.mark.parametrize("n_streams", [1, 2, 3, 4])
+    def test_equals_log_det_rate(self, n_streams):
+        """The singular-value rates equal achievable_rate's log-det under the SVD
+        beamformers at every SNR, for a full-rank and a rank-1 channel."""
+        rng = np.random.default_rng(40 + n_streams)
+        cfg = replace(ExperimentConfig(), n_streams=n_streams,
+                      snr_grid_db=(-10.0, -3.0, 0.0, 10.0, 20.0))
+        u, v, full = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                      for shape in ((6, 1), (9, 1), (6, 9)))
+        for he in (full, u @ v.conj().T):
+            pair = beamforming.svd_beamformers(he, n_streams)
+            expect = [beamforming.achievable_rate(he, pair, 10.0 ** (snr / 10.0))
+                      for snr in cfg.snr_grid_db]
+            np.testing.assert_allclose(harness._rates_for_channel(he, cfg), expect,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_raises_where_a_rate_is_not_finite(self):
+        cfg = replace(ExperimentConfig(), n_streams=2, snr_grid_db=(0.0, 300.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            harness._rates_for_channel(np.full((4, 4), np.nan, dtype=complex), cfg)
+        # s_1^2 = 1.6e301 is finite, and 1e30 / 2 times it overflows at 300 dB
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                       match="not finite"):
+            harness._rates_for_channel(np.full((4, 4), 1e150, dtype=complex), cfg)
 
 
 class TestStreamSeeds:
@@ -356,11 +390,12 @@ class TestRunExperiment:
                 tuple(r._replace(sweep_value=value) for r in alone)
 
     @pytest.mark.parametrize("sweep, grid, n_problems", [
-        ("phi_max_deg", (60.0, 180.0, 360.0), 1), ("n_ris", (4.0, 8.0), 2)])
+        ("phi_max_deg", (60.0, 180.0, 360.0), 1), ("n_ris", (4.0, 8.0), 2),
+        ("bits", (1.0, 3.0), 1), ("none", (), 1)])
     def test_codebook_sweep_calibrates_and_descends_once(self, monkeypatch, sweep, grid,
                                                          n_problems):
-        """A phi_max_deg sweep's points share one continuous problem per
-        realization; an n_ris sweep's points each have their own."""
+        """A phi_max_deg or bits sweep is one point group, which calibrates once
+        and descends once per realization; an n_ris sweep has one group per point."""
         calls = {"calibrate": 0, "agd": 0, "cgd": 0}
 
         def counted(name, fn):
@@ -440,6 +475,28 @@ class TestCalibration:
     def test_deterministic(self):
         cfg = tiny_config()
         assert calibrate_fixed_step(cfg) == calibrate_fixed_step(cfg)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps call arguments alive in the caller")
+    def test_raw_hops_freed_before_each_form(self, monkeypatch):
+        """Calibration keeps no raw hop alive while it builds a quadratic form:
+        at paper scale a raw 256x512 hop is 2 MB of peak memory."""
+        raw, alive = [], []
+        sample, build = channel.sample_channel, optimizer.build_quadratic_form
+
+        def sampled(*args):
+            matrix, paths = sample(*args)
+            raw.append(weakref.ref(matrix))
+            return matrix, paths
+
+        def built(*args):
+            alive.append(sum(ref() is not None for ref in raw))
+            return build(*args)
+
+        monkeypatch.setattr(channel, "sample_channel", sampled)
+        monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        calibrate_fixed_step(tiny_config())
+        assert alive == [0] * harness.CGD_CALIBRATION_REALIZATIONS
 
 
 class TestEmitCsv:
@@ -539,6 +596,20 @@ class TestChannelDumps:
             for r in range(cfg.n_realizations):
                 real = channel.load_realization(tmp_path / f"real{r:05d}_phi_max_deg{value!r}.txt")
                 assert real.config.optimizer.fixed_step == step
+
+    def test_no_ris_sweep_dumps_each_point(self, tmp_path):
+        """Without a RIS scheme, the RIS hops are drawn for the dumps alone: one
+        dump per point with that point's config, and the rows do not change."""
+        cfg = tiny_config(n_realizations=2, schemes=("no_ris",), sweep="phi_max_deg",
+                          sweep_grid=(120.0, 306.82))
+        rows = run_experiment(cfg, dump_dir=str(tmp_path))
+        assert rows == run_experiment(cfg)
+        assert len(list(tmp_path.iterdir())) == cfg.n_realizations * len(cfg.sweep_grid)
+        for value in cfg.sweep_grid:
+            point = replace(cfg, sweep="none", sweep_grid=(), phi_max_deg=value)
+            for r in range(cfg.n_realizations):
+                real = channel.load_realization(tmp_path / f"real{r:05d}_phi_max_deg{value!r}.txt")
+                assert (real.realization, real.config) == (r, point)
 
     def test_edited_config_sets_rebuilt_geometry(self, tmp_path):
         """The dumped config is the only record of the carrier and the RIS
