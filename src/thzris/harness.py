@@ -24,7 +24,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
@@ -257,12 +256,11 @@ def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     return rates
 
 
-def _referenced_form(cfg: ExperimentConfig, h1: np.ndarray, h2: np.ndarray) -> tuple:
-    """(h1, h2, form): raw RIS hops divided by their LoS references, and their
-    trace-normalized quadratic form; fresh draws are freed before the form is built."""
-    h1, h2 = h1 / _hop_reference(cfg, Hop.BS_RIS), h2 / _hop_reference(cfg, Hop.RIS_MS)
-    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    return h1, h2, form
+def _referenced_hops(cfg: ExperimentConfig, h1: np.ndarray, h2: np.ndarray) -> tuple:
+    """Raw RIS hops divided by their LoS references. Callers pass fresh draws or
+    rebind their raw hops to the result, so that no raw hop (2 MB at paper
+    scale) is alive when the quadratic form is built."""
+    return h1 / _hop_reference(cfg, Hop.BS_RIS), h2 / _hop_reference(cfg, Hop.RIS_MS)
 
 
 def _point_groups(config: ExperimentConfig) -> list:
@@ -281,11 +279,12 @@ def _point_groups(config: ExperimentConfig) -> list:
 
 def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> list:
     """One scheme -> (rates, iterations, wall ms) dict per point config of a
-    group, for the RIS schemes on realization r's raw hops. A-GD and C-GD descend
-    once and each point quantizes their best phases with its own codebook;
-    random and exhaustive run per point. A scheme's wall time spans its
-    optimization through a point's rates. The sweep and replay both run this."""
-    h1, h2, form = _referenced_form(cfgs[0], h1, h2)
+    group, for the RIS schemes on realization r's referenced hops. A-GD and C-GD
+    descend once on their trace-normalized form and each point quantizes their
+    best phases with its own codebook; random and exhaustive run per point. A
+    scheme's wall time spans its optimization through a point's rates. The
+    sweep and replay both run this."""
+    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
     codebooks = [cfg.codebook() for cfg in cfgs]
     descents = {}   # scheme -> (best continuous phases, wall ms)
     for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
@@ -328,6 +327,7 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
         t0 = time.perf_counter()
         rates = _rates_for_channel(hd / _hop_reference(config, Hop.BS_MS_DIRECT), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
+        del hd   # no raw hop is alive while a form is built
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     out = []
     for group in groups:
@@ -339,11 +339,13 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
         h2, paths_h2 = _draw_hop(cfgs[0], Hop.RIS_MS, r)
         if dump_dir is not None:
             for cfg in cfgs:
-                real = channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
-                                                  paths_h2=paths_h2, realization=r, config=cfg)
                 name = config.sweep   # the file name carries the swept field's value
                 suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
-                channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
+                channel.dump_realization(   # a temporary realization: it holds the raw hops
+                    channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
+                                               paths_h2=paths_h2, realization=r, config=cfg),
+                    cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
+        h1, h2 = _referenced_hops(cfgs[0], h1, h2)   # rebinding frees the raw hops
         results = _run_point(h1, h2, cfgs, ris_schemes, r) if ris_schemes else [{}] * len(cfgs)
         out += [{**direct, **point} for point in results]
     return out
@@ -355,23 +357,37 @@ def replay_realization(path, snr_db: float) -> tuple:
     (realization, point config, {scheme: rate})."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
-    point, = _run_point(real.h1, real.h2, [cfg], ("agd", "random"), real.realization)
+    # the returned realization keeps the raw hops, whose norms the cli prints
+    h1, h2 = _referenced_hops(cfg, real.h1, real.h2)
+    point, = _run_point(h1, h2, [cfg], ("agd", "random"), real.realization)
     return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
+
+
+def _calibration_objectives(config: ExperimentConfig, c: int, codebook: PhaseCodebook) -> list:
+    """Calibration realization c's best C-GD objective at each CGD_CALIBRATION_GRID
+    step, on one form that is freed on return. The hops are fresh draws, so each
+    raw hop is freed before the form is built."""
+    h1, h2 = _referenced_hops(config, _draw_hop(config, Hop.BS_RIS, c, "calib-")[0],
+                              _draw_hop(config, Hop.RIS_MS, c, "calib-")[0])
+    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
+    return [optimizer.run_cgd(form, codebook,
+                              replace(config.optimizer, fixed_step=step)).best_objective
+            for step in CGD_CALIBRATION_GRID]
 
 
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
     """Pick the constant step with the best mean objective on a small seeded
-    calibration batch (streams disjoint from the main experiment)."""
-    # fresh draws, so each raw hop is freed before its form is built
-    forms = [_referenced_form(config, _draw_hop(config, Hop.BS_RIS, c, "calib-")[0],
-                              _draw_hop(config, Hop.RIS_MS, c, "calib-")[0])[2]
-             for c in range(CGD_CALIBRATION_REALIZATIONS)]
-    codebook = config.codebook()
+    calibration batch (streams disjoint from the main experiment). It holds one
+    calibration form at a time: each form runs every grid step and is freed
+    before the next is drawn."""
+    # best_objective reads the codebook only through mean_amplitude; with one bit
+    # the quantization each run_cgd makes, and calibration discards, stays cheap
+    codebook = replace(config, bits=1).codebook()
+    objectives = [_calibration_objectives(config, c, codebook)
+                  for c in range(CGD_CALIBRATION_REALIZATIONS)]
     best_step, best_mean = CGD_CALIBRATION_GRID[0], -math.inf
-    for step in CGD_CALIBRATION_GRID:
-        settings = replace(config.optimizer, fixed_step=step)
-        mean_obj = float(np.mean([optimizer.run_cgd(f, codebook, settings).best_objective
-                                  for f in forms]))
+    for k, step in enumerate(CGD_CALIBRATION_GRID):
+        mean_obj = float(np.mean([objs[k] for objs in objectives]))   # in form order
         if mean_obj > best_mean:
             best_step, best_mean = step, mean_obj
     return best_step
@@ -406,6 +422,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
             group[:] = [(value, replace(cfg, optimizer=opt)) for value, cfg in group]
     run = partial(_run_realization, config=config, groups=groups, dump_dir=dump_dir)
     if workers > 1:
+        # imported here: the pool loads multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
                                  initializer=_one_blas_thread) as pool:
             results = list(pool.map(run, range(config.n_realizations)))

@@ -145,6 +145,21 @@ class TestRun:
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.splitlines()[0] == "[]" and out.splitlines()[-1] == "[]", out
 
+    def test_serial_run_loads_no_process_pool(self, tiny_cfg_path, tmp_path):
+        """A --workers 1 run imports neither multiprocessing nor the process
+        pool. It runs in a fresh interpreter, since other tests start pools."""
+        code = (
+            "import sys\n"
+            "from thzris.cli import cli_main\n"
+            f"assert cli_main(['run', '--config', {tiny_cfg_path!r}, '--out', {str(tmp_path)!r}, "
+            "'--workers', '1']) == 0\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])\n")
+        src = os.path.dirname(os.path.dirname(thzris.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.splitlines()[-1] == "[]", out
+
 
 class TestPresets:
     def test_list_names_all(self, capsys):

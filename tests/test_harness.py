@@ -1,5 +1,7 @@
 """Experiment orchestration: config parsing, sweeps, CSV, determinism."""
 
+import concurrent.futures
+import math
 import os
 import re
 import sys
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzris import beamforming, channel, harness, optimizer
-from thzris.channel import SPEED_OF_LIGHT
+from thzris.channel import SPEED_OF_LIGHT, Hop
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             calibrate_fixed_step,
                             config_reference, config_to_text, emit_csv, load_config,
@@ -425,12 +427,41 @@ class TestRunExperiment:
             pools.append(kwargs)
             return ProcessPoolExecutor(**kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", recorded)
+        # run_experiment imports the pool class from concurrent.futures when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
         cfg = tiny_config(n_realizations=2)
         assert run_experiment(cfg, workers=4) == run_experiment(cfg)
         assert pools == [dict(max_workers=2, initializer=harness._one_blas_thread)]
         with ProcessPoolExecutor(max_workers=1, initializer=harness._one_blas_thread) as pool:
             assert pool.submit(_blas_threads).result() == 1
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps call arguments alive in the caller")
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_raw_hops_freed_before_each_form(self, monkeypatch, tmp_path, dump):
+        """No raw hop, and with dumps no dumped realization, is alive when a
+        calibration or sweep form is built: at paper scale a raw 256x512 hop is
+        2 MB of peak memory."""
+        raw, alive = [], []
+        sample, build = channel.sample_channel, optimizer.build_quadratic_form
+
+        def sampled(*args):
+            matrix, paths = sample(*args)
+            raw.append(weakref.ref(matrix))
+            return matrix, paths
+
+        def built(*args):
+            alive.append(sum(ref() is not None for ref in raw))
+            return build(*args)
+
+        monkeypatch.setattr(channel, "sample_channel", sampled)
+        monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        cfg = tiny_config(schemes=("agd", "cgd", "no_ris"), sweep="phi_max_deg",
+                          sweep_grid=(180.0, 360.0),
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
+        run_experiment(cfg, dump_dir=str(tmp_path) if dump else None)
+        assert len(os.listdir(tmp_path)) == (2 * cfg.n_realizations if dump else 0)
+        assert alive == [0] * (harness.CGD_CALIBRATION_REALIZATIONS + cfg.n_realizations)
 
     def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):
         """no_ris needs neither RIS hop nor their quadratic form."""
@@ -497,6 +528,79 @@ class TestCalibration:
         monkeypatch.setattr(optimizer, "build_quadratic_form", built)
         calibrate_fixed_step(tiny_config())
         assert alive == [0] * harness.CGD_CALIBRATION_REALIZATIONS
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps call arguments alive in the caller")
+    def test_holds_one_form_at_a_time(self, monkeypatch):
+        """Each calibration form runs every grid step and is freed before the
+        next form is built: at paper scale a form is 1 MB of peak memory."""
+        forms, runs, alive = [], [], []
+        build, run_cgd = optimizer.build_quadratic_form, optimizer.run_cgd
+
+        def built(*args):
+            alive.append(sum(ref() is not None for ref in forms))
+            return build(*args)
+
+        def ran(form, *args):
+            if not forms or forms[-1]() is not form:
+                forms.append(weakref.ref(form))
+                runs.append(0)
+            runs[-1] += 1
+            return run_cgd(form, *args)
+
+        monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        monkeypatch.setattr(optimizer, "run_cgd", ran)
+        calibrate_fixed_step(tiny_config())
+        n_forms = harness.CGD_CALIBRATION_REALIZATIONS
+        assert alive == [0] * n_forms
+        assert runs == [len(harness.CGD_CALIBRATION_GRID)] * n_forms
+
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(n_ris=4, mean_amplitude=0.6, phi_max_deg=180.0),
+        dict(n_bs=16, n_ris=12, bits=3, xi=0.3, optimizer=OptimizerSettings(max_iterations=40))])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_equals_step_major_loop(self, overrides, seed):
+        """Calibration's best objectives, and so its step, equal those of a loop
+        that builds every form first and runs each step over all of them with the
+        config's own codebook."""
+        cfg = tiny_config(master_seed=seed, **overrides)
+        forms = [optimizer.build_quadratic_form(
+                     harness._draw_hop(cfg, Hop.BS_RIS, c, "calib-")[0]
+                     / harness._hop_reference(cfg, Hop.BS_RIS),
+                     harness._draw_hop(cfg, Hop.RIS_MS, c, "calib-")[0]
+                     / harness._hop_reference(cfg, Hop.RIS_MS)).trace_normalized()[0]
+                 for c in range(harness.CGD_CALIBRATION_REALIZATIONS)]
+        table, best_step, best_mean = [], None, -math.inf
+        for step in harness.CGD_CALIBRATION_GRID:
+            settings = replace(cfg.optimizer, fixed_step=step)
+            objs = [optimizer.run_cgd(f, cfg.codebook(), settings).best_objective
+                    for f in forms]
+            table.append(objs)
+            if float(np.mean(objs)) > best_mean:
+                best_step, best_mean = step, float(np.mean(objs))
+        streamed = [harness._calibration_objectives(cfg, c, replace(cfg, bits=1).codebook())
+                    for c in range(harness.CGD_CALIBRATION_REALIZATIONS)]
+        assert [list(objs) for objs in zip(*streamed)] == table
+        assert calibrate_fixed_step(cfg) == best_step
+
+    def test_codebook_bits_do_not_change_the_step(self):
+        assert calibrate_fixed_step(tiny_config(bits=16)) == calibrate_fixed_step(tiny_config())
+
+    def test_quantizes_onto_two_entries(self, monkeypatch):
+        """Calibration discards each run's quantization, so it quantizes with a
+        1-bit codebook whatever the config's bits: at 16 bits and n_ris = 256 a
+        quantization allocates 134 MB."""
+        sizes = []
+        quantize = optimizer.quantize_phases
+
+        def recorded(phases, codebook):
+            sizes.append(codebook.size)
+            return quantize(phases, codebook)
+
+        monkeypatch.setattr(optimizer, "quantize_phases", recorded)
+        calibrate_fixed_step(tiny_config(bits=16))
+        n_runs = len(harness.CGD_CALIBRATION_GRID) * harness.CGD_CALIBRATION_REALIZATIONS
+        assert len(sizes) == n_runs and max(sizes) <= 2
 
 
 class TestEmitCsv:
