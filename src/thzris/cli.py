@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import harness
 from .channel import DumpError
 from .harness import ConfigError
@@ -102,12 +100,8 @@ def _cmd_replay(args) -> int:
     if not abs(args.snr_db) <= harness.MAX_SNR_DB:   # also rejects nan
         raise ConfigError(f"--snr-db must be finite and lie in [-{harness.MAX_SNR_DB}, "
                           f"{harness.MAX_SNR_DB}], got {args.snr_db}")
-    real, config, rates = harness.replay_realization(args.channel_dump, args.snr_db)
-    print(f"seed {real.seed}")
-    print(f"h1 {real.h1.shape[0]}x{real.h1.shape[1]}  ||h1||_F = "
-          f"{np.linalg.norm(real.h1):.6e}  paths = {len(real.paths_h1)}")
-    print(f"h2 {real.h2.shape[0]}x{real.h2.shape[1]}  ||h2||_F = "
-          f"{np.linalg.norm(real.h2):.6e}  paths = {len(real.paths_h2)}")
+    summary, config, rates = harness.replay_realization(args.channel_dump, args.snr_db)
+    print("\n".join(summary))
     for label, rate in rates.items():
         print(f"{label:<8} rate at {args.snr_db:g} dB: {rate:.3f} bps/Hz "
               f"({config.n_ris} elements, {config.n_streams} streams)")

@@ -19,7 +19,9 @@ trace-normalized quadratic form for the same reason (order-one step sizes).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -351,16 +353,59 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
     return out
 
 
+@functools.cache
+def _bundled_openblas():
+    """The OpenBLAS library numpy bundles (numpy.libs), or None without one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = os.listdir(libs) if os.path.isdir(libs) else []
+    name = next((n for n in names if n.startswith("libscipy_openblas")), None)
+    return None if name is None else ctypes.CDLL(os.path.join(libs, name))
+
+
+def _set_blas_threads(n: int):
+    """Set numpy's OpenBLAS to n threads and return the count it had, or None,
+    changing nothing, where that OpenBLAS lacks the thread-count calls."""
+    lib = _bundled_openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_threads is None:
+        return None
+    previous = get()
+    set_threads(n)
+    return previous
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """n BLAS threads inside the block, and the count found on entry after it,
+    also on an exception. A threaded LAPACK SVD differs in the last bits, so
+    rows match across worker counts only if every run uses one thread."""
+    previous = _set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _set_blas_threads(previous)
+
+
+@_blas_threads(1)
 def replay_realization(path, snr_db: float) -> tuple:
     """The agd and random rates at snr_db of one dumped realization, re-derived
     by the sweep's own per-point code under the dumped point config. Returns
-    (realization, point config, {scheme: rate})."""
+    (summary lines: seed, and each hop's shape, Frobenius norm and path count;
+    point config; {scheme: rate}). The summary is taken first, so that no raw
+    hop is alive when the form is built."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
-    # the returned realization keeps the raw hops, whose norms the cli prints
+    summary = [f"seed {real.seed}"] + [
+        f"{name} {hop.shape[0]}x{hop.shape[1]}  ||{name}||_F = {np.linalg.norm(hop):.6e}"
+        f"  paths = {len(paths)}"
+        for name, hop, paths in (("h1", real.h1, real.paths_h1), ("h2", real.h2, real.paths_h2))]
     h1, h2 = _referenced_hops(cfg, real.h1, real.h2)
-    point, = _run_point(h1, h2, [cfg], ("agd", "random"), real.realization)
-    return real, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
+    r = real.realization
+    del real   # the raw hops go with it, before the form is built
+    point, = _run_point(h1, h2, [cfg], ("agd", "random"), r)
+    return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
 def _calibration_objectives(config: ExperimentConfig, c: int, codebook: PhaseCodebook) -> list:
@@ -393,22 +438,7 @@ def calibrate_fixed_step(config: ExperimentConfig) -> float:
     return best_step
 
 
-def _bundled_openblas():
-    """The OpenBLAS library numpy bundles (numpy.libs), or None without one."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    names = os.listdir(libs) if os.path.isdir(libs) else []
-    name = next((n for n in names if n.startswith("libscipy_openblas")), None)
-    return None if name is None else ctypes.CDLL(os.path.join(libs, name))
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: one BLAS thread per worker process, so that workers do
-    not oversubscribe the cores; a no-op where numpy's OpenBLAS lacks the call."""
-    set_threads = getattr(_bundled_openblas(), "scipy_openblas_set_num_threads64_", None)
-    if set_threads is not None:
-        set_threads(1)
-
-
+@_blas_threads(1)
 def run_experiment(config: ExperimentConfig, workers: int = 1,
                    dump_dir=None, timing: bool = False) -> tuple:
     """The configured Monte-Carlo sweep's SweepRows, sorted; deterministic for any
@@ -424,8 +454,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     if workers > 1:
         # imported here: the pool loads multiprocessing, socket and logging
         from concurrent.futures import ProcessPoolExecutor
+        # one BLAS thread per worker too, so that workers do not oversubscribe the cores
         with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
-                                 initializer=_one_blas_thread) as pool:
+                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
             results = list(pool.map(run, range(config.n_realizations)))
     else:
         results = list(map(run, range(config.n_realizations)))

@@ -150,15 +150,10 @@ def quadratic_model_coeffs(form: QuadraticForm, phases: np.ndarray,
     return float(c0.real), float(c1.real), float(c2.real)
 
 
-def adaptive_step(form: QuadraticForm, phases: np.ndarray, grad: np.ndarray,
-                  mean_amplitude: float) -> float:
-    """Step size from the second-order model of f along -grad.
-
-    Vertex -C1/(2 C2) for convex curvature, |C1|/|C2| for concave curvature,
-    and FALLBACK_STEP when |C2| degenerates (threshold C2_EPSILON scaled by
-    the current objective magnitude).
-    """
-    c0, c1, c2 = quadratic_model_coeffs(form, phases, grad, mean_amplitude)
+def _model_step(c0: float, c1: float, c2: float) -> float:
+    """The step the model C0 + C1 lam + C2 lam^2 picks: the vertex -C1/(2 C2) for
+    convex curvature, |C1|/|C2| for concave curvature, and FALLBACK_STEP when
+    |C2| degenerates (threshold C2_EPSILON scaled by |C0|)."""
     guard = C2_EPSILON * abs(c0)
     if c2 > guard:
         return -c1 / (2.0 * c2)
@@ -167,21 +162,51 @@ def adaptive_step(form: QuadraticForm, phases: np.ndarray, grad: np.ndarray,
     return FALLBACK_STEP
 
 
+def adaptive_step(form: QuadraticForm, phases: np.ndarray, grad: np.ndarray,
+                  mean_amplitude: float) -> float:
+    """Step size from the second-order model of f along -grad (see _model_step)."""
+    return _model_step(*quadratic_model_coeffs(form, phases, grad, mean_amplitude))
+
+
 def _descend(form: QuadraticForm, codebook: PhaseCodebook,
-             settings: OptimizerSettings, step_rule) -> GdTrace:
-    """Common gradient-descent loop from zero phases with best-iterate tracking."""
-    mu = codebook.mean_amplitude
+             settings: OptimizerSettings, fixed_step: float | None) -> GdTrace:
+    """Common gradient-descent loop from zero phases with best-iterate tracking:
+    A-GD's adaptive step when fixed_step is None, else C-GD's constant step.
+
+    Each iterate's products are computed once, in the order objective,
+    gradient and quadratic_model_coeffs compute them, so every float equals
+    theirs: col = u^H D gives the objective, row = D u the gradient, and A-GD's
+    step model adds only (g u)^H D (g u).
+    """
+    d = form.matrix
+    mu2 = codebook.mean_amplitude ** 2
     phases = np.zeros(form.n_ris)
-    trace_obj = -objective(form, phases, mu)
+    u = np.exp(1j * phases)
+    uh = u.conj()
+    col = uh @ d
+    trace_obj = -float((-mu2 * (col @ u)).real)
     best_obj = trace_obj
     best_phases = phases.copy()
     rows = []
     for i in range(settings.max_iterations):
-        grad = gradient(form, phases, mu)
-        lam = step_rule(phases, grad)
-        rows.append((i, trace_obj, lam, float(np.linalg.norm(grad))))
+        ur = uh * (d @ u)
+        uc = u * col
+        grad = (mu2 * 1j * ur - mu2 * 1j * uc).real.copy()
+        if fixed_step is None:
+            gu = grad * u
+            g2 = grad * grad
+            s2 = g2 @ ur + g2 @ uc - 2.0 * (gu.conj() @ d @ gu)
+            lam = _model_step(float((-mu2 * np.sum(ur)).real),
+                              float((-mu2 * 1j * (grad @ ur - grad @ uc)).real),
+                              float((0.5 * mu2 * s2).real))
+        else:
+            lam = fixed_step
+        rows.append((i, trace_obj, lam, math.sqrt(grad @ grad)))
         phases = phases - lam * grad
-        trace_obj = -objective(form, phases, mu)
+        u = np.exp(1j * phases)
+        uh = u.conj()
+        col = uh @ d
+        trace_obj = -float((-mu2 * (col @ u)).real)
         if trace_obj > best_obj:
             best_obj = trace_obj
             best_phases = phases.copy()
@@ -191,15 +216,13 @@ def _descend(form: QuadraticForm, codebook: PhaseCodebook,
                    best_phases_rad=best_phases,
                    best_objective=best_obj,
                    quantized_phases_rad=quant,
-                   quantized_objective=-objective(form, quant, mu))
+                   quantized_objective=-objective(form, quant, codebook.mean_amplitude))
 
 
 def run_agd(form: QuadraticForm, codebook: PhaseCodebook,
             settings: OptimizerSettings) -> GdTrace:
     """Adaptive-step gradient descent (A-GD) with terminal codebook quantization."""
-    def rule(phases, grad):
-        return adaptive_step(form, phases, grad, codebook.mean_amplitude)
-    return _descend(form, codebook, settings, rule)
+    return _descend(form, codebook, settings, None)
 
 
 def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
@@ -207,10 +230,7 @@ def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
     """Constant-step gradient descent (C-GD) baseline."""
     if settings.fixed_step == "auto":
         raise ValueError("run_cgd needs a numeric fixed_step, got 'auto'")
-
-    def rule(phases, grad):
-        return settings.fixed_step
-    return _descend(form, codebook, settings, rule)
+    return _descend(form, codebook, settings, settings.fixed_step)
 
 
 def run_random_phase(form: QuadraticForm, codebook: PhaseCodebook, rng) -> GdTrace:

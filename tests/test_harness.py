@@ -431,9 +431,56 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
         cfg = tiny_config(n_realizations=2)
         assert run_experiment(cfg, workers=4) == run_experiment(cfg)
-        assert pools == [dict(max_workers=2, initializer=harness._one_blas_thread)]
-        with ProcessPoolExecutor(max_workers=1, initializer=harness._one_blas_thread) as pool:
+        assert pools == [dict(max_workers=2, initializer=harness._set_blas_threads,
+                              initargs=(1,))]
+        with ProcessPoolExecutor(max_workers=1, initializer=harness._set_blas_threads,
+                                 initargs=(1,)) as pool:
             assert pool.submit(_blas_threads).result() == 1
+
+    def test_paper_scale_rows_equal_across_worker_counts(self):
+        """A threaded LAPACK SVD of the 32x512 direct hop differs in the last
+        bits, so a serial run also uses one BLAS thread, as pool workers do."""
+        cfg = replace(preset("fig7-paper"), n_realizations=2, schemes=("no_ris", "agd"))
+        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
+
+    def test_one_blas_thread_inside_and_restored(self, monkeypatch, tmp_path):
+        """run_experiment and replay_realization run with one BLAS thread and
+        restore the count found on entry, also when the run raises."""
+        lib = harness._bundled_openblas()
+        if getattr(lib, "scipy_openblas_get_num_threads64_", None) is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count call")
+        seen = []
+        calibrate, run_point = harness.calibrate_fixed_step, harness._run_point
+
+        def calibrated(*args):
+            seen.append(("calibrate", _blas_threads()))
+            return calibrate(*args)
+
+        def ran(*args):
+            seen.append(("point", _blas_threads()))
+            return run_point(*args)
+
+        def failed(*args, **kwargs):
+            raise RuntimeError("realization failed")
+
+        monkeypatch.setattr(harness, "calibrate_fixed_step", calibrated)
+        monkeypatch.setattr(harness, "_run_point", ran)
+        original = harness._set_blas_threads(2)
+        try:
+            entry = _blas_threads()
+            cfg = tiny_config(n_realizations=1, schemes=("cgd",),
+                              optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
+            run_experiment(cfg, dump_dir=str(tmp_path))
+            assert _blas_threads() == entry
+            harness.replay_realization(tmp_path / "real00000.txt", 10.0)
+            assert _blas_threads() == entry
+            assert seen == [("calibrate", 1), ("point", 1), ("point", 1)]
+            monkeypatch.setattr(harness, "_run_realization", failed)
+            with pytest.raises(RuntimeError, match="realization failed"):
+                run_experiment(cfg)
+            assert _blas_threads() == entry
+        finally:
+            harness._set_blas_threads(original)
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps call arguments alive in the caller")
@@ -495,6 +542,33 @@ class TestRunExperiment:
             if r.scheme == "no_ris":
                 vals.setdefault(r.snr_db, set()).add(round(r.mean_rate, 12))
         assert all(len(v) == 1 for v in vals.values())
+
+
+class TestReplay:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps call arguments alive in the caller")
+    def test_raw_hops_freed_before_the_form(self, monkeypatch, tmp_path):
+        """Replay keeps neither loaded raw hop alive while it builds the
+        quadratic form: at paper scale a raw 256x512 hop is 2 MB of peak memory."""
+        run_experiment(tiny_config(n_realizations=1), dump_dir=str(tmp_path))
+        raw, alive = [], []
+        load, build = channel.load_realization, optimizer.build_quadratic_form
+
+        def loaded(path):
+            real = load(path)
+            raw.extend([weakref.ref(real.h1), weakref.ref(real.h2)])
+            return real
+
+        def built(*args):
+            alive.append(sum(ref() is not None for ref in raw))
+            return build(*args)
+
+        monkeypatch.setattr(channel, "load_realization", loaded)
+        monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        summary, _, rates = harness.replay_realization(tmp_path / "real00000.txt", 10.0)
+        assert alive == [0]
+        assert summary[0].startswith("seed ") and len(summary) == 3
+        assert set(rates) == {"agd", "random"}
 
 
 class TestCalibration:

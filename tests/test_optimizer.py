@@ -378,6 +378,103 @@ class TestRunCgd:
         assert wins >= 0.7 * len(forms)
 
 
+def reference_descent(form, codebook, settings, adaptive):
+    """The descent loop composed of the public oracles gradient, adaptive_step,
+    objective and np.linalg.norm, recomputing every product per call; returns
+    (iteration rows, best phases, best objective)."""
+    mu = codebook.mean_amplitude
+    phases = np.zeros(form.n_ris)
+    trace_obj = -objective(form, phases, mu)
+    best_obj, best_phases, rows = trace_obj, phases.copy(), []
+    for i in range(settings.max_iterations):
+        grad = gradient(form, phases, mu)
+        lam = adaptive_step(form, phases, grad, mu) if adaptive else settings.fixed_step
+        rows.append((i, trace_obj, lam, float(np.linalg.norm(grad))))
+        phases = phases - lam * grad
+        trace_obj = -objective(form, phases, mu)
+        if trace_obj > best_obj:
+            best_obj, best_phases = trace_obj, phases.copy()
+    rows.append((settings.max_iterations, trace_obj, 0.0, 0.0))
+    return rows, best_phases, best_obj
+
+
+class CountingMatrix(np.ndarray):
+    """Quadratic-form matrix that counts the matrix products it takes part in."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatrix.matmuls += 1
+        plain = tuple(x.view(np.ndarray) if isinstance(x, CountingMatrix) else x
+                      for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _first_branch(form, mu):
+    """'convex', 'concave' or 'fallback': the adaptive step's branch at zero phases."""
+    phases = np.zeros(form.n_ris)
+    c0, _, c2 = quadratic_model_coeffs(form, phases, gradient(form, phases, mu), mu)
+    guard = C2_EPSILON * abs(c0)
+    return "convex" if c2 > guard else "concave" if c2 < -guard else "fallback"
+
+
+class TestDescentExactness:
+    """run_agd and run_cgd compute each iterate's products once; every float
+    they report equals the loop built from the public oracles."""
+
+    SETTINGS = OptimizerSettings(max_iterations=60, fixed_step=0.1)
+
+    @staticmethod
+    def assert_matches_reference(form, codebook, settings):
+        for run, adaptive in ((run_agd, True), (run_cgd, False)):
+            trace = run(form, codebook, settings)
+            rows, best, best_obj = reference_descent(form, codebook, settings, adaptive)
+            assert trace.iterations == rows
+            assert np.array_equal(trace.best_phases_rad, best)
+            assert trace.best_objective == best_obj
+            assert np.array_equal(trace.quantized_phases_rad, quantize_phases(best, codebook))
+
+    @pytest.mark.parametrize("mu", [0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("n_ris", [1, 2, 8, 64])
+    @pytest.mark.parametrize("rank", ["full", "rank1"])
+    def test_matches_reference_loop(self, rank, n_ris, mu):
+        rng = np.random.default_rng(100 * n_ris + int(10 * mu))
+        if rank == "full":
+            form = random_form(rng, n_ris=n_ris, n_bs=n_ris + 2, n_ms=n_ris + 1)
+        else:
+            v = crandn(rng, n_ris)
+            form = QuadraticForm(matrix=np.outer(v, v.conj()))
+        codebook = build_codebook(math.radians(306.82), 2, mean_amplitude=mu)
+        self.assert_matches_reference(form, codebook, self.SETTINGS)
+
+    def test_identity_form_takes_fallback_steps(self):
+        form = QuadraticForm(matrix=np.eye(8, dtype=complex))
+        assert _first_branch(form, MU) == "fallback"
+        self.assert_matches_reference(form, CODEBOOK, self.SETTINGS)
+        assert {row[2] for row in run_agd(form, CODEBOOK, self.SETTINGS).iterations[:-1]} \
+            == {FALLBACK_STEP}
+
+    def test_concave_branch(self):
+        form = random_form(np.random.default_rng(0), n_ris=8)
+        assert _first_branch(form, MU) == "concave"
+        self.assert_matches_reference(form, CODEBOOK, self.SETTINGS)
+
+    def test_products_per_iteration(self):
+        """A-GD takes 3 products with D per iteration (u^H D, D u and the step
+        model's (g u)^H D), C-GD 2; both add the first and the quantized
+        objective's u^H D."""
+        rng = np.random.default_rng(3)
+        form = random_form(rng, n_ris=8)
+        counted = QuadraticForm(matrix=form.matrix.view(CountingMatrix))
+        n = self.SETTINGS.max_iterations
+        for run, per_iter in ((run_agd, 3), (run_cgd, 2)):
+            before = CountingMatrix.matmuls
+            trace = run(counted, CODEBOOK, self.SETTINGS)
+            assert CountingMatrix.matmuls - before == per_iter * n + 2
+            assert trace.iterations == run(form, CODEBOOK, self.SETTINGS).iterations
+
+
 class TestRunRandomPhase:
     def test_single_element_two_values(self):
         rng = np.random.default_rng(24)
