@@ -52,6 +52,10 @@ MAX_SNR_DB = 300
 
 CGD_CALIBRATION_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 CGD_CALIBRATION_REALIZATIONS = 10
+# grid steps whose mean objectives lie this close (relative) to the best tie, and
+# the smallest wins: on desk groups 1e-3 and 1e-2 reach the same float, which
+# reassociated sums could otherwise split either way
+CGD_CALIBRATION_TIE_RTOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -408,34 +412,33 @@ def replay_realization(path, snr_db: float) -> tuple:
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
-def _calibration_objectives(config: ExperimentConfig, c: int, codebook: PhaseCodebook) -> list:
+def _calibration_objectives(config: ExperimentConfig, c: int) -> np.ndarray:
     """Calibration realization c's best C-GD objective at each CGD_CALIBRATION_GRID
-    step, on one form that is freed on return. The hops are fresh draws, so each
-    raw hop is freed before the form is built."""
+    step, from one block descent on one form that is freed on return. The hops are
+    fresh draws, so each raw hop is freed before the form is built."""
     h1, h2 = _referenced_hops(config, _draw_hop(config, Hop.BS_RIS, c, "calib-")[0],
                               _draw_hop(config, Hop.RIS_MS, c, "calib-")[0])
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    return [optimizer.run_cgd(form, codebook,
-                              replace(config.optimizer, fixed_step=step)).best_objective
-            for step in CGD_CALIBRATION_GRID]
+    return optimizer.fixed_step_best_objectives(form, CGD_CALIBRATION_GRID, config.mean_amplitude,
+                                                config.optimizer.max_iterations)
 
 
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
     """Pick the constant step with the best mean objective on a small seeded
-    calibration batch (streams disjoint from the main experiment). It holds one
-    calibration form at a time: each form runs every grid step and is freed
-    before the next is drawn."""
-    # best_objective reads the codebook only through mean_amplitude; with one bit
-    # the quantization each run_cgd makes, and calibration discards, stays cheap
-    codebook = replace(config, bits=1).codebook()
-    objectives = [_calibration_objectives(config, c, codebook)
-                  for c in range(CGD_CALIBRATION_REALIZATIONS)]
-    best_step, best_mean = CGD_CALIBRATION_GRID[0], -math.inf
-    for k, step in enumerate(CGD_CALIBRATION_GRID):
-        mean_obj = float(np.mean([objs[k] for objs in objectives]))   # in form order
-        if mean_obj > best_mean:
-            best_step, best_mean = step, mean_obj
-    return best_step
+    calibration batch (streams disjoint from the main experiment): the smallest
+    grid step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best. It holds
+    one calibration form at a time: each form runs every grid step as one block
+    descent and is freed before the next is drawn. A mean that is not finite
+    raises ValueError."""
+    means = np.mean([_calibration_objectives(config, c)
+                     for c in range(CGD_CALIBRATION_REALIZATIONS)], axis=0)
+    for step, mean_obj in zip(CGD_CALIBRATION_GRID, means):
+        if not math.isfinite(mean_obj):
+            raise ValueError(f"C-GD calibration at step {step} (n_ris = {config.n_ris}) "
+                             f"has mean objective {mean_obj}")
+    best_mean = max(means)
+    return min(step for step, mean_obj in zip(CGD_CALIBRATION_GRID, means)
+               if best_mean - mean_obj <= CGD_CALIBRATION_TIE_RTOL * abs(best_mean))
 
 
 @_blas_threads(1)

@@ -5,7 +5,10 @@ Hermitian PSD matrix D = conj(H1 H1^H) o (H2^H H2) (entrywise product).
 Minimizing f(phi) = -theta^H D theta over the unconstrained continuous phases
 is done by gradient descent; the adaptive variant picks each step size from
 the exact second-order expansion of f along the gradient direction, and the
-final iterate is quantized onto the discrete hardware codebook.
+final iterate is quantized onto the discrete hardware codebook. C-GD's step
+calibration runs several constant steps at once on one form:
+fixed_step_best_objectives descends an (N, K) phase block, one step per column,
+and returns only each column's best trace objective.
 """
 
 from __future__ import annotations
@@ -231,6 +234,32 @@ def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
     if settings.fixed_step == "auto":
         raise ValueError("run_cgd needs a numeric fixed_step, got 'auto'")
     return _descend(form, codebook, settings, settings.fixed_step)
+
+
+def _block_terms(form: QuadraticForm, phases: np.ndarray, mean_amplitude: float) -> tuple:
+    """Trace objective and gradient of f for each column of an (N, K) phase block,
+    from one product z = conj(U) * (D U): the objective is mu^2 sum Re z and, for
+    Hermitian D, the gradient is -2 mu^2 Im z."""
+    u = np.exp(1j * phases)
+    z = u.conj() * (form.matrix @ u)
+    mu2 = mean_amplitude ** 2
+    return mu2 * z.real.sum(axis=0), -2.0 * mu2 * z.imag
+
+
+def fixed_step_best_objectives(form: QuadraticForm, steps, mean_amplitude: float,
+                               max_iterations: int) -> np.ndarray:
+    """Best trace objective of a max_iterations C-GD run at each constant step,
+    all steps descending together from zero phases as the columns of one phase
+    block. Each column tracks its best iterate as run_cgd does; sums reassociate,
+    so objectives match run_cgd's to rounding, which a large step amplifies."""
+    lam = np.asarray(steps, dtype=float)
+    phases = np.zeros((form.n_ris, lam.size))
+    best = np.full(lam.size, -math.inf)
+    for _ in range(max_iterations + 1):
+        trace_obj, grad = _block_terms(form, phases, mean_amplitude)
+        best = np.maximum(best, trace_obj)   # a NaN objective stays NaN
+        phases = phases - lam * grad
+    return best
 
 
 def run_random_phase(form: QuadraticForm, codebook: PhaseCodebook, rng) -> GdTrace:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from thzris.beamforming import cascaded_channel
 from thzris.graphene import build_codebook
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
-                              QuadraticForm, adaptive_step, build_quadratic_form,
+                              QuadraticForm, _block_terms, adaptive_step,
+                              build_quadratic_form, fixed_step_best_objectives,
                               gradient, objective, quadratic_model_coeffs,
                               quantize_phases, run_agd, run_cgd,
                               run_exhaustive, run_random_phase)
@@ -473,6 +474,56 @@ class TestDescentExactness:
             trace = run(counted, CODEBOOK, self.SETTINGS)
             assert CountingMatrix.matmuls - before == per_iter * n + 2
             assert trace.iterations == run(form, CODEBOOK, self.SETTINGS).iterations
+
+
+class TestFixedStepBlock:
+    """fixed_step_best_objectives runs C-GD at several constant steps as the
+    columns of one phase block; objective, gradient and run_cgd stay its
+    oracles. Its sums reassociate, so it matches them to rounding."""
+
+    STEPS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+
+    @pytest.mark.parametrize("n_ris", [8, 64])
+    def test_block_terms_match_oracles(self, n_ris):
+        rng = np.random.default_rng(n_ris)
+        form = random_form(rng, n_ris=n_ris, n_bs=n_ris + 2, n_ms=n_ris + 1)
+        phases = rng.uniform(-math.pi, 3.0 * math.pi, size=(n_ris, len(self.STEPS)))
+        trace_obj, grad = _block_terms(form, phases, MU)
+        for k in range(phases.shape[1]):
+            assert trace_obj[k] == pytest.approx(-objective(form, phases[:, k], MU), rel=1e-12)
+            ref = gradient(form, phases[:, k], MU)
+            assert np.linalg.norm(grad[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n_ris", [8, 64])
+    @pytest.mark.parametrize("rank", ["full", "rank1"])
+    def test_tracks_run_cgd_rows(self, rank, n_ris):
+        """After i iterations, i = 0..10, each column's best objective is the best
+        of run_cgd's first i + 1 trace rows at the same step. On a rank-one form,
+        steps 0.1 and 1.0 amplify a last-bit difference about tenfold per
+        iteration (at n_ris = 64 it passes 1e-12 by the 4th iteration at step 1.0
+        and the 8th at 0.1), so there only the steps 1e-4 to 1e-2 are compared."""
+        rng = np.random.default_rng(7 * n_ris)
+        if rank == "full":
+            form, steps = random_form(rng, n_ris=n_ris, n_bs=n_ris + 2, n_ms=n_ris + 1), self.STEPS
+        else:
+            v = crandn(rng, n_ris)
+            form, steps = QuadraticForm(matrix=np.outer(v, v.conj())), self.STEPS[:3]
+        form, _ = form.trace_normalized()
+        rows = [run_cgd(form, CODEBOOK, OptimizerSettings(max_iterations=10, fixed_step=step))
+                .iterations for step in steps]
+        for i in range(11):
+            best = fixed_step_best_objectives(form, steps, MU, i)
+            for k, step_rows in enumerate(rows):
+                ref = max(obj for _, obj, _, _ in step_rows[:i + 1])
+                assert best[k] == pytest.approx(ref, rel=1e-12)
+
+    def test_one_product_per_iteration(self):
+        form = random_form(np.random.default_rng(5), n_ris=8)
+        counted = QuadraticForm(matrix=form.matrix.view(CountingMatrix))
+        before = CountingMatrix.matmuls
+        best = fixed_step_best_objectives(counted, self.STEPS, MU, 30)
+        assert CountingMatrix.matmuls - before == 31
+        assert np.array_equal(best, fixed_step_best_objectives(form, self.STEPS, MU, 30))
 
 
 class TestRunRandomPhase:
