@@ -154,20 +154,34 @@ def nlos_gain(config: "ExperimentConfig", hop: Hop, r1_m: float, r2_m: float) ->
     return mag * np.exp(-2j * math.pi * f * tau_ref)
 
 
-def reconstruct_channel(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
-                        wavelength_m: float) -> np.ndarray:
-    """Assemble the hop matrix from its path list (the defining model sum)."""
+def path_factors(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
+                 wavelength_m: float) -> tuple:
+    """The path list as (R, w, T) with H = R diag(w) T^H: column l of R and T is
+    path l's rx and tx steering vector, and w[l] its model weight times its gain."""
     n_rx, n_tx = rx_geom.size, tx_geom.size
     n_nlos = sum(1 for p in paths if p.kind is PathKind.NLOS)
-    h = np.zeros((n_rx, n_tx), dtype=complex)
-    for p in paths:
+    rx = np.empty((n_rx, len(paths)), dtype=complex)
+    tx = np.empty((n_tx, len(paths)), dtype=complex)
+    w = np.empty(len(paths), dtype=complex)
+    for l, p in enumerate(paths):
         if p.kind is PathKind.LOS:
             weight = math.sqrt(n_tx * n_rx)
         else:
             weight = math.sqrt(n_tx * n_rx / n_nlos)
-        a_rx = upa_response(rx_geom, p.aoa_azimuth_rad, p.aoa_elevation_rad, wavelength_m)
-        a_tx = upa_response(tx_geom, p.aod_azimuth_rad, p.aod_elevation_rad, wavelength_m)
-        h += weight * p.complex_gain * np.outer(a_rx, a_tx.conj())
+        w[l] = weight * p.complex_gain
+        rx[:, l] = upa_response(rx_geom, p.aoa_azimuth_rad, p.aoa_elevation_rad, wavelength_m)
+        tx[:, l] = upa_response(tx_geom, p.aod_azimuth_rad, p.aod_elevation_rad, wavelength_m)
+    return rx, w, tx
+
+
+def reconstruct_channel(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
+                        wavelength_m: float) -> np.ndarray:
+    """Assemble the hop matrix from its path list (the defining model sum)."""
+    rx, w, tx = path_factors(paths, rx_geom, tx_geom, wavelength_m)
+    h = np.zeros((rx_geom.size, tx_geom.size), dtype=complex)
+    for l in range(w.size):
+        # a Python complex weight: a numpy complex128 scalar rounds the product differently
+        h += complex(w[l]) * np.outer(rx[:, l], tx[:, l].conj())
     return h
 
 
@@ -197,16 +211,15 @@ def hop_arrays(config: "ExperimentConfig", hop: Hop) -> tuple:
     return ms, bs
 
 
-def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
-    """Sample one hop matrix; returns (matrix, path list).
+def sample_paths(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
+    """Draw one hop's path list.
 
     The RIS hops carry one LoS path and n_nlos reflected paths; the direct
     BS->MS hop has its LoS blocked and carries n_nlos_direct reflected paths
     only. Angles are uniform over the sphere sectors (azimuth in [0, 2pi),
     elevation in [0, pi)). Reflected-path detours split the direct distance at
     a uniform fraction in (0.3, 0.7) and add a uniform excess in
-    [nlos_excess_min_m, nlos_excess_max_m]. Deterministic given the RNG stream;
-    the matrix equals `reconstruct_channel` applied to the returned paths.
+    [nlos_excess_min_m, nlos_excess_max_m]. Deterministic given the RNG stream.
     """
     r0 = hop_distance(config, hop)
     paths = []
@@ -224,8 +237,21 @@ def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
             r2 = math.nextafter(r2, math.inf)
         paths.append(PathParams(PathKind.NLOS, *angles,
                                 complex_gain=complex(nlos_gain(config, hop, r1, r2))))
-    paths = tuple(paths)
+    return tuple(paths)
+
+
+def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
+    """Sample one hop matrix; returns (matrix, path list). The paths are
+    sample_paths' draws, and the matrix is `reconstruct_channel` of them."""
+    paths = sample_paths(config, hop, rng)
     return _hop_matrix(config, hop, paths), paths
+
+
+def hop_factors(config: "ExperimentConfig", hop: Hop, paths) -> tuple:
+    """The path list's (R, w, T) under the configured arrays and carrier (see
+    path_factors); the hop matrix is R diag(w) T^H."""
+    lam = SPEED_OF_LIGHT / config.carrier_freq_hz
+    return path_factors(paths, *hop_arrays(config, hop), lam)
 
 
 def _hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:

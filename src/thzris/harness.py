@@ -246,9 +246,9 @@ def _magnitude(fn, *args) -> float:
         return math.inf
 
 
-def _draw_hop(cfg: ExperimentConfig, hop: Hop, r: int, prefix: str = "") -> tuple:
-    """Realization r's (matrix, paths) of one hop, drawn from stream prefix + hop.value."""
-    return channel.sample_channel(cfg, hop, stream_rng(cfg.master_seed, r, prefix + hop.value))
+def _draw_hop(cfg: ExperimentConfig, hop: Hop, r: int) -> tuple:
+    """Realization r's (matrix, paths) of one hop, drawn from stream hop.value."""
+    return channel.sample_channel(cfg, hop, stream_rng(cfg.master_seed, r, hop.value))
 
 
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
@@ -412,26 +412,31 @@ def replay_realization(path, snr_db: float) -> tuple:
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
-def _calibration_objectives(config: ExperimentConfig, c: int) -> np.ndarray:
-    """Calibration realization c's best C-GD objective at each CGD_CALIBRATION_GRID
-    step, from one block descent on one form that is freed on return. The hops are
-    fresh draws, so each raw hop is freed before the form is built."""
-    h1, h2 = _referenced_hops(config, _draw_hop(config, Hop.BS_RIS, c, "calib-")[0],
-                              _draw_hop(config, Hop.RIS_MS, c, "calib-")[0])
-    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    return optimizer.fixed_step_best_objectives(form, CGD_CALIBRATION_GRID, config.mean_amplitude,
-                                                config.optimizer.max_iterations)
+def _calibration_factor(config: ExperimentConfig, c: int) -> np.ndarray:
+    """Calibration realization c's trace-normalized form as its thin path factor
+    G (G G^H = D), built from the path lists drawn from the calib- streams; no
+    hop matrix or dense form is built. The path weights are divided by their
+    hop's LoS reference, as the sweep's hops are."""
+    hops = []
+    for hop in (Hop.BS_RIS, Hop.RIS_MS):
+        paths = channel.sample_paths(config, hop,
+                                     stream_rng(config.master_seed, c, "calib-" + hop.value))
+        rx, w, tx = channel.hop_factors(config, hop, paths)
+        hops.append((rx, w / _hop_reference(config, hop), tx))
+    return optimizer.trace_normalized_factor(*hops)
 
 
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
     """Pick the constant step with the best mean objective on a small seeded
     calibration batch (streams disjoint from the main experiment): the smallest
-    grid step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best. It holds
-    one calibration form at a time: each form runs every grid step as one block
-    descent and is freed before the next is drawn. A mean that is not finite
-    raises ValueError."""
-    means = np.mean([_calibration_objectives(config, c)
-                     for c in range(CGD_CALIBRATION_REALIZATIONS)], axis=0)
+    grid step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best. Every
+    form and grid step descends in one block on the forms' stacked path factors.
+    A mean that is not finite raises ValueError."""
+    factors = np.stack([_calibration_factor(config, c)
+                        for c in range(CGD_CALIBRATION_REALIZATIONS)])
+    means = optimizer.fixed_step_best_objectives(
+        factors, CGD_CALIBRATION_GRID, config.mean_amplitude,
+        config.optimizer.max_iterations).mean(axis=0)
     for step, mean_obj in zip(CGD_CALIBRATION_GRID, means):
         if not math.isfinite(mean_obj):
             raise ValueError(f"C-GD calibration at step {step} (n_ris = {config.n_ris}) "

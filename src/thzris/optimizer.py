@@ -5,10 +5,13 @@ Hermitian PSD matrix D = conj(H1 H1^H) o (H2^H H2) (entrywise product).
 Minimizing f(phi) = -theta^H D theta over the unconstrained continuous phases
 is done by gradient descent; the adaptive variant picks each step size from
 the exact second-order expansion of f along the gradient direction, and the
-final iterate is quantized onto the discrete hardware codebook. C-GD's step
-calibration runs several constant steps at once on one form:
-fixed_step_best_objectives descends an (N, K) phase block, one step per column,
-and returns only each column's best trace objective.
+final iterate is quantized onto the discrete hardware codebook.
+
+C-GD's step calibration never builds D. A sparse channel hop is
+H = R diag(w) T^H over its few paths, so D = G G^H for a thin factor G with
+one column per pair of paths (trace_normalized_factor), and
+fixed_step_best_objectives descends a stack of such factors at several
+constant steps at once, returning only each run's best trace objective.
 """
 
 from __future__ import annotations
@@ -45,11 +48,16 @@ class QuadraticForm:
         optimization always runs on the normalized form. A zero or non-finite
         trace (a zero or NaN channel) raises ValueError.
         """
-        tr = float(np.real(np.trace(self.matrix)))
-        if not 0.0 < tr < math.inf:
-            raise ValueError(f"quadratic form trace must be positive and finite, got {tr!r}")
-        scale = self.n_ris / tr
+        scale = _trace_scale(float(np.real(np.trace(self.matrix))), self.n_ris)
         return self.scaled(scale), scale
+
+
+def _trace_scale(trace: float, n_ris: int) -> float:
+    """n_ris / trace, the factor that normalizes a form's trace to n_ris; a zero or
+    non-finite trace raises ValueError."""
+    if not 0.0 < trace < math.inf:
+        raise ValueError(f"quadratic form trace must be positive and finite, got {trace!r}")
+    return n_ris / trace
 
 
 # adaptive-step constants: curvature guard relative to |C0|, and the step used
@@ -236,29 +244,67 @@ def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
     return _descend(form, codebook, settings, settings.fixed_step)
 
 
-def _block_terms(form: QuadraticForm, phases: np.ndarray, mean_amplitude: float) -> tuple:
-    """Trace objective and gradient of f for each column of an (N, K) phase block,
-    from one product z = conj(U) * (D U): the objective is mu^2 sum Re z and, for
-    Hermitian D, the gradient is -2 mu^2 Im z."""
-    u = np.exp(1j * phases)
-    z = u.conj() * (form.matrix @ u)
+def _gram_root(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """P with P P^H = vectors @ gram @ vectors^H for a Hermitian PSD gram, from
+    its eigendecomposition, eigenvalues that rounding made negative clipped to 0."""
+    lam, v = np.linalg.eigh(gram)
+    return vectors @ (v * np.sqrt(np.maximum(lam, 0.0)))
+
+
+def trace_normalized_factor(h1_factors: tuple, h2_factors: tuple) -> np.ndarray:
+    """Thin factor G (N x L1 L2) of the trace-normalized form: G G^H = D with
+    tr(D) = N, for the hops H1 = R1 diag(w1) T1^H and H2 = R2 diag(w2) T2^H given
+    as their (R, w, T) path factors (channel.path_factors).
+
+    H1 H1^H = R1 K1 R1^H and H2^H H2 = T2 K2 T2^H with L x L Gram matrices K, so
+    both are P P^H with P = R K^{1/2}, and column (i, k) of G is
+    conj(P1[:, i]) * P2[:, k]. A zero or non-finite trace raises ValueError, as
+    in QuadraticForm.trace_normalized.
+    """
+    r1, w1, t1 = h1_factors
+    r2, w2, t2 = h2_factors
+    k1 = w1[:, None] * (t1.conj().T @ t1) * w1.conj()
+    k2 = w2.conj()[:, None] * (r2.conj().T @ r2) * w2
+    # tr(D) = sum_p (H1 H1^H)_pp (H2^H H2)_pp, checked before any eigendecomposition
+    diag1 = np.sum((r1 @ k1) * r1.conj(), axis=1)
+    diag2 = np.sum((t2 @ k2) * t2.conj(), axis=1)
+    scale = _trace_scale(float((diag1 @ diag2).real), r1.shape[0])
+    p1, p2 = _gram_root(r1, k1), _gram_root(t2, k2)
+    g = (p1.conj()[:, :, None] * p2[:, None, :]).reshape(p1.shape[0], -1)
+    return g * math.sqrt(scale)
+
+
+def _block_terms(factors: np.ndarray, phases: np.ndarray, mean_amplitude: float) -> tuple:
+    """Trace objective (F, K) and gradient (F, K, N) of f for K phase vectors per
+    form, an (F, K, N) phase block, on the forms D = G G^H of an (F, N, L) factor
+    stack, from one product z = conj(u) * (G (G^H u)) per phase vector u: the
+    objective is mu^2 sum Re z and the gradient -2 mu^2 Im z. A phase vector is
+    a row, so G^H u is the row conj(conj(u)^T G); z is built in place in the
+    product, so the block holds two complex arrays at a time."""
+    uc = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=uc.real)
+    np.sin(phases, out=uc.imag)
+    np.conjugate(uc, out=uc)
+    z = (uc @ factors).conj() @ factors.transpose(0, 2, 1)
+    z *= uc
     mu2 = mean_amplitude ** 2
-    return mu2 * z.real.sum(axis=0), -2.0 * mu2 * z.imag
+    return mu2 * z.real.sum(axis=2), -2.0 * mu2 * z.imag
 
 
-def fixed_step_best_objectives(form: QuadraticForm, steps, mean_amplitude: float,
+def fixed_step_best_objectives(factors: np.ndarray, steps, mean_amplitude: float,
                                max_iterations: int) -> np.ndarray:
-    """Best trace objective of a max_iterations C-GD run at each constant step,
-    all steps descending together from zero phases as the columns of one phase
-    block. Each column tracks its best iterate as run_cgd does; sums reassociate,
-    so objectives match run_cgd's to rounding, which a large step amplifies."""
-    lam = np.asarray(steps, dtype=float)
-    phases = np.zeros((form.n_ris, lam.size))
-    best = np.full(lam.size, -math.inf)
+    """Best trace objective (F, K) of a max_iterations C-GD run at each of K
+    constant steps on each form G G^H of an (F, N, L) factor stack: all forms
+    and steps descend together from zero phases as one phase block. Each run
+    tracks its best iterate as run_cgd does; sums reassociate, so objectives
+    match run_cgd's on the dense form to rounding, which a large step amplifies."""
+    lam = np.asarray(steps, dtype=float)[:, None]
+    phases = np.zeros((factors.shape[0], lam.size, factors.shape[1]))
+    best = np.full(phases.shape[:2], -math.inf)
     for _ in range(max_iterations + 1):
-        trace_obj, grad = _block_terms(form, phases, mean_amplitude)
+        trace_obj, grad = _block_terms(factors, phases, mean_amplitude)
         best = np.maximum(best, trace_obj)   # a NaN objective stays NaN
-        phases = phases - lam * grad
+        phases -= lam * grad
     return best
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind,
-                            hop_arrays, los_gain, nlos_gain,
-                            reconstruct_channel, sample_channel, upa_dims,
-                            upa_response)
+                            hop_arrays, hop_factors, los_gain, nlos_gain,
+                            reconstruct_channel, sample_channel, sample_paths,
+                            upa_dims, upa_response)
 from thzris.harness import ExperimentConfig, _hop_reference, preset, stream_rng
 from thzris.optimizer import build_quadratic_form
 
@@ -159,6 +159,25 @@ class TestSampleChannel:
                 oracle += w * p.complex_gain * np.outer(arx, atx.conj())
             assert (np.linalg.norm(h - oracle) / np.linalg.norm(oracle)) <= 1e-12
 
+    @pytest.mark.parametrize("n_nlos", [0, 2, 4])
+    def test_sample_paths_draws_as_sample_channel(self, n_nlos):
+        """sample_paths returns sample_channel's paths and leaves the stream where
+        sample_channel leaves it."""
+        config = tiny_config(n_nlos=n_nlos)
+        for hop in Hop:
+            rng_a, rng_b = stream_rng(3, 1, hop.value), stream_rng(3, 1, hop.value)
+            assert sample_paths(config, hop, rng_a) == sample_channel(config, hop, rng_b)[1]
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_hop_factors_rebuild_the_matrix(self):
+        """R diag(w) T^H of a path list's factors is its hop matrix."""
+        config = tiny_config(n_nlos=3)
+        for hop in Hop:
+            h, paths = sample_channel(config, hop, stream_rng(5, 2, hop.value))
+            rx, w, tx = hop_factors(config, hop, paths)
+            assert rx.shape == (h.shape[0], len(paths)) and tx.shape == (h.shape[1], len(paths))
+            assert np.linalg.norm(rx @ np.diag(w) @ tx.conj().T - h) <= 1e-12 * np.linalg.norm(h)
+
     def test_zero_excess_detours_never_fall_short(self):
         """Without a detour excess, r0 u + r0 (1 - u) can round below r0 and
         make nlos_gain raise; the sampler moves r2 up until it does not."""
@@ -203,6 +222,26 @@ class TestSampleChannel:
 
 
 class TestReconstructHelper:
+    @pytest.mark.parametrize("preset_name", ["fig7-desk", "fig7-paper"])
+    def test_bit_equal_to_model_sum(self, preset_name):
+        """reconstruct_channel reads its vectors and weights from path_factors and
+        still adds weight * gain * a_rx a_tx^H path by path, bit for bit: dumps
+        and sweep rows depend on every bit of the hops."""
+        config = preset(preset_name)
+        for hop in Hop:
+            h, paths = sample_channel(config, hop, stream_rng(1, 0, hop.value))
+            rx, tx = hop_arrays(config, hop)
+            lam = SPEED_OF_LIGHT / config.carrier_freq_hz
+            n_nlos = sum(1 for p in paths if p.kind is PathKind.NLOS)
+            oracle = np.zeros((rx.size, tx.size), dtype=complex)
+            for p in paths:
+                w = (math.sqrt(tx.size * rx.size) if p.kind is PathKind.LOS
+                     else math.sqrt(tx.size * rx.size / n_nlos))
+                arx = upa_response(rx, p.aoa_azimuth_rad, p.aoa_elevation_rad, lam)
+                atx = upa_response(tx, p.aod_azimuth_rad, p.aod_elevation_rad, lam)
+                oracle += w * p.complex_gain * np.outer(arx, atx.conj())
+            assert np.array_equal(h, oracle)
+
     def test_empty_path_list_is_zero(self):
         geom = ArrayGeometry(2, 2, 70e-6)
         h = reconstruct_channel((), geom, geom, WAVELENGTH)

@@ -42,6 +42,13 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def calib_hop(cfg: ExperimentConfig, hop: Hop, c: int) -> np.ndarray:
+    """Calibration realization c's referenced hop matrix, drawn from the stream
+    calibration draws its paths from."""
+    rng = harness.stream_rng(cfg.master_seed, c, "calib-" + hop.value)
+    return channel.sample_channel(cfg, hop, rng)[0] / harness._hop_reference(cfg, hop)
+
+
 @st.composite
 def valid_configs(draw) -> ExperimentConfig:
     """Configs that pass validate(), spanning every key kind; the exhaustive
@@ -487,8 +494,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("dump", [False, True])
     def test_raw_hops_freed_before_each_form(self, monkeypatch, tmp_path, dump):
         """No raw hop, and with dumps no dumped realization, is alive when a
-        calibration or sweep form is built: at paper scale a raw 256x512 hop is
-        2 MB of peak memory."""
+        sweep form is built: at paper scale a raw 256x512 hop is 2 MB of peak
+        memory. Calibration builds no form (TestCalibration)."""
         raw, alive = [], []
         sample, build = channel.sample_channel, optimizer.build_quadratic_form
 
@@ -508,7 +515,7 @@ class TestRunExperiment:
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         run_experiment(cfg, dump_dir=str(tmp_path) if dump else None)
         assert len(os.listdir(tmp_path)) == (2 * cfg.n_realizations if dump else 0)
-        assert alive == [0] * (harness.CGD_CALIBRATION_REALIZATIONS + cfg.n_realizations)
+        assert alive == [0] * cfg.n_realizations
 
     def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):
         """no_ris needs neither RIS hop nor their quadratic form."""
@@ -584,50 +591,81 @@ class TestCalibration:
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps call arguments alive in the caller")
     def test_raw_hops_freed_before_each_form(self, monkeypatch):
-        """Calibration keeps no raw hop alive while it builds a quadratic form:
-        at paper scale a raw 256x512 hop is 2 MB of peak memory."""
-        raw, alive = [], []
-        sample, build = channel.sample_channel, optimizer.build_quadratic_form
+        """Calibration reconstructs no raw hop matrix (at paper scale a raw
+        256x512 hop is 2 MB of peak memory), and each form's hop path factors
+        are freed before the next form's paths are sampled."""
+        calls, factors, alive = [], [], []
+        sample_paths, hop_factors = channel.sample_paths, channel.hop_factors
 
-        def sampled(*args):
-            matrix, paths = sample(*args)
-            raw.append(weakref.ref(matrix))
-            return matrix, paths
+        def sampled(config, hop, *args):
+            if hop is Hop.BS_RIS:
+                alive.append(sum(ref() is not None for ref in factors))
+            return sample_paths(config, hop, *args)
 
-        def built(*args):
-            alive.append(sum(ref() is not None for ref in raw))
-            return build(*args)
+        def factored(*args):
+            rx, w, tx = hop_factors(*args)
+            factors.extend(weakref.ref(a) for a in (rx, w, tx))
+            return rx, w, tx
 
-        monkeypatch.setattr(channel, "sample_channel", sampled)
-        monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        for module, name in ((channel, "sample_channel"), (channel, "reconstruct_channel")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(channel, "sample_paths", sampled)
+        monkeypatch.setattr(channel, "hop_factors", factored)
         calibrate_fixed_step(tiny_config())
+        assert calls == []
         assert alive == [0] * harness.CGD_CALIBRATION_REALIZATIONS
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="older CPython keeps call arguments alive in the caller")
     def test_holds_one_form_at_a_time(self, monkeypatch):
-        """Each calibration form runs every grid step in one block descent and is
-        freed before the next form is built: at paper scale a form is 1 MB of
-        peak memory. No run_cgd runs."""
-        forms, alive, cgd_runs = [], [], []
-        build, block = optimizer.build_quadratic_form, optimizer.fixed_step_best_objectives
+        """Calibration builds no dense form and runs no run_cgd: every form and
+        grid step descends in one block on the forms' stacked thin path factors,
+        N x (1 + n_nlos)^2 per form instead of a dense N x N form."""
+        calls, blocks = [], []
+        block = optimizer.fixed_step_best_objectives
 
-        def built(*args):
-            alive.append(sum(ref() is not None for ref in forms))
-            return build(*args)
-
-        def ran(form, steps, *args):
-            forms.append(weakref.ref(form))
+        def ran(factors, steps, *args):
+            blocks.append(factors.shape)
             assert tuple(steps) == harness.CGD_CALIBRATION_GRID
-            return block(form, steps, *args)
+            return block(factors, steps, *args)
 
-        monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        for name in ("build_quadratic_form", "run_cgd"):
+            monkeypatch.setattr(optimizer, name, lambda *args, name=name: calls.append(name))
         monkeypatch.setattr(optimizer, "fixed_step_best_objectives", ran)
-        monkeypatch.setattr(optimizer, "run_cgd", lambda *args: cgd_runs.append(args))
-        calibrate_fixed_step(tiny_config())
-        n_forms = harness.CGD_CALIBRATION_REALIZATIONS
-        assert alive == [0] * n_forms
-        assert len(forms) == n_forms and cgd_runs == []
+        cfg = tiny_config()
+        calibrate_fixed_step(cfg)
+        assert calls == []
+        assert blocks == [(harness.CGD_CALIBRATION_REALIZATIONS, cfg.n_ris,
+                           (1 + cfg.n_nlos) ** 2)]
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig7-desk", {}), ("fig8-desk", dict(n_ris=16)), ("fig7-desk", dict(xi=0.0)),
+        ("fig7-desk", dict(n_nlos=0)), ("fig8-desk", dict(n_ris=16, n_nlos=4))])
+    def test_factor_matches_dense_form(self, name, overrides):
+        """G G^H equals the trace-normalized dense form of the same calibration
+        draws' referenced hops, including a factor wider than the form (25
+        columns at n_ris = 16)."""
+        cfg = replace(preset(name), sweep="none", sweep_grid=(), **overrides)
+        for c in (0, 9):
+            form, _ = optimizer.build_quadratic_form(
+                calib_hop(cfg, Hop.BS_RIS, c), calib_hop(cfg, Hop.RIS_MS, c)).trace_normalized()
+            g = harness._calibration_factor(cfg, c)
+            assert g.shape == (cfg.n_ris, (1 + cfg.n_nlos) ** 2)
+            err = np.linalg.norm(g @ g.conj().T - form.matrix)
+            assert err <= 1e-12 * np.linalg.norm(form.matrix)
+
+    def test_zero_gain_paths_raise_before_any_descent(self, monkeypatch):
+        """A calibration form whose path gains are all zero has a zero trace, which
+        fails calibration before any descent runs."""
+        sample, blocks = channel.sample_paths, []
+
+        def silent(*args):
+            return tuple(replace(p, complex_gain=0j) for p in sample(*args))
+
+        monkeypatch.setattr(channel, "sample_paths", silent)
+        monkeypatch.setattr(optimizer, "fixed_step_best_objectives",
+                            lambda *args: blocks.append(args))
+        with pytest.raises(ValueError, match="positive and finite, got 0.0"):
+            calibrate_fixed_step(tiny_config())
+        assert blocks == []
 
     @pytest.mark.parametrize("overrides", [
         {}, dict(n_ris=4, mean_amplitude=0.6, phi_max_deg=180.0),
@@ -637,16 +675,14 @@ class TestCalibration:
         """Calibration picks the step of a loop that builds every form first and
         runs each step over all of them with run_cgd and the config's own
         codebook, and its best objectives match that loop's at steps 1e-4 to
-        1e-2. The block descent reassociates sums; steps 0.1 and 1.0 amplify that
-        rounding (preset calibration means differ by up to 5% and 10% there, and
-        no preset group picks either), though these short runs still pick the
-        same step."""
+        1e-2. The block descent on the path factors reassociates sums; steps 0.1
+        and 1.0 amplify that rounding (preset calibration means differ by up to
+        7% there, and no preset group picks either), though these short runs
+        still pick the same step."""
         cfg = tiny_config(master_seed=seed, **overrides)
         forms = [optimizer.build_quadratic_form(
-                     harness._draw_hop(cfg, Hop.BS_RIS, c, "calib-")[0]
-                     / harness._hop_reference(cfg, Hop.BS_RIS),
-                     harness._draw_hop(cfg, Hop.RIS_MS, c, "calib-")[0]
-                     / harness._hop_reference(cfg, Hop.RIS_MS)).trace_normalized()[0]
+                     calib_hop(cfg, Hop.BS_RIS, c), calib_hop(cfg, Hop.RIS_MS, c)
+                 ).trace_normalized()[0]
                  for c in range(harness.CGD_CALIBRATION_REALIZATIONS)]
         table, best_step, best_mean = [], None, -math.inf
         for step in harness.CGD_CALIBRATION_GRID:
@@ -656,8 +692,11 @@ class TestCalibration:
             table.append(objs)
             if float(np.mean(objs)) > best_mean:
                 best_step, best_mean = step, float(np.mean(objs))
-        streamed = np.array([harness._calibration_objectives(cfg, c)
-                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)]).T
+        factors = np.stack([harness._calibration_factor(cfg, c)
+                            for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
+        streamed = optimizer.fixed_step_best_objectives(
+            factors, harness.CGD_CALIBRATION_GRID, cfg.mean_amplitude,
+            cfg.optimizer.max_iterations).T
         for k, step in enumerate(harness.CGD_CALIBRATION_GRID):
             if step <= 1e-2:
                 np.testing.assert_allclose(streamed[k], table[k], rtol=1e-12, atol=0)
@@ -687,19 +726,20 @@ class TestCalibration:
         """The smallest grid step whose mean is within CGD_CALIBRATION_TIE_RTOL
         (relative) of the best mean wins; beyond it, the best mean wins."""
         assert harness.CGD_CALIBRATION_TIE_RTOL == 1e-9
-        monkeypatch.setattr(harness, "_calibration_objectives",
-                            lambda config, c: np.array(means))
+        monkeypatch.setattr(optimizer, "fixed_step_best_objectives",
+                            lambda factors, *args: np.tile(means, (len(factors), 1)))
         assert calibrate_fixed_step(tiny_config()) == step
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_raises(self, monkeypatch, bad):
         """A block descent whose objective at one step is not finite on one form
         fails calibration, naming the step and n_ris."""
-        calls = []
 
-        def block(form, steps, *args):
-            calls.append(form.n_ris)
-            return np.where((np.asarray(steps) == 0.1) & (len(calls) == 5), bad, 1.0)
+        def block(factors, steps, *args):
+            assert factors.shape[1] == 12
+            best = np.ones((len(factors), len(steps)))
+            best[4, list(steps).index(0.1)] = bad
+            return best
 
         monkeypatch.setattr(optimizer, "fixed_step_best_objectives", block)
         with pytest.raises(ValueError, match=rf"step 0\.1 \(n_ris = 12\).* {bad}$"):
@@ -708,10 +748,14 @@ class TestCalibration:
     @pytest.mark.parametrize("name, n_ris, step", [
         ("fig5-desk", 64, 1e-3), ("fig6-desk", 64, 1e-3), ("fig7-desk", 64, 1e-3),
         ("fig8-desk", 16, 1e-2), ("fig8-desk", 32, 1e-2), ("fig8-desk", 64, 1e-3),
-        ("fig8-desk", 96, 1e-3), ("fig8-desk", 128, 1e-3)])
+        ("fig8-desk", 96, 1e-3), ("fig8-desk", 128, 1e-3),
+        ("fig5-paper", 256, 1e-3), ("fig6-paper", 256, 1e-3), ("fig7-paper", 256, 1e-3),
+        ("fig8-paper", 64, 1e-3), ("fig8-paper", 128, 1e-3), ("fig8-paper", 192, 1e-3),
+        ("fig8-paper", 256, 1e-3)])
     def test_desk_preset_steps(self, name, n_ris, step):
-        """The step each desk calibration group picks; a change that flips one
-        also changes that preset's cgd rows."""
+        """The step each calibration group of the desk and paper presets picks; a
+        change that flips one also changes that preset's cgd rows, which at paper
+        scale no CSV golden covers."""
         point = next(group[0][1] for group in harness._point_groups(preset(name))
                      if group[0][1].n_ris == n_ris)
         assert calibrate_fixed_step(point) == step

@@ -20,7 +20,8 @@ from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               build_quadratic_form, fixed_step_best_objectives,
                               gradient, objective, quadratic_model_coeffs,
                               quantize_phases, run_agd, run_cgd,
-                              run_exhaustive, run_random_phase)
+                              run_exhaustive, run_random_phase,
+                              trace_normalized_factor)
 
 CODEBOOK = build_codebook(math.radians(306.82), 2, mean_amplitude=0.8)
 MU = 0.8
@@ -400,7 +401,8 @@ def reference_descent(form, codebook, settings, adaptive):
 
 
 class CountingMatrix(np.ndarray):
-    """Quadratic-form matrix that counts the matrix products it takes part in."""
+    """Quadratic-form matrix or factor stack that counts the matrix products it,
+    or its conjugate, takes part in."""
 
     matmuls = 0
 
@@ -409,7 +411,8 @@ class CountingMatrix(np.ndarray):
             CountingMatrix.matmuls += 1
         plain = tuple(x.view(np.ndarray) if isinstance(x, CountingMatrix) else x
                       for x in inputs)
-        return getattr(ufunc, method)(*plain, **kwargs)
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(CountingMatrix) if ufunc is np.conjugate else out
 
 
 def _first_branch(form, mu):
@@ -476,54 +479,104 @@ class TestDescentExactness:
             assert trace.iterations == run(form, CODEBOOK, self.SETTINGS).iterations
 
 
+def form_and_factor(rng, n_ris, n_bs, n_ms) -> tuple:
+    """A random form D and its factor G with G G^H = D: column (i, k) of G is
+    conj(H1[:, i]) * conj(H2[k, :])."""
+    h1, h2 = crandn(rng, n_ris, n_bs), crandn(rng, n_ms, n_ris)
+    factor = (h1.conj()[:, :, None] * h2.T.conj()[:, None, :]).reshape(n_ris, -1)
+    return build_quadratic_form(h1, h2), factor
+
+
 class TestFixedStepBlock:
-    """fixed_step_best_objectives runs C-GD at several constant steps as the
-    columns of one phase block; objective, gradient and run_cgd stay its
-    oracles. Its sums reassociate, so it matches them to rounding."""
+    """fixed_step_best_objectives runs C-GD at several constant steps on a stack
+    of forms given by their factors, as one phase block; objective, gradient and
+    run_cgd on the dense form stay its oracles. Its sums reassociate, so it
+    matches them to rounding."""
 
     STEPS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
     @pytest.mark.parametrize("n_ris", [8, 64])
     def test_block_terms_match_oracles(self, n_ris):
         rng = np.random.default_rng(n_ris)
-        form = random_form(rng, n_ris=n_ris, n_bs=n_ris + 2, n_ms=n_ris + 1)
-        phases = rng.uniform(-math.pi, 3.0 * math.pi, size=(n_ris, len(self.STEPS)))
-        trace_obj, grad = _block_terms(form, phases, MU)
-        for k in range(phases.shape[1]):
-            assert trace_obj[k] == pytest.approx(-objective(form, phases[:, k], MU), rel=1e-12)
-            ref = gradient(form, phases[:, k], MU)
-            assert np.linalg.norm(grad[:, k] - ref) <= 1e-12 * np.linalg.norm(ref)
+        pairs = [form_and_factor(rng, n_ris, 3, 2) for _ in range(2)]
+        factors = np.stack([factor for _, factor in pairs])
+        phases = rng.uniform(-math.pi, 3.0 * math.pi, size=(2, len(self.STEPS), n_ris))
+        trace_obj, grad = _block_terms(factors, phases, MU)
+        assert trace_obj.shape == (2, len(self.STEPS)) and grad.shape == phases.shape
+        for f, (form, _) in enumerate(pairs):
+            for k in range(len(self.STEPS)):
+                assert trace_obj[f, k] == pytest.approx(-objective(form, phases[f, k], MU),
+                                                        rel=1e-12)
+                ref = gradient(form, phases[f, k], MU)
+                assert np.linalg.norm(grad[f, k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n_ris", [8, 64])
     @pytest.mark.parametrize("rank", ["full", "rank1"])
     def test_tracks_run_cgd_rows(self, rank, n_ris):
-        """After i iterations, i = 0..10, each column's best objective is the best
-        of run_cgd's first i + 1 trace rows at the same step. On a rank-one form,
-        steps 0.1 and 1.0 amplify a last-bit difference about tenfold per
-        iteration (at n_ris = 64 it passes 1e-12 by the 4th iteration at step 1.0
-        and the 8th at 0.1), so there only the steps 1e-4 to 1e-2 are compared."""
+        """After i iterations, i = 0..10, each run's best objective is the best
+        of run_cgd's first i + 1 trace rows at the same step on the dense form.
+        On a rank-one form, steps 0.1 and 1.0 amplify a last-bit difference about
+        tenfold per iteration (at n_ris = 64 it passes 1e-12 by the 4th iteration
+        at step 1.0 and the 8th at 0.1), so there only the steps 1e-4 to 1e-2
+        are compared."""
         rng = np.random.default_rng(7 * n_ris)
         if rank == "full":
-            form, steps = random_form(rng, n_ris=n_ris, n_bs=n_ris + 2, n_ms=n_ris + 1), self.STEPS
+            form, factor = form_and_factor(rng, n_ris, n_ris + 2, n_ris + 1)
+            steps = self.STEPS
         else:
-            v = crandn(rng, n_ris)
-            form, steps = QuadraticForm(matrix=np.outer(v, v.conj())), self.STEPS[:3]
-        form, _ = form.trace_normalized()
+            factor = crandn(rng, n_ris, 1)
+            form, steps = QuadraticForm(matrix=factor @ factor.conj().T), self.STEPS[:3]
+        form, scale = form.trace_normalized()
+        factors = (factor * math.sqrt(scale))[None]
         rows = [run_cgd(form, CODEBOOK, OptimizerSettings(max_iterations=10, fixed_step=step))
                 .iterations for step in steps]
         for i in range(11):
-            best = fixed_step_best_objectives(form, steps, MU, i)
+            best = fixed_step_best_objectives(factors, steps, MU, i)
             for k, step_rows in enumerate(rows):
                 ref = max(obj for _, obj, _, _ in step_rows[:i + 1])
-                assert best[k] == pytest.approx(ref, rel=1e-12)
+                assert best[0, k] == pytest.approx(ref, rel=1e-12)
 
     def test_one_product_per_iteration(self):
-        form = random_form(np.random.default_rng(5), n_ris=8)
-        counted = QuadraticForm(matrix=form.matrix.view(CountingMatrix))
+        """One product z = conj(U) * (G (G^H U)) per iteration, taken as two thin
+        matrix products on the whole stack."""
+        rng = np.random.default_rng(5)
+        factors = np.stack([form_and_factor(rng, 8, 3, 2)[1] for _ in range(3)])
+        counted = factors.view(CountingMatrix)
         before = CountingMatrix.matmuls
         best = fixed_step_best_objectives(counted, self.STEPS, MU, 30)
-        assert CountingMatrix.matmuls - before == 31
-        assert np.array_equal(best, fixed_step_best_objectives(form, self.STEPS, MU, 30))
+        assert CountingMatrix.matmuls - before == 2 * 31
+        assert np.array_equal(best, fixed_step_best_objectives(factors, self.STEPS, MU, 30))
+
+
+class TestTraceNormalizedFactor:
+    """trace_normalized_factor builds G with G G^H = D straight from the hops'
+    path factors (R, w, T), H = R diag(w) T^H."""
+
+    @staticmethod
+    def path_hops(rng, n_ris, n_bs, n_ms, n_paths):
+        h1 = (crandn(rng, n_ris, n_paths), crandn(rng, n_paths), crandn(rng, n_bs, n_paths))
+        h2 = (crandn(rng, n_ms, n_paths), crandn(rng, n_paths), crandn(rng, n_ris, n_paths))
+        return h1, h2
+
+    @pytest.mark.parametrize("n_ris, n_paths", [(8, 3), (4, 3), (6, 1), (5, 5)])
+    def test_equals_dense_trace_normalized_form(self, n_ris, n_paths):
+        """Includes a factor wider than D (9 and 25 columns for n_ris 4 and 5)."""
+        rng = np.random.default_rng(n_ris * 10 + n_paths)
+        h1, h2 = self.path_hops(rng, n_ris, 7, 3, n_paths)
+        dense = [r @ np.diag(w) @ t.conj().T for r, w, t in (h1, h2)]
+        form, _ = build_quadratic_form(*dense).trace_normalized()
+        g = trace_normalized_factor(h1, h2)
+        assert g.shape == (n_ris, n_paths ** 2)
+        err = np.linalg.norm(g @ g.conj().T - form.matrix)
+        assert err <= 1e-12 * np.linalg.norm(form.matrix)
+
+    @pytest.mark.parametrize("gain", [0.0, math.nan])
+    def test_degenerate_trace_raises(self, gain):
+        """Zero or NaN path gains give a zero or NaN trace, which raises as
+        QuadraticForm.trace_normalized does."""
+        h1, (r2, w2, t2) = self.path_hops(np.random.default_rng(3), 4, 5, 2, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            trace_normalized_factor(h1, (r2, np.full_like(w2, gain), t2))
 
 
 class TestRunRandomPhase:
