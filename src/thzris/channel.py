@@ -315,9 +315,9 @@ def load_realization(path) -> ChannelRealization:
     """Parse a v4 channel dump: the config lines give the sweep-point config,
     whose arrays and carrier rebuild both hop matrices from the path rows.
 
-    A malformed dump, or a hop that rebuilds to an all-zero matrix, raises
-    DumpError naming the file and line; an invalid config line raises
-    ConfigError naming the file and line."""
+    A malformed dump, or a hop that rebuilds to an all-zero or non-finite
+    matrix, raises DumpError naming the file and line; an invalid config line
+    raises ConfigError naming the file and line."""
     from .harness import parse_config   # harness imports this module
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -352,11 +352,14 @@ def load_realization(path) -> ChannelRealization:
     if missing:
         raise DumpError(f"{path}:{len(lines)}: dump ends before '{missing[0]}'")
     cfg = parse_config(config, path)
-    h1 = _hop_matrix(cfg, Hop.BS_RIS, paths["paths_h1"])
-    h2 = _hop_matrix(cfg, Hop.RIS_MS, paths["paths_h2"])
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is reported below
+        h1 = _hop_matrix(cfg, Hop.BS_RIS, paths["paths_h1"])
+        h2 = _hop_matrix(cfg, Hop.RIS_MS, paths["paths_h2"])
     for key, h in (("paths_h1", h1), ("paths_h2", h2)):
         if not np.any(h):
             raise DumpError(f"{at[key]}: '{key}' rebuilds an all-zero channel")
+        if not np.all(np.isfinite(h)):
+            raise DumpError(f"{at[key]}: '{key}' rebuilds a non-finite channel")
     return ChannelRealization(h1=h1, h2=h2, paths_h1=paths["paths_h1"],
                               paths_h2=paths["paths_h2"],
                               realization=header["realization"], config=cfg)

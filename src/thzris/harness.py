@@ -192,8 +192,9 @@ class ExperimentConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{key} repeats a value: {_format_value(values)}", key)
+        # (2^bits)^n_ris > LIMIT, compared by exponent: the power itself grows with n_ris
         if "exhaustive" in self.schemes and \
-                (2 ** self.bits) ** self.n_ris > optimizer.EXHAUSTIVE_LIMIT:
+                self.bits * self.n_ris >= optimizer.EXHAUSTIVE_LIMIT.bit_length():
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
                               f"exceeds {optimizer.EXHAUSTIVE_LIMIT}")
         if self.sweep != "none":
@@ -291,16 +292,15 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> l
     scheme's wall time spans its optimization through a point's rates. The
     sweep and replay both run this."""
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    codebooks = [cfg.codebook() for cfg in cfgs]
     descents = {}   # scheme -> (best continuous phases, wall ms)
     for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
         if scheme in schemes:
             t0 = time.perf_counter()
-            best = run(form, codebooks[0], cfgs[0].optimizer).best_phases_rad
+            best = run(form, cfgs[0].mean_amplitude, cfgs[0].optimizer).best_phases_rad
             descents[scheme] = (best, (time.perf_counter() - t0) * 1e3)
     out = []
-    for cfg, codebook in zip(cfgs, codebooks):
-        point = {}
+    for cfg in cfgs:
+        codebook, point = cfg.codebook(), {}
         for scheme in schemes:
             t0, shared_ms = time.perf_counter(), 0.0
             if scheme in descents:
@@ -309,7 +309,7 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> l
                 n_iters = cfg.optimizer.max_iterations
             elif scheme == "random":
                 rng = stream_rng(cfg.master_seed, r, "random")
-                phases = optimizer.run_random_phase(form, codebook, rng).quantized_phases_rad
+                phases = optimizer.run_random_phase(form.n_ris, codebook, rng)
                 n_iters = 1
             else:   # exhaustive, the one other scheme validate() admits
                 phases, _ = optimizer.run_exhaustive(form, codebook)

@@ -4,8 +4,9 @@ With theta_n = mu e^{j phi_n}, tr(H_e H_e^H) = theta^H D theta for the
 Hermitian PSD matrix D = conj(H1 H1^H) o (H2^H H2) (entrywise product).
 Minimizing f(phi) = -theta^H D theta over the unconstrained continuous phases
 is done by gradient descent; the adaptive variant picks each step size from
-the exact second-order expansion of f along the gradient direction, and the
-final iterate is quantized onto the discrete hardware codebook.
+the exact second-order expansion of f along the gradient direction. A-GD and
+C-GD return continuous phases; the harness quantizes them onto each sweep
+point's discrete hardware codebook (quantize_phases).
 
 C-GD's step calibration never builds D. A sparse channel hop is
 H = R diag(w) T^H over its few paths, so D = G G^H for a thin factor G with
@@ -17,7 +18,7 @@ constant steps at once, returning only each run's best trace objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +37,6 @@ class QuadraticForm:
     def n_ris(self) -> int:
         return self.matrix.shape[0]
 
-    def scaled(self, factor: float) -> "QuadraticForm":
-        return replace(self, matrix=self.matrix * factor)
-
     def trace_normalized(self) -> tuple:
         """Rescale so tr(D) = n_ris; returns (form, applied scale factor).
 
@@ -49,7 +47,7 @@ class QuadraticForm:
         trace (a zero or NaN channel) raises ValueError.
         """
         scale = _trace_scale(float(np.real(np.trace(self.matrix))), self.n_ris)
-        return self.scaled(scale), scale
+        return QuadraticForm(self.matrix * scale), scale
 
 
 def _trace_scale(trace: float, n_ris: int) -> float:
@@ -87,15 +85,12 @@ class GdTrace:
 
     iterations rows are (iteration index, trace objective theta^H D theta,
     step size applied at that iterate, gradient norm). best_* track the
-    continuous iterate with the largest trace objective; quantized_* hold the
-    codebook projection of that iterate.
+    continuous iterate with the largest trace objective.
     """
 
     iterations: list
     best_phases_rad: np.ndarray
     best_objective: float
-    quantized_phases_rad: np.ndarray
-    quantized_objective: float
 
 
 def build_quadratic_form(h1: np.ndarray, h2: np.ndarray) -> QuadraticForm:
@@ -179,7 +174,7 @@ def adaptive_step(form: QuadraticForm, phases: np.ndarray, grad: np.ndarray,
     return _model_step(*quadratic_model_coeffs(form, phases, grad, mean_amplitude))
 
 
-def _descend(form: QuadraticForm, codebook: PhaseCodebook,
+def _descend(form: QuadraticForm, mean_amplitude: float,
              settings: OptimizerSettings, fixed_step: float | None) -> GdTrace:
     """Common gradient-descent loop from zero phases with best-iterate tracking:
     A-GD's adaptive step when fixed_step is None, else C-GD's constant step.
@@ -190,7 +185,7 @@ def _descend(form: QuadraticForm, codebook: PhaseCodebook,
     step model adds only (g u)^H D (g u).
     """
     d = form.matrix
-    mu2 = codebook.mean_amplitude ** 2
+    mu2 = mean_amplitude ** 2
     phases = np.zeros(form.n_ris)
     u = np.exp(1j * phases)
     uh = u.conj()
@@ -222,26 +217,21 @@ def _descend(form: QuadraticForm, codebook: PhaseCodebook,
             best_obj = trace_obj
             best_phases = phases.copy()
     rows.append((settings.max_iterations, trace_obj, 0.0, 0.0))
-    quant = quantize_phases(best_phases, codebook)
-    return GdTrace(iterations=rows,
-                   best_phases_rad=best_phases,
-                   best_objective=best_obj,
-                   quantized_phases_rad=quant,
-                   quantized_objective=-objective(form, quant, codebook.mean_amplitude))
+    return GdTrace(iterations=rows, best_phases_rad=best_phases, best_objective=best_obj)
 
 
-def run_agd(form: QuadraticForm, codebook: PhaseCodebook,
+def run_agd(form: QuadraticForm, mean_amplitude: float,
             settings: OptimizerSettings) -> GdTrace:
-    """Adaptive-step gradient descent (A-GD) with terminal codebook quantization."""
-    return _descend(form, codebook, settings, None)
+    """Adaptive-step gradient descent (A-GD) on continuous phases."""
+    return _descend(form, mean_amplitude, settings, None)
 
 
-def run_cgd(form: QuadraticForm, codebook: PhaseCodebook,
+def run_cgd(form: QuadraticForm, mean_amplitude: float,
             settings: OptimizerSettings) -> GdTrace:
-    """Constant-step gradient descent (C-GD) baseline."""
+    """Constant-step gradient descent (C-GD) baseline on continuous phases."""
     if settings.fixed_step == "auto":
         raise ValueError("run_cgd needs a numeric fixed_step, got 'auto'")
-    return _descend(form, codebook, settings, settings.fixed_step)
+    return _descend(form, mean_amplitude, settings, settings.fixed_step)
 
 
 def _gram_root(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -308,13 +298,9 @@ def fixed_step_best_objectives(factors: np.ndarray, steps, mean_amplitude: float
     return best
 
 
-def run_random_phase(form: QuadraticForm, codebook: PhaseCodebook, rng) -> GdTrace:
-    """One uniform draw of codebook phases: a non-optimizing surface."""
-    phases = codebook.phases_rad[rng.integers(0, codebook.size, size=form.n_ris)]
-    trace_obj = -objective(form, phases, codebook.mean_amplitude)
-    return GdTrace(iterations=[(0, trace_obj, 0.0, 0.0)], best_phases_rad=phases,
-                   best_objective=trace_obj, quantized_phases_rad=phases,
-                   quantized_objective=trace_obj)
+def run_random_phase(n_ris: int, codebook: PhaseCodebook, rng) -> np.ndarray:
+    """One uniform draw of n_ris codebook phases: a non-optimizing surface."""
+    return codebook.phases_rad[rng.integers(0, codebook.size, size=n_ris)]
 
 
 EXHAUSTIVE_LIMIT = 10 ** 6

@@ -246,7 +246,8 @@ class TestReplay:
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
                                       "inf_path", "token_count", "invalid_config", "config_value",
                                       "v1", "v2", "v3", "v3_path_row", "zero_hop",
-                                      "removed_key", "empty_item", "not_utf8"])
+                                      "overflow_hop", "removed_key", "empty_item",
+                                      "not_utf8"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
@@ -284,6 +285,10 @@ class TestReplay:
             line = row + 1
         elif case == "zero_hop":      # h1 without its path rows rebuilds to zero
             bad = lines[:at["paths_h1"]] + ["paths_h1 0"] + lines[at["paths_h2"]:]
+            line = at["paths_h1"] + 1
+        elif case == "overflow_hop":  # finite gains whose rebuilt h1 overflows
+            row, tok = at["paths_h1"] + 1, lines[at["paths_h1"] + 1].split()
+            bad[row] = " ".join(tok[:5] + ["1e308", "1e308"])
             line = at["paths_h1"] + 1
         elif case == "empty_item":
             line = bad.index("config schemes = agd,random") + 1

@@ -105,7 +105,8 @@ class TestConfigValidation:
     def test_exhaustive_guard(self):
         for infeasible in (dict(n_ris=64),
                            dict(sweep="n_ris", sweep_grid=(4.0, 64.0)),
-                           dict(sweep="bits", sweep_grid=(1.0, 4.0))):
+                           dict(sweep="bits", sweep_grid=(1.0, 4.0)),
+                           dict(n_ris=10 ** 12)):
             cfg = tiny_config(schemes=("exhaustive",), **{"n_ris": 8, **infeasible})
             with pytest.raises(ConfigError, match="exhaustive"):
                 cfg.validate()
@@ -674,7 +675,7 @@ class TestCalibration:
     def test_equals_step_major_loop(self, overrides, seed):
         """Calibration picks the step of a loop that builds every form first and
         runs each step over all of them with run_cgd and the config's own
-        codebook, and its best objectives match that loop's at steps 1e-4 to
+        mean amplitude, and its best objectives match that loop's at steps 1e-4 to
         1e-2. The block descent on the path factors reassociates sums; steps 0.1
         and 1.0 amplify that rounding (preset calibration means differ by up to
         7% there, and no preset group picks either), though these short runs
@@ -687,7 +688,7 @@ class TestCalibration:
         table, best_step, best_mean = [], None, -math.inf
         for step in harness.CGD_CALIBRATION_GRID:
             settings = replace(cfg.optimizer, fixed_step=step)
-            objs = [optimizer.run_cgd(f, cfg.codebook(), settings).best_objective
+            objs = [optimizer.run_cgd(f, cfg.mean_amplitude, settings).best_objective
                     for f in forms]
             table.append(objs)
             if float(np.mean(objs)) > best_mean:

@@ -258,7 +258,7 @@ class TestAdaptiveStep:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             form, _ = random_form(rng).trace_normalized()
-            best = run_agd(form, CODEBOOK, settings).best_phases_rad
+            best = run_agd(form, MU, settings).best_phases_rad
             phases = best + rng.uniform(-0.3, 0.3, 6)
             grad = gradient(form, phases, MU)
             if np.linalg.norm(grad) < 1e-12:
@@ -276,11 +276,12 @@ class TestRunAgd:
     def test_single_element_phase_invariant(self):
         rng = np.random.default_rng(16)
         form = build_quadratic_form(crandn(rng, 1, 4), crandn(rng, 3, 1))
-        trace = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=10))
+        trace = run_agd(form, MU, OptimizerSettings(max_iterations=10))
         expect = MU**2 * form.matrix[0, 0].real
         assert trace.best_objective == pytest.approx(expect, rel=1e-10)
-        assert trace.quantized_phases_rad[0] in CODEBOOK.phases_rad
-        assert trace.quantized_objective == pytest.approx(expect, rel=1e-10)
+        quantized = quantize_phases(trace.best_phases_rad, CODEBOOK)
+        assert quantized[0] in CODEBOOK.phases_rad
+        assert -objective(form, quantized, MU) == pytest.approx(expect, rel=1e-10)
 
     def test_rank_one_alignment(self):
         # closed-form optimum of a rank-one form: phases aligned to the
@@ -290,14 +291,14 @@ class TestRunAgd:
             rng = np.random.default_rng(seed)
             v = crandn(rng, 8)
             form = QuadraticForm(matrix=np.outer(v, v.conj()))
-            trace = run_agd(form, CODEBOOK, settings)
+            trace = run_agd(form, MU, settings)
             optimum = MU**2 * np.sum(np.abs(v)) ** 2
             assert trace.best_objective >= 0.99 * optimum
 
     def test_best_objective_is_max_of_rows(self):
         rng = np.random.default_rng(17)
         form = random_form(rng)
-        trace = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=30))
+        trace = run_agd(form, MU, OptimizerSettings(max_iterations=30))
         assert trace.best_objective == pytest.approx(
             max(row[1] for row in trace.iterations), rel=1e-12)
         assert len(trace.iterations) == 31
@@ -305,15 +306,16 @@ class TestRunAgd:
     def test_best_non_decreasing_in_budget(self):
         rng = np.random.default_rng(18)
         form = random_form(rng)
-        short = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=50))
-        long = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=100))
+        short = run_agd(form, MU, OptimizerSettings(max_iterations=50))
+        long = run_agd(form, MU, OptimizerSettings(max_iterations=100))
         assert long.best_objective >= short.best_objective - 1e-12
 
     def test_quantized_output_in_codebook(self):
         rng = np.random.default_rng(19)
         form = random_form(rng)
-        trace = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=50))
-        assert all(p in CODEBOOK.phases_rad for p in trace.quantized_phases_rad)
+        trace = run_agd(form, MU, OptimizerSettings(max_iterations=50))
+        quantized = quantize_phases(trace.best_phases_rad, CODEBOOK)
+        assert all(p in CODEBOOK.phases_rad for p in quantized)
 
     def test_quantized_vs_exhaustive_optimum(self):
         # N = 4, 2 bits: quantized result is near the exact discrete optimum
@@ -322,9 +324,10 @@ class TestRunAgd:
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             form = build_quadratic_form(crandn(rng, 4, 8), crandn(rng, 4, 4))
-            trace = run_agd(form, CODEBOOK, settings)
+            trace = run_agd(form, MU, settings)
             _, best = run_exhaustive(form, CODEBOOK)
-            ratios.append(trace.quantized_objective / best)
+            quantized = quantize_phases(trace.best_phases_rad, CODEBOOK)
+            ratios.append(-objective(form, quantized, MU) / best)
         assert np.median(ratios) >= 0.9
 
 
@@ -332,13 +335,13 @@ class TestRunCgd:
     def test_auto_step_rejected(self):
         settings = OptimizerSettings(max_iterations=5, fixed_step="auto")
         with pytest.raises(ValueError, match="numeric fixed_step"):
-            run_cgd(random_form(np.random.default_rng(20)), CODEBOOK, settings)
+            run_cgd(random_form(np.random.default_rng(20)), MU, settings)
 
     def test_zero_like_step_freezes(self):
         rng = np.random.default_rng(21)
         form = random_form(rng)
         settings = OptimizerSettings(max_iterations=20, fixed_step=1e-30)
-        trace = run_cgd(form, CODEBOOK, settings)
+        trace = run_cgd(form, MU, settings)
         start = -objective(form, np.zeros(6), MU)
         assert trace.best_objective == pytest.approx(start, rel=1e-10)
 
@@ -346,8 +349,8 @@ class TestRunCgd:
         rng = np.random.default_rng(22)
         v = crandn(rng, 8)
         form = QuadraticForm(matrix=np.outer(v, v.conj()))
-        agd = run_agd(form, CODEBOOK, OptimizerSettings(max_iterations=10))
-        cgd = run_cgd(form, CODEBOOK,
+        agd = run_agd(form, MU, OptimizerSettings(max_iterations=10))
+        cgd = run_cgd(form, MU,
                       OptimizerSettings(max_iterations=10, fixed_step=1e-6))
         start = -objective(form, np.zeros(8), MU)
         assert agd.best_objective - start > cgd.best_objective - start
@@ -370,21 +373,20 @@ class TestRunCgd:
         means = []
         for step in grid:
             s = OptimizerSettings(max_iterations=100, fixed_step=step)
-            means.append(np.mean([run_cgd(f, CODEBOOK, s).best_objective
+            means.append(np.mean([run_cgd(f, MU, s).best_objective
                                   for f in forms[:10]]))
         step = grid[int(np.argmax(means))]
         s_c = OptimizerSettings(max_iterations=100, fixed_step=step)
         s_a = OptimizerSettings(max_iterations=100)
-        wins = sum(run_agd(f, CODEBOOK, s_a).best_objective
-                   >= run_cgd(f, CODEBOOK, s_c).best_objective for f in forms)
+        wins = sum(run_agd(f, MU, s_a).best_objective
+                   >= run_cgd(f, MU, s_c).best_objective for f in forms)
         assert wins >= 0.7 * len(forms)
 
 
-def reference_descent(form, codebook, settings, adaptive):
+def reference_descent(form, mu, settings, adaptive):
     """The descent loop composed of the public oracles gradient, adaptive_step,
     objective and np.linalg.norm, recomputing every product per call; returns
     (iteration rows, best phases, best objective)."""
-    mu = codebook.mean_amplitude
     phases = np.zeros(form.n_ris)
     trace_obj = -objective(form, phases, mu)
     best_obj, best_phases, rows = trace_obj, phases.copy(), []
@@ -430,14 +432,13 @@ class TestDescentExactness:
     SETTINGS = OptimizerSettings(max_iterations=60, fixed_step=0.1)
 
     @staticmethod
-    def assert_matches_reference(form, codebook, settings):
+    def assert_matches_reference(form, mu, settings):
         for run, adaptive in ((run_agd, True), (run_cgd, False)):
-            trace = run(form, codebook, settings)
-            rows, best, best_obj = reference_descent(form, codebook, settings, adaptive)
+            trace = run(form, mu, settings)
+            rows, best, best_obj = reference_descent(form, mu, settings, adaptive)
             assert trace.iterations == rows
             assert np.array_equal(trace.best_phases_rad, best)
             assert trace.best_objective == best_obj
-            assert np.array_equal(trace.quantized_phases_rad, quantize_phases(best, codebook))
 
     @pytest.mark.parametrize("mu", [0.5, 0.8, 1.0])
     @pytest.mark.parametrize("n_ris", [1, 2, 8, 64])
@@ -449,34 +450,32 @@ class TestDescentExactness:
         else:
             v = crandn(rng, n_ris)
             form = QuadraticForm(matrix=np.outer(v, v.conj()))
-        codebook = build_codebook(math.radians(306.82), 2, mean_amplitude=mu)
-        self.assert_matches_reference(form, codebook, self.SETTINGS)
+        self.assert_matches_reference(form, mu, self.SETTINGS)
 
     def test_identity_form_takes_fallback_steps(self):
         form = QuadraticForm(matrix=np.eye(8, dtype=complex))
         assert _first_branch(form, MU) == "fallback"
-        self.assert_matches_reference(form, CODEBOOK, self.SETTINGS)
-        assert {row[2] for row in run_agd(form, CODEBOOK, self.SETTINGS).iterations[:-1]} \
+        self.assert_matches_reference(form, MU, self.SETTINGS)
+        assert {row[2] for row in run_agd(form, MU, self.SETTINGS).iterations[:-1]} \
             == {FALLBACK_STEP}
 
     def test_concave_branch(self):
         form = random_form(np.random.default_rng(0), n_ris=8)
         assert _first_branch(form, MU) == "concave"
-        self.assert_matches_reference(form, CODEBOOK, self.SETTINGS)
+        self.assert_matches_reference(form, MU, self.SETTINGS)
 
     def test_products_per_iteration(self):
         """A-GD takes 3 products with D per iteration (u^H D, D u and the step
-        model's (g u)^H D), C-GD 2; both add the first and the quantized
-        objective's u^H D."""
+        model's (g u)^H D), C-GD 2; both add the first objective's u^H D."""
         rng = np.random.default_rng(3)
         form = random_form(rng, n_ris=8)
         counted = QuadraticForm(matrix=form.matrix.view(CountingMatrix))
         n = self.SETTINGS.max_iterations
         for run, per_iter in ((run_agd, 3), (run_cgd, 2)):
             before = CountingMatrix.matmuls
-            trace = run(counted, CODEBOOK, self.SETTINGS)
-            assert CountingMatrix.matmuls - before == per_iter * n + 2
-            assert trace.iterations == run(form, CODEBOOK, self.SETTINGS).iterations
+            trace = run(counted, MU, self.SETTINGS)
+            assert CountingMatrix.matmuls - before == per_iter * n + 1
+            assert trace.iterations == run(form, MU, self.SETTINGS).iterations
 
 
 def form_and_factor(rng, n_ris, n_bs, n_ms) -> tuple:
@@ -528,7 +527,7 @@ class TestFixedStepBlock:
             form, steps = QuadraticForm(matrix=factor @ factor.conj().T), self.STEPS[:3]
         form, scale = form.trace_normalized()
         factors = (factor * math.sqrt(scale))[None]
-        rows = [run_cgd(form, CODEBOOK, OptimizerSettings(max_iterations=10, fixed_step=step))
+        rows = [run_cgd(form, MU, OptimizerSettings(max_iterations=10, fixed_step=step))
                 .iterations for step in steps]
         for i in range(11):
             best = fixed_step_best_objectives(factors, steps, MU, i)
@@ -585,16 +584,17 @@ class TestRunRandomPhase:
         h1, h2 = crandn(rng, 1, 3), crandn(rng, 2, 1)
         form = build_quadratic_form(h1, h2)
         cb1 = build_codebook(2 * math.pi, 1, mean_amplitude=0.8)
-        seen = {round(run_random_phase(form, cb1, np.random.default_rng(s)).best_objective, 12)
+        seen = {round(-objective(form, run_random_phase(1, cb1, np.random.default_rng(s)),
+                                 cb1.mean_amplitude), 12)
                 for s in range(40)}
         assert len(seen) <= 2
 
     def test_phases_come_from_codebook(self):
         rng = np.random.default_rng(25)
         form = random_form(rng)
-        trace = run_random_phase(form, CODEBOOK, rng)
-        assert all(p in CODEBOOK.phases_rad for p in trace.best_phases_rad)
-        assert len(trace.iterations) == 1
+        phases = run_random_phase(form.n_ris, CODEBOOK, rng)
+        assert phases.shape == (form.n_ris,)
+        assert all(p in CODEBOOK.phases_rad for p in phases)
 
     def test_mean_matches_enumeration(self):
         # empirical mean over draws vs the exact mean over the full grid
@@ -609,8 +609,8 @@ class TestRunRandomPhase:
             exact.append(-objective(form, grid[combo], cb1.mean_amplitude))
         exact = np.array(exact)
         draw_rng = np.random.default_rng(99)
-        draws = np.array([run_random_phase(form, cb1, draw_rng).best_objective
-                          for _ in range(1000)])
+        draws = np.array([-objective(form, run_random_phase(3, cb1, draw_rng),
+                                     cb1.mean_amplitude) for _ in range(1000)])
         se = exact.std() / math.sqrt(len(draws))
         assert abs(draws.mean() - exact.mean()) <= 3 * se
 
@@ -700,8 +700,8 @@ class TestScaleBehavior:
         rng = np.random.default_rng(32)
         form = random_form(rng)
         settings = OptimizerSettings(max_iterations=40)
-        a = run_agd(form, CODEBOOK, settings)
-        b = run_agd(form.scaled(128.0), CODEBOOK, settings)
+        a = run_agd(form, MU, settings)
+        b = run_agd(QuadraticForm(form.matrix * 128.0), MU, settings)
         np.testing.assert_allclose(a.best_phases_rad, b.best_phases_rad,
                                    rtol=1e-8, atol=1e-8)
 
