@@ -154,10 +154,20 @@ def nlos_gain(config: "ExperimentConfig", hop: Hop, r1_m: float, r2_m: float) ->
     return mag * np.exp(-2j * math.pi * f * tau_ref)
 
 
+def hop_reference(config: "ExperimentConfig", hop: Hop) -> float:
+    """Amplitude a raw hop is divided by: its LoS reference, or for the blocked
+    direct hop the cascade budget (product of both RIS-hop references) times the
+    excess obstruction loss, which the obstacle adds to its reflected paths."""
+    if hop is Hop.BS_MS_DIRECT:
+        return (abs(los_gain(config, Hop.BS_RIS)) * abs(los_gain(config, Hop.RIS_MS))
+                * 10.0 ** (config.direct_blockage_db / 20.0))
+    return abs(los_gain(config, hop))
+
+
 def path_factors(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
                  wavelength_m: float) -> tuple:
     """The path list as (R, w, T) with H = R diag(w) T^H: column l of R and T is
-    path l's rx and tx steering vector, and w[l] its model weight times its gain."""
+    path l's rx and tx steering vector, and w[l] its gain times the model's array scale."""
     n_rx, n_tx = rx_geom.size, tx_geom.size
     n_nlos = sum(1 for p in paths if p.kind is PathKind.NLOS)
     rx = np.empty((n_rx, len(paths)), dtype=complex)
@@ -165,10 +175,10 @@ def path_factors(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
     w = np.empty(len(paths), dtype=complex)
     for l, p in enumerate(paths):
         if p.kind is PathKind.LOS:
-            weight = math.sqrt(n_tx * n_rx)
+            scale = math.sqrt(n_tx * n_rx)
         else:
-            weight = math.sqrt(n_tx * n_rx / n_nlos)
-        w[l] = weight * p.complex_gain
+            scale = math.sqrt(n_tx * n_rx / n_nlos)
+        w[l] = scale * p.complex_gain
         rx[:, l] = upa_response(rx_geom, p.aoa_azimuth_rad, p.aoa_elevation_rad, wavelength_m)
         tx[:, l] = upa_response(tx_geom, p.aod_azimuth_rad, p.aod_elevation_rad, wavelength_m)
     return rx, w, tx
@@ -180,7 +190,7 @@ def reconstruct_channel(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
     rx, w, tx = path_factors(paths, rx_geom, tx_geom, wavelength_m)
     h = np.zeros((rx_geom.size, tx_geom.size), dtype=complex)
     for l in range(w.size):
-        # a Python complex weight: a numpy complex128 scalar rounds the product differently
+        # a Python complex w[l]: a numpy complex128 scalar rounds the product differently
         h += complex(w[l]) * np.outer(rx[:, l], tx[:, l].conj())
     return h
 
@@ -316,8 +326,9 @@ def load_realization(path) -> ChannelRealization:
     whose arrays and carrier rebuild both hop matrices from the path rows.
 
     A malformed dump, or a hop that rebuilds to an all-zero or non-finite
-    matrix, raises DumpError naming the file and line; an invalid config line
-    raises ConfigError naming the file and line."""
+    matrix or whose squared Frobenius norm overflows once divided by its
+    hop_reference, raises DumpError naming the file and line; an invalid config
+    line raises ConfigError naming the file and line."""
     from .harness import parse_config   # harness imports this module
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -355,11 +366,16 @@ def load_realization(path) -> ChannelRealization:
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow is reported below
         h1 = _hop_matrix(cfg, Hop.BS_RIS, paths["paths_h1"])
         h2 = _hop_matrix(cfg, Hop.RIS_MS, paths["paths_h2"])
-    for key, h in (("paths_h1", h1), ("paths_h2", h2)):
+    for key, hop, h in (("paths_h1", Hop.BS_RIS, h1), ("paths_h2", Hop.RIS_MS, h2)):
         if not np.any(h):
             raise DumpError(f"{at[key]}: '{key}' rebuilds an all-zero channel")
         if not np.all(np.isfinite(h)):
             raise DumpError(f"{at[key]}: '{key}' rebuilds a non-finite channel")
+        with np.errstate(over="ignore"):
+            referenced = h / hop_reference(cfg, hop)
+        if not np.isfinite(np.vdot(referenced, referenced).real):
+            raise DumpError(f"{at[key]}: '{key}' rebuilds a channel whose squared "
+                            "Frobenius norm overflows once divided by its LoS reference")
     return ChannelRealization(h1=h1, h2=h2, paths_h1=paths["paths_h1"],
                               paths_h2=paths["paths_h2"],
                               realization=header["realization"], config=cfg)

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from . import beamforming, channel, optimizer
-from .channel import Hop
+from .channel import Hop, hop_reference
 from .graphene import PhaseCodebook, build_codebook
 from .optimizer import OptimizerSettings
 
@@ -159,7 +159,7 @@ class ExperimentConfig:
             raise ConfigError(f"snr_grid_db values must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}] dB, "
                               f"got {_format_value(self.snr_grid_db)}", "snr_grid_db")
         for hop in Hop:
-            ref = _magnitude(_hop_reference, self, hop)
+            ref = _magnitude(hop_reference, self, hop)
             if not 0.0 < ref < math.inf:
                 keys = (("bs_ris_m", "ris_ms_m", "direct_blockage_db") if hop is Hop.BS_MS_DIRECT
                         else (channel.HOP_DISTANCE[hop],))
@@ -176,7 +176,7 @@ class ExperimentConfig:
         # forms s_i^2 and snr/Ns s_i^2 <= max(1, snr) ||H||_F^2 <= bound, as gain is the largest
         bound = _magnitude(lambda: max(1.0, 10.0 ** (max(self.snr_grid_db) / 10.0))
                            * self.n_nlos_direct * self.n_bs * self.n_ms
-                           * (gain / _magnitude(_hop_reference, self, Hop.BS_MS_DIRECT)) ** 2)
+                           * (gain / _magnitude(hop_reference, self, Hop.BS_MS_DIRECT)) ** 2)
         if not math.isfinite(bound):
             raise ConfigError(f"the direct hop's rate terms are bounded by {bound:g}, not "
                               "finite; the bound is computed from snr_grid_db, n_nlos_direct, "
@@ -228,17 +228,6 @@ def stream_rng(master_seed: int, realization: int, tag: str) -> Generator:
     return default_rng(stream_seed(master_seed, realization, tag))
 
 
-def _hop_reference(config: ExperimentConfig, hop: Hop) -> float:
-    """Amplitude a raw hop is divided by: its LoS reference, or for the blocked
-    direct hop the cascade budget (product of both RIS-hop references) times the
-    excess obstruction loss, which the obstacle adds to its reflected paths."""
-    if hop is Hop.BS_MS_DIRECT:
-        return (abs(channel.los_gain(config, Hop.BS_RIS))
-                * abs(channel.los_gain(config, Hop.RIS_MS))
-                * 10.0 ** (config.direct_blockage_db / 20.0))
-    return abs(channel.los_gain(config, hop))
-
-
 def _magnitude(fn, *args) -> float:
     """abs(fn(*args)), or inf where its float arithmetic overflows or divides by zero."""
     try:
@@ -267,7 +256,7 @@ def _referenced_hops(cfg: ExperimentConfig, h1: np.ndarray, h2: np.ndarray) -> t
     """Raw RIS hops divided by their LoS references. Callers pass fresh draws or
     rebind their raw hops to the result, so that no raw hop (2 MB at paper
     scale) is alive when the quadratic form is built."""
-    return h1 / _hop_reference(cfg, Hop.BS_RIS), h2 / _hop_reference(cfg, Hop.RIS_MS)
+    return h1 / hop_reference(cfg, Hop.BS_RIS), h2 / hop_reference(cfg, Hop.RIS_MS)
 
 
 def _point_groups(config: ExperimentConfig) -> list:
@@ -331,7 +320,7 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
     if "no_ris" in config.schemes:
         hd, _ = _draw_hop(config, Hop.BS_MS_DIRECT, r)
         t0 = time.perf_counter()
-        rates = _rates_for_channel(hd / _hop_reference(config, Hop.BS_MS_DIRECT), config)
+        rates = _rates_for_channel(hd / hop_reference(config, Hop.BS_MS_DIRECT), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
         del hd   # no raw hop is alive while a form is built
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
@@ -415,14 +404,14 @@ def replay_realization(path, snr_db: float) -> tuple:
 def _calibration_factor(config: ExperimentConfig, c: int) -> np.ndarray:
     """Calibration realization c's trace-normalized form as its thin path factor
     G (G G^H = D), built from the path lists drawn from the calib- streams; no
-    hop matrix or dense form is built. The path weights are divided by their
-    hop's LoS reference, as the sweep's hops are."""
+    hop matrix or dense form is built. Each w is divided by its hop's
+    reference, as the sweep's hops are."""
     hops = []
     for hop in (Hop.BS_RIS, Hop.RIS_MS):
         paths = channel.sample_paths(config, hop,
                                      stream_rng(config.master_seed, c, "calib-" + hop.value))
         rx, w, tx = channel.hop_factors(config, hop, paths)
-        hops.append((rx, w / _hop_reference(config, hop), tx))
+        hops.append((rx, w / hop_reference(config, hop), tx))
     return optimizer.trace_normalized_factor(*hops)
 
 

@@ -9,10 +9,11 @@ C-GD return continuous phases; the harness quantizes them onto each sweep
 point's discrete hardware codebook (quantize_phases).
 
 C-GD's step calibration never builds D. A sparse channel hop is
-H = R diag(w) T^H over its few paths, so D = G G^H for a thin factor G with
-one column per pair of paths (trace_normalized_factor), and
-fixed_step_best_objectives descends a stack of such factors at several
-constant steps at once, returning only each run's best trace objective.
+H = R diag(w) T^H over its few paths, so D = G G^H for a thin factor G with at
+most one column per pair of paths, built from thin QRs of the steering
+matrices (trace_normalized_factor), and fixed_step_best_objectives descends a
+stack of such factors at several constant steps at once, returning only each
+run's best trace objective.
 """
 
 from __future__ import annotations
@@ -234,34 +235,25 @@ def run_cgd(form: QuadraticForm, mean_amplitude: float,
     return _descend(form, mean_amplitude, settings, settings.fixed_step)
 
 
-def _gram_root(vectors: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """P with P P^H = vectors @ gram @ vectors^H for a Hermitian PSD gram, from
-    its eigendecomposition, eigenvalues that rounding made negative clipped to 0."""
-    lam, v = np.linalg.eigh(gram)
-    return vectors @ (v * np.sqrt(np.maximum(lam, 0.0)))
-
-
 def trace_normalized_factor(h1_factors: tuple, h2_factors: tuple) -> np.ndarray:
-    """Thin factor G (N x L1 L2) of the trace-normalized form: G G^H = D with
-    tr(D) = N, for the hops H1 = R1 diag(w1) T1^H and H2 = R2 diag(w2) T2^H given
-    as their (R, w, T) path factors (channel.path_factors).
+    """Thin factor G (N x min(n_bs, L1) min(n_ms, L2)) of the trace-normalized
+    form: G G^H = D with tr(D) = N, for the hops H1 = R1 diag(w1) T1^H and
+    H2 = R2 diag(w2) T2^H given as their (R, w, T) path factors
+    (channel.path_factors).
 
-    H1 H1^H = R1 K1 R1^H and H2^H H2 = T2 K2 T2^H with L x L Gram matrices K, so
-    both are P P^H with P = R K^{1/2}, and column (i, k) of G is
-    conj(P1[:, i]) * P2[:, k]. A zero or non-finite trace raises ValueError, as
-    in QuadraticForm.trace_normalized.
+    T^H T = Q^H Q for the triangular factor Q of a thin QR of T, so
+    H1 H1^H = P1 P1^H with P1 = R1 diag(w1) Q1^H (Q1 from T1) and
+    H2^H H2 = P2 P2^H with P2 = T2 diag(conj(w2)) Q2^H (Q2 from R2), and column
+    (i, k) of G is conj(P1[:, i]) * P2[:, k]. Then ||G||_F^2 =
+    sum_p ||P1[p]||^2 ||P2[p]||^2 = tr(D), so a zero or non-finite trace raises
+    ValueError, as in QuadraticForm.trace_normalized.
     """
     r1, w1, t1 = h1_factors
     r2, w2, t2 = h2_factors
-    k1 = w1[:, None] * (t1.conj().T @ t1) * w1.conj()
-    k2 = w2.conj()[:, None] * (r2.conj().T @ r2) * w2
-    # tr(D) = sum_p (H1 H1^H)_pp (H2^H H2)_pp, checked before any eigendecomposition
-    diag1 = np.sum((r1 @ k1) * r1.conj(), axis=1)
-    diag2 = np.sum((t2 @ k2) * t2.conj(), axis=1)
-    scale = _trace_scale(float((diag1 @ diag2).real), r1.shape[0])
-    p1, p2 = _gram_root(r1, k1), _gram_root(t2, k2)
+    p1 = (r1 * w1) @ np.linalg.qr(t1, mode="r").conj().T
+    p2 = (t2 * w2.conj()) @ np.linalg.qr(r2, mode="r").conj().T
     g = (p1.conj()[:, :, None] * p2[:, None, :]).reshape(p1.shape[0], -1)
-    return g * math.sqrt(scale)
+    return g * math.sqrt(_trace_scale(float(np.vdot(g, g).real), g.shape[0]))
 
 
 def _block_terms(factors: np.ndarray, phases: np.ndarray, mean_amplitude: float) -> tuple:

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind,
-                            hop_arrays, hop_factors, los_gain, nlos_gain,
+                            hop_arrays, hop_factors, hop_reference, los_gain, nlos_gain,
                             reconstruct_channel, sample_channel, sample_paths,
                             upa_dims, upa_response)
-from thzris.harness import ExperimentConfig, _hop_reference, preset, stream_rng
+from thzris.harness import ExperimentConfig, preset, stream_rng
 from thzris.optimizer import build_quadratic_form
 
 WAVELENGTH = SPEED_OF_LIGHT / 1.6e12
@@ -256,7 +256,7 @@ class TestPresetRegime:
         it is ~3e-5 at xi = 0.01)."""
         cfg = preset("fig7-desk")
         h1, h2 = (sample_channel(cfg, hop, stream_rng(cfg.master_seed, 0, hop.value))[0]
-                  / _hop_reference(cfg, hop) for hop in (Hop.BS_RIS, Hop.RIS_MS))
+                  / hop_reference(cfg, hop) for hop in (Hop.BS_RIS, Hop.RIS_MS))
         form, _ = build_quadratic_form(h1, h2).trace_normalized()
         lam = np.linalg.eigvalsh(form.matrix)
         assert lam[-2] / lam[-1] < 1e-9

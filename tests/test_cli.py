@@ -246,8 +246,8 @@ class TestReplay:
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
                                       "inf_path", "token_count", "invalid_config", "config_value",
                                       "v1", "v2", "v3", "v3_path_row", "zero_hop",
-                                      "overflow_hop", "removed_key", "empty_item",
-                                      "not_utf8"])
+                                      "overflow_hop", "overflow_referenced", "removed_key",
+                                      "empty_item", "not_utf8"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
@@ -289,6 +289,10 @@ class TestReplay:
         elif case == "overflow_hop":  # finite gains whose rebuilt h1 overflows
             row, tok = at["paths_h1"] + 1, lines[at["paths_h1"] + 1].split()
             bad[row] = " ".join(tok[:5] + ["1e308", "1e308"])
+            line = at["paths_h1"] + 1
+        elif case == "overflow_referenced":   # a finite h1 that overflows once referenced
+            row, tok = at["paths_h1"] + 1, lines[at["paths_h1"] + 1].split()
+            bad[row] = " ".join(tok[:5] + ["1e150", "1e150"])
             line = at["paths_h1"] + 1
         elif case == "empty_item":
             line = bad.index("config schemes = agd,random") + 1

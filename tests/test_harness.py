@@ -46,7 +46,7 @@ def calib_hop(cfg: ExperimentConfig, hop: Hop, c: int) -> np.ndarray:
     """Calibration realization c's referenced hop matrix, drawn from the stream
     calibration draws its paths from."""
     rng = harness.stream_rng(cfg.master_seed, c, "calib-" + hop.value)
-    return channel.sample_channel(cfg, hop, rng)[0] / harness._hop_reference(cfg, hop)
+    return channel.sample_channel(cfg, hop, rng)[0] / channel.hop_reference(cfg, hop)
 
 
 @st.composite
@@ -652,6 +652,15 @@ class TestCalibration:
             assert g.shape == (cfg.n_ris, (1 + cfg.n_nlos) ** 2)
             err = np.linalg.norm(g @ g.conj().T - form.matrix)
             assert err <= 1e-12 * np.linalg.norm(form.matrix)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        """The thin factors come from QRs of the steering matrices, with no
+        eigendecomposition of a path Gram matrix."""
+        def eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert calibrate_fixed_step(tiny_config()) in harness.CGD_CALIBRATION_GRID
 
     def test_zero_gain_paths_raise_before_any_descent(self, monkeypatch):
         """A calibration form whose path gains are all zero has a zero trace, which

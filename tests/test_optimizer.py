@@ -358,16 +358,16 @@ class TestRunCgd:
     def test_adaptive_wins_or_ties_on_channel_like_instances(self):
         # near-rank-one forms (LoS-dominated cascades); the constant step is
         # calibrated on the first ten instances like the experiment harness
-        from thzris.channel import Hop, sample_channel
-        from thzris.harness import ExperimentConfig, _hop_reference, stream_rng
+        from thzris.channel import Hop, hop_reference, sample_channel
+        from thzris.harness import ExperimentConfig, stream_rng
 
         cfg = ExperimentConfig(n_ris=16)
         forms = []
         for r in range(200):
             h1 = (sample_channel(cfg, Hop.BS_RIS, stream_rng(60, r, "h1"))[0]
-                  / _hop_reference(cfg, Hop.BS_RIS))
+                  / hop_reference(cfg, Hop.BS_RIS))
             h2 = (sample_channel(cfg, Hop.RIS_MS, stream_rng(60, r, "h2"))[0]
-                  / _hop_reference(cfg, Hop.RIS_MS))
+                  / hop_reference(cfg, Hop.RIS_MS))
             forms.append(build_quadratic_form(h1, h2).trace_normalized()[0])
         grid = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
         means = []
@@ -557,15 +557,23 @@ class TestTraceNormalizedFactor:
         h2 = (crandn(rng, n_ms, n_paths), crandn(rng, n_paths), crandn(rng, n_ris, n_paths))
         return h1, h2
 
-    @pytest.mark.parametrize("n_ris, n_paths", [(8, 3), (4, 3), (6, 1), (5, 5)])
-    def test_equals_dense_trace_normalized_form(self, n_ris, n_paths):
-        """Includes a factor wider than D (9 and 25 columns for n_ris 4 and 5)."""
+    @pytest.mark.parametrize("n_ris, n_paths, repeat", [
+        pytest.param(n_ris, n_paths, False, id=f"{n_ris}-{n_paths}")
+        for n_ris, n_paths in [(8, 3), (4, 3), (6, 1), (5, 5)]
+    ] + [pytest.param(6, 3, True, id="6-3-repeated")])
+    def test_equals_dense_trace_normalized_form(self, n_ris, n_paths, repeat):
+        """G has min(n_bs, L1) min(n_ms, L2) columns, here with n_bs = 7 and
+        n_ms = 3: wider than D for n_ris 4 (9 columns) and 5 (15 columns, as the
+        3-element ms array caps P2 at 3). With repeat, the tx steering matrix T1
+        repeats a column, so T1^H T1 is singular."""
         rng = np.random.default_rng(n_ris * 10 + n_paths)
         h1, h2 = self.path_hops(rng, n_ris, 7, 3, n_paths)
+        if repeat:
+            h1[2][:, 1] = h1[2][:, 0]
         dense = [r @ np.diag(w) @ t.conj().T for r, w, t in (h1, h2)]
         form, _ = build_quadratic_form(*dense).trace_normalized()
         g = trace_normalized_factor(h1, h2)
-        assert g.shape == (n_ris, n_paths ** 2)
+        assert g.shape == (n_ris, min(7, n_paths) * min(3, n_paths))
         err = np.linalg.norm(g @ g.conj().T - form.matrix)
         assert err <= 1e-12 * np.linalg.norm(form.matrix)
 
