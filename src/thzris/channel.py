@@ -10,9 +10,10 @@ absorption on the LoS gain, and an additional material reflection coefficient
 on each reflected path. Propagation phases carry e^{-j 2 pi f tau} with the
 package-wide e^{+j omega t} convention.
 
-A realization is fully determined by its path list, so every sampled matrix
-can be reconstructed exactly from the emitted `PathParams` (that is also the
-channel-dump replay contract).
+A realization is its path lists: `hop_matrix` builds a hop's matrix from its
+`PathParams`, bit for bit as `sample_channel` draws it, so a realization, its
+channel dump and its replay hold no matrix (that is also the channel-dump
+replay contract).
 """
 
 from __future__ import annotations
@@ -75,15 +76,22 @@ class PathParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Both hop matrices of one Monte-Carlo draw plus their path lists, the
-    realization index and the sweep-point config that drew them."""
+    """One Monte-Carlo draw of both RIS hops: their path lists, the realization
+    index and the sweep-point config that drew them. The path lists determine
+    the hops, and h1 (N_RIS x N_BS) and h2 (N_MS x N_RIS) rebuild them."""
 
-    h1: np.ndarray          # N_RIS x N_BS
-    h2: np.ndarray          # N_MS x N_RIS
     paths_h1: tuple
     paths_h2: tuple
     realization: int
     config: "ExperimentConfig"
+
+    @property
+    def h1(self) -> np.ndarray:
+        return hop_matrix(self.config, Hop.BS_RIS, self.paths_h1)
+
+    @property
+    def h2(self) -> np.ndarray:
+        return hop_matrix(self.config, Hop.RIS_MS, self.paths_h2)
 
     @property
     def seed(self) -> int:
@@ -164,37 +172,6 @@ def hop_reference(config: "ExperimentConfig", hop: Hop) -> float:
     return abs(los_gain(config, hop))
 
 
-def path_factors(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
-                 wavelength_m: float) -> tuple:
-    """The path list as (R, w, T) with H = R diag(w) T^H: column l of R and T is
-    path l's rx and tx steering vector, and w[l] its gain times the model's array scale."""
-    n_rx, n_tx = rx_geom.size, tx_geom.size
-    n_nlos = sum(1 for p in paths if p.kind is PathKind.NLOS)
-    rx = np.empty((n_rx, len(paths)), dtype=complex)
-    tx = np.empty((n_tx, len(paths)), dtype=complex)
-    w = np.empty(len(paths), dtype=complex)
-    for l, p in enumerate(paths):
-        if p.kind is PathKind.LOS:
-            scale = math.sqrt(n_tx * n_rx)
-        else:
-            scale = math.sqrt(n_tx * n_rx / n_nlos)
-        w[l] = scale * p.complex_gain
-        rx[:, l] = upa_response(rx_geom, p.aoa_azimuth_rad, p.aoa_elevation_rad, wavelength_m)
-        tx[:, l] = upa_response(tx_geom, p.aod_azimuth_rad, p.aod_elevation_rad, wavelength_m)
-    return rx, w, tx
-
-
-def reconstruct_channel(paths, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
-                        wavelength_m: float) -> np.ndarray:
-    """Assemble the hop matrix from its path list (the defining model sum)."""
-    rx, w, tx = path_factors(paths, rx_geom, tx_geom, wavelength_m)
-    h = np.zeros((rx_geom.size, tx_geom.size), dtype=complex)
-    for l in range(w.size):
-        # a Python complex w[l]: a numpy complex128 scalar rounds the product differently
-        h += complex(w[l]) * np.outer(rx[:, l], tx[:, l].conj())
-    return h
-
-
 def _draw_path_angles(rng) -> tuple:
     aoa_az = rng.uniform(0.0, 2.0 * math.pi)
     aoa_el = rng.uniform(0.0, math.pi)
@@ -252,22 +229,42 @@ def sample_paths(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
 
 def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
     """Sample one hop matrix; returns (matrix, path list). The paths are
-    sample_paths' draws, and the matrix is `reconstruct_channel` of them."""
+    sample_paths' draws, and the matrix is `hop_matrix` of them."""
     paths = sample_paths(config, hop, rng)
-    return _hop_matrix(config, hop, paths), paths
+    return hop_matrix(config, hop, paths), paths
 
 
 def hop_factors(config: "ExperimentConfig", hop: Hop, paths) -> tuple:
-    """The path list's (R, w, T) under the configured arrays and carrier (see
-    path_factors); the hop matrix is R diag(w) T^H."""
+    """The path list as (R, w, T) with H = R diag(w) T^H under the configured
+    arrays and carrier: column l of R and T is path l's rx and tx steering
+    vector, and w[l] its gain times the model's array scale."""
+    rx_geom, tx_geom = hop_arrays(config, hop)
     lam = SPEED_OF_LIGHT / config.carrier_freq_hz
-    return path_factors(paths, *hop_arrays(config, hop), lam)
+    n_rx, n_tx = rx_geom.size, tx_geom.size
+    n_nlos = sum(1 for p in paths if p.kind is PathKind.NLOS)
+    rx = np.empty((n_rx, len(paths)), dtype=complex)
+    tx = np.empty((n_tx, len(paths)), dtype=complex)
+    w = np.empty(len(paths), dtype=complex)
+    for l, p in enumerate(paths):
+        if p.kind is PathKind.LOS:
+            scale = math.sqrt(n_tx * n_rx)
+        else:
+            scale = math.sqrt(n_tx * n_rx / n_nlos)
+        w[l] = scale * p.complex_gain
+        rx[:, l] = upa_response(rx_geom, p.aoa_azimuth_rad, p.aoa_elevation_rad, lam)
+        tx[:, l] = upa_response(tx_geom, p.aod_azimuth_rad, p.aod_elevation_rad, lam)
+    return rx, w, tx
 
 
-def _hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
-    """The hop matrix of a path list under the configured arrays and carrier."""
-    lam = SPEED_OF_LIGHT / config.carrier_freq_hz
-    return reconstruct_channel(paths, *hop_arrays(config, hop), lam)
+def hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
+    """The hop matrix of a path list under the configured arrays and carrier:
+    the defining model sum of w[l] a_rx,l a_tx,l^H over hop_factors' paths."""
+    rx, w, tx = hop_factors(config, hop, paths)
+    h = np.zeros((rx.shape[0], tx.shape[0]), dtype=complex)
+    for l in range(w.size):
+        # a Python complex w[l]: a numpy complex128 scalar rounds the product differently
+        h += complex(w[l]) * np.outer(rx[:, l], tx[:, l].conj())
+    return h
 
 
 # --- channel dump / replay -------------------------------------------------
@@ -323,12 +320,14 @@ def _path_row(path, n: int, tok: list) -> PathParams:
 
 def load_realization(path) -> ChannelRealization:
     """Parse a v4 channel dump: the config lines give the sweep-point config,
-    whose arrays and carrier rebuild both hop matrices from the path rows.
+    whose arrays and carrier rebuild both hops from the path rows to check them.
 
-    A malformed dump, or a hop that rebuilds to an all-zero or non-finite
-    matrix or whose squared Frobenius norm overflows once divided by its
-    hop_reference, raises DumpError naming the file and line; an invalid config
-    line raises ConfigError naming the file and line."""
+    A malformed dump, a config that sets a sweep (a dump holds one point's
+    config), a hop that rebuilds to an all-zero or non-finite matrix or whose
+    squared Frobenius norm overflows once divided by its hop_reference, or
+    referenced hops whose quadratic form's trace is not positive and finite,
+    raises DumpError naming the file and line; an invalid config line raises
+    ConfigError naming the file and line."""
     from .harness import parse_config   # harness imports this module
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -363,19 +362,28 @@ def load_realization(path) -> ChannelRealization:
     if missing:
         raise DumpError(f"{path}:{len(lines)}: dump ends before '{missing[0]}'")
     cfg = parse_config(config, path)
-    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is reported below
-        h1 = _hop_matrix(cfg, Hop.BS_RIS, paths["paths_h1"])
-        h2 = _hop_matrix(cfg, Hop.RIS_MS, paths["paths_h2"])
-    for key, hop, h in (("paths_h1", Hop.BS_RIS, h1), ("paths_h2", Hop.RIS_MS, h2)):
+    if cfg.sweep != "none":
+        n = next(n for n, text in enumerate(config, start=1)
+                 if text.split("#", 1)[0].split("=", 1)[0].strip() == "sweep")
+        raise DumpError(f"{path}:{n}: a dump holds one sweep point's config, "
+                        f"but it sets sweep = {cfg.sweep}")
+    ris_norms = []   # each referenced hop's squared norms along its RIS side
+    for key, hop, axis in (("paths_h1", Hop.BS_RIS, 1), ("paths_h2", Hop.RIS_MS, 0)):
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is reported below
+            h = hop_matrix(cfg, hop, paths[key])
         if not np.any(h):
             raise DumpError(f"{at[key]}: '{key}' rebuilds an all-zero channel")
         if not np.all(np.isfinite(h)):
             raise DumpError(f"{at[key]}: '{key}' rebuilds a non-finite channel")
         with np.errstate(over="ignore"):
-            referenced = h / hop_reference(cfg, hop)
-        if not np.isfinite(np.vdot(referenced, referenced).real):
+            ris_norms.append(np.sum(np.abs(h / hop_reference(cfg, hop)) ** 2, axis=axis))
+        if not np.isfinite(np.sum(ris_norms[-1])):
             raise DumpError(f"{at[key]}: '{key}' rebuilds a channel whose squared "
                             "Frobenius norm overflows once divided by its LoS reference")
-    return ChannelRealization(h1=h1, h2=h2, paths_h1=paths["paths_h1"],
-                              paths_h2=paths["paths_h2"],
+    with np.errstate(over="ignore"):   # tr(D) = sum_p ||H1r[p, :]||^2 ||H2r[:, p]||^2
+        trace = float(ris_norms[0] @ ris_norms[1])
+    if not 0.0 < trace < math.inf:
+        raise DumpError(f"{at['paths_h1']}: the referenced hops' quadratic form has "
+                        f"trace {trace:g}, not positive and finite")
+    return ChannelRealization(paths_h1=paths["paths_h1"], paths_h2=paths["paths_h2"],
                               realization=header["realization"], config=cfg)

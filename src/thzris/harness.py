@@ -4,7 +4,9 @@ hardware parameters, aggregated into deterministic CSV tables.
 Reproducibility contract: every random draw comes from a generator seeded by
 a 64-bit splittable hash of (master_seed, realization index, stream tag), so
 results are byte-identical for a given config regardless of worker count or
-execution order. Wall-clock columns default to zero for the same reason and
+execution order. A realization is its hops' path lists; a hop matrix is built
+from its paths only where it is used, divided by its reference in the same
+expression. Wall-clock columns default to zero for the same reason and
 are only populated when timing capture is explicitly enabled.
 
 Rate evaluation expresses every channel relative to the configured link
@@ -236,9 +238,15 @@ def _magnitude(fn, *args) -> float:
         return math.inf
 
 
-def _draw_hop(cfg: ExperimentConfig, hop: Hop, r: int) -> tuple:
-    """Realization r's (matrix, paths) of one hop, drawn from stream hop.value."""
-    return channel.sample_channel(cfg, hop, stream_rng(cfg.master_seed, r, hop.value))
+def _draw_paths(cfg: ExperimentConfig, hop: Hop, r: int, tag: str = "") -> tuple:
+    """Realization r's path list of one hop, drawn from stream tag + hop.value."""
+    return channel.sample_paths(cfg, hop, stream_rng(cfg.master_seed, r, tag + hop.value))
+
+
+def _referenced_hop(cfg: ExperimentConfig, hop: Hop, paths) -> np.ndarray:
+    """The hop matrix of a path list divided by the hop's reference; the raw
+    matrix is a temporary of this expression."""
+    return channel.hop_matrix(cfg, hop, paths) / hop_reference(cfg, hop)
 
 
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
@@ -250,13 +258,6 @@ def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     if not np.all(np.isfinite(rates)):
         raise np.linalg.LinAlgError(f"a rate is not finite: {rates}")
     return rates
-
-
-def _referenced_hops(cfg: ExperimentConfig, h1: np.ndarray, h2: np.ndarray) -> tuple:
-    """Raw RIS hops divided by their LoS references. Callers pass fresh draws or
-    rebind their raw hops to the result, so that no raw hop (2 MB at paper
-    scale) is alive when the quadratic form is built."""
-    return h1 / hop_reference(cfg, Hop.BS_RIS), h2 / hop_reference(cfg, Hop.RIS_MS)
 
 
 def _point_groups(config: ExperimentConfig) -> list:
@@ -273,13 +274,15 @@ def _point_groups(config: ExperimentConfig) -> list:
     return [points] if config.sweep in ("phi_max_deg", "bits") else [[p] for p in points]
 
 
-def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> list:
+def _run_point(real: channel.ChannelRealization, cfgs: list, schemes) -> list:
     """One scheme -> (rates, iterations, wall ms) dict per point config of a
-    group, for the RIS schemes on realization r's referenced hops. A-GD and C-GD
-    descend once on their trace-normalized form and each point quantizes their
-    best phases with its own codebook; random and exhaustive run per point. A
-    scheme's wall time spans its optimization through a point's rates. The
-    sweep and replay both run this."""
+    group, for the RIS schemes on the realization's referenced hops. A-GD and
+    C-GD descend once on their trace-normalized form and each point quantizes
+    their best phases with its own codebook; random and exhaustive run per
+    point. A scheme's wall time spans its optimization through a point's rates.
+    The sweep and replay both run this."""
+    h1 = _referenced_hop(real.config, Hop.BS_RIS, real.paths_h1)
+    h2 = _referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
     descents = {}   # scheme -> (best continuous phases, wall ms)
     for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
@@ -297,7 +300,7 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> l
                 phases = optimizer.quantize_phases(best, codebook)
                 n_iters = cfg.optimizer.max_iterations
             elif scheme == "random":
-                rng = stream_rng(cfg.master_seed, r, "random")
+                rng = stream_rng(cfg.master_seed, real.realization, "random")
                 phases = optimizer.run_random_phase(form.n_ris, codebook, rng)
                 n_iters = 1
             else:   # exhaustive, the one other scheme validate() admits
@@ -314,34 +317,28 @@ def _run_point(h1: np.ndarray, h2: np.ndarray, cfgs: list, schemes, r: int) -> l
 def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -> list:
     """One {scheme: (rates, iterations, wall ms)} per sweep point, in point order,
     for channel realization r. The direct hop depends on no swept field, so its
-    no_ris result is drawn once and shared by every point; the RIS hops are
-    drawn once per group, and only for a RIS scheme or a channel dump."""
+    no_ris result is drawn once and shared by every point; the RIS hops' path
+    lists are drawn once per group, and their matrices built only for a RIS scheme."""
     direct = {}
     if "no_ris" in config.schemes:
-        hd, _ = _draw_hop(config, Hop.BS_MS_DIRECT, r)
+        paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
         t0 = time.perf_counter()
-        rates = _rates_for_channel(hd / hop_reference(config, Hop.BS_MS_DIRECT), config)
+        rates = _rates_for_channel(_referenced_hop(config, Hop.BS_MS_DIRECT, paths), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
-        del hd   # no raw hop is alive while a form is built
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     out = []
     for group in groups:
         cfgs = [cfg for _, cfg in group]
-        if not ris_schemes and dump_dir is None:
-            out += [direct] * len(cfgs)
-            continue
-        h1, paths_h1 = _draw_hop(cfgs[0], Hop.BS_RIS, r)
-        h2, paths_h2 = _draw_hop(cfgs[0], Hop.RIS_MS, r)
+        real = channel.ChannelRealization(
+            paths_h1=_draw_paths(cfgs[0], Hop.BS_RIS, r),
+            paths_h2=_draw_paths(cfgs[0], Hop.RIS_MS, r), realization=r, config=cfgs[0])
         if dump_dir is not None:
             for cfg in cfgs:
                 name = config.sweep   # the file name carries the swept field's value
                 suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
-                channel.dump_realization(   # a temporary realization: it holds the raw hops
-                    channel.ChannelRealization(h1=h1, h2=h2, paths_h1=paths_h1,
-                                               paths_h2=paths_h2, realization=r, config=cfg),
-                    cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-        h1, h2 = _referenced_hops(cfgs[0], h1, h2)   # rebinding frees the raw hops
-        results = _run_point(h1, h2, cfgs, ris_schemes, r) if ris_schemes else [{}] * len(cfgs)
+                channel.dump_realization(replace(real, config=cfg), cfg,
+                                         f"{dump_dir}/real{r:05d}{suffix}.txt")
+        results = _run_point(real, cfgs, ris_schemes) if ris_schemes else [{}] * len(cfgs)
         out += [{**direct, **point} for point in results]
     return out
 
@@ -386,18 +383,14 @@ def replay_realization(path, snr_db: float) -> tuple:
     """The agd and random rates at snr_db of one dumped realization, re-derived
     by the sweep's own per-point code under the dumped point config. Returns
     (summary lines: seed, and each hop's shape, Frobenius norm and path count;
-    point config; {scheme: rate}). The summary is taken first, so that no raw
-    hop is alive when the form is built."""
+    point config; {scheme: rate})."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
     summary = [f"seed {real.seed}"] + [
         f"{name} {hop.shape[0]}x{hop.shape[1]}  ||{name}||_F = {np.linalg.norm(hop):.6e}"
         f"  paths = {len(paths)}"
         for name, hop, paths in (("h1", real.h1, real.paths_h1), ("h2", real.h2, real.paths_h2))]
-    h1, h2 = _referenced_hops(cfg, real.h1, real.h2)
-    r = real.realization
-    del real   # the raw hops go with it, before the form is built
-    point, = _run_point(h1, h2, [cfg], ("agd", "random"), r)
+    point, = _run_point(real, [cfg], ("agd", "random"))
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
@@ -408,9 +401,7 @@ def _calibration_factor(config: ExperimentConfig, c: int) -> np.ndarray:
     reference, as the sweep's hops are."""
     hops = []
     for hop in (Hop.BS_RIS, Hop.RIS_MS):
-        paths = channel.sample_paths(config, hop,
-                                     stream_rng(config.master_seed, c, "calib-" + hop.value))
-        rx, w, tx = channel.hop_factors(config, hop, paths)
+        rx, w, tx = channel.hop_factors(config, hop, _draw_paths(config, hop, c, "calib-"))
         hops.append((rx, w / hop_reference(config, hop), tx))
     return optimizer.trace_normalized_factor(*hops)
 

@@ -239,7 +239,7 @@ def trace_normalized_factor(h1_factors: tuple, h2_factors: tuple) -> np.ndarray:
     """Thin factor G (N x min(n_bs, L1) min(n_ms, L2)) of the trace-normalized
     form: G G^H = D with tr(D) = N, for the hops H1 = R1 diag(w1) T1^H and
     H2 = R2 diag(w2) T2^H given as their (R, w, T) path factors
-    (channel.path_factors).
+    (channel.hop_factors).
 
     T^H T = Q^H Q for the triangular factor Q of a thin QR of T, so
     H1 H1^H = P1 P1^H with P1 = R1 diag(w1) Q1^H (Q1 from T1) and

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind,
-                            hop_arrays, hop_factors, hop_reference, los_gain, nlos_gain,
-                            reconstruct_channel, sample_channel, sample_paths,
-                            upa_dims, upa_response)
+                            hop_arrays, hop_factors, hop_matrix, hop_reference, los_gain,
+                            nlos_gain, sample_channel, sample_paths, upa_dims, upa_response)
 from thzris.harness import ExperimentConfig, preset, stream_rng
 from thzris.optimizer import build_quadratic_form
 
@@ -224,12 +223,13 @@ class TestSampleChannel:
 class TestReconstructHelper:
     @pytest.mark.parametrize("preset_name", ["fig7-desk", "fig7-paper"])
     def test_bit_equal_to_model_sum(self, preset_name):
-        """reconstruct_channel reads its vectors and weights from path_factors and
-        still adds weight * gain * a_rx a_tx^H path by path, bit for bit: dumps
-        and sweep rows depend on every bit of the hops."""
+        """hop_matrix reads its vectors and weights from hop_factors and still
+        adds weight * gain * a_rx a_tx^H path by path, bit for bit: dumps and
+        sweep rows depend on every bit of the hops."""
         config = preset(preset_name)
         for hop in Hop:
-            h, paths = sample_channel(config, hop, stream_rng(1, 0, hop.value))
+            paths = sample_paths(config, hop, stream_rng(1, 0, hop.value))
+            h = hop_matrix(config, hop, paths)
             rx, tx = hop_arrays(config, hop)
             lam = SPEED_OF_LIGHT / config.carrier_freq_hz
             n_nlos = sum(1 for p in paths if p.kind is PathKind.NLOS)
@@ -243,9 +243,9 @@ class TestReconstructHelper:
             assert np.array_equal(h, oracle)
 
     def test_empty_path_list_is_zero(self):
-        geom = ArrayGeometry(2, 2, 70e-6)
-        h = reconstruct_channel((), geom, geom, WAVELENGTH)
-        assert not h.any()
+        config = tiny_config()
+        h = hop_matrix(config, Hop.RIS_MS, ())
+        assert h.shape == (config.n_ms, config.n_ris) and not h.any()
 
 
 class TestPresetRegime:

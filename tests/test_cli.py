@@ -246,7 +246,8 @@ class TestReplay:
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
                                       "inf_path", "token_count", "invalid_config", "config_value",
                                       "v1", "v2", "v3", "v3_path_row", "zero_hop",
-                                      "overflow_hop", "overflow_referenced", "removed_key",
+                                      "overflow_hop", "overflow_referenced",
+                                      "overflow_form_trace", "sweep_config", "removed_key",
                                       "empty_item", "not_utf8"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
@@ -294,6 +295,15 @@ class TestReplay:
             row, tok = at["paths_h1"] + 1, lines[at["paths_h1"] + 1].split()
             bad[row] = " ".join(tok[:5] + ["1e150", "1e150"])
             line = at["paths_h1"] + 1
+        elif case == "overflow_form_trace":   # finite referenced hops whose form's trace overflows
+            for key in ("paths_h1", "paths_h2"):   # each hop's LoS row comes first
+                row, tok = at[key] + 1, lines[at[key] + 1].split()
+                bad[row] = " ".join(tok[:5] + ["1e145", "1e145"])
+            line = at["paths_h1"] + 1
+        elif case == "sweep_config":  # a dump holds one point's config, not a sweep
+            line = bad.index("config sweep = none") + 1
+            bad[line - 1] = "config sweep = phi_max_deg"
+            bad[bad.index("config sweep_grid = ")] = "config sweep_grid = 60, 120"
         elif case == "empty_item":
             line = bad.index("config schemes = agd,random") + 1
             bad[line - 1] = "config schemes = agd,,random,"

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thzris import beamforming, channel, harness, optimizer
-from thzris.channel import SPEED_OF_LIGHT, Hop
+from thzris.channel import Hop
 from thzris.harness import (CONFIG_SCHEMA, SCHEMES, SWEEPS, ConfigError, ExperimentConfig,
                             calibrate_fixed_step,
                             config_reference, config_to_text, emit_csv, load_config,
@@ -494,45 +494,54 @@ class TestRunExperiment:
                         reason="older CPython keeps call arguments alive in the caller")
     @pytest.mark.parametrize("dump", [False, True])
     def test_raw_hops_freed_before_each_form(self, monkeypatch, tmp_path, dump):
-        """No raw hop, and with dumps no dumped realization, is alive when a
-        sweep form is built: at paper scale a raw 256x512 hop is 2 MB of peak
-        memory. Calibration builds no form (TestCalibration)."""
+        """No raw hop is alive when a sweep form is built, with or without
+        dumps: at paper scale a raw 256x512 hop is 2 MB of peak memory. Each
+        is a temporary of its referencing. Calibration builds no form
+        (TestCalibration)."""
         raw, alive = [], []
-        sample, build = channel.sample_channel, optimizer.build_quadratic_form
+        hop_matrix, build = channel.hop_matrix, optimizer.build_quadratic_form
 
-        def sampled(*args):
-            matrix, paths = sample(*args)
+        def rebuilt(*args):
+            matrix = hop_matrix(*args)
             raw.append(weakref.ref(matrix))
-            return matrix, paths
+            return matrix
 
         def built(*args):
             alive.append(sum(ref() is not None for ref in raw))
             return build(*args)
 
-        monkeypatch.setattr(channel, "sample_channel", sampled)
+        monkeypatch.setattr(channel, "hop_matrix", rebuilt)
         monkeypatch.setattr(optimizer, "build_quadratic_form", built)
         cfg = tiny_config(schemes=("agd", "cgd", "no_ris"), sweep="phi_max_deg",
                           sweep_grid=(180.0, 360.0),
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         run_experiment(cfg, dump_dir=str(tmp_path) if dump else None)
         assert len(os.listdir(tmp_path)) == (2 * cfg.n_realizations if dump else 0)
+        assert len(raw) == 3 * cfg.n_realizations   # the direct and both RIS hops
         assert alive == [0] * cfg.n_realizations
 
-    def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch):
-        """no_ris needs neither RIS hop nor their quadratic form."""
-        calls = {"sample": 0, "form": 0}
+    def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch, tmp_path):
+        """no_ris needs neither RIS hop nor their quadratic form: only the
+        direct hop's matrix is built, also when the RIS hops' path lists are
+        dumped, since a dump holds no matrix."""
+        built, forms = [], []
+        hop_matrix, build = channel.hop_matrix, optimizer.build_quadratic_form
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def rebuilt(config, hop, paths):
+            built.append(hop)
+            return hop_matrix(config, hop, paths)
 
-        monkeypatch.setattr(channel, "sample_channel", counted("sample", channel.sample_channel))
-        monkeypatch.setattr(optimizer, "build_quadratic_form",
-                            counted("form", optimizer.build_quadratic_form))
-        run_experiment(replace(preset("fig7-desk"), n_realizations=5, schemes=("no_ris",)))
-        assert calls == {"sample": 5, "form": 0}
+        def formed(*args):
+            forms.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(channel, "hop_matrix", rebuilt)
+        monkeypatch.setattr(optimizer, "build_quadratic_form", formed)
+        cfg = replace(preset("fig7-desk"), n_realizations=5, schemes=("no_ris",))
+        run_experiment(cfg)
+        run_experiment(cfg, dump_dir=str(tmp_path))
+        assert len(os.listdir(tmp_path)) == 5
+        assert built == [Hop.BS_MS_DIRECT] * 10 and forms == []
 
     def test_detour_without_excess_runs(self):
         """A zero detour excess must not round a reflected path below the direct
@@ -556,24 +565,26 @@ class TestReplay:
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps call arguments alive in the caller")
     def test_raw_hops_freed_before_the_form(self, monkeypatch, tmp_path):
-        """Replay keeps neither loaded raw hop alive while it builds the
-        quadratic form: at paper scale a raw 256x512 hop is 2 MB of peak memory."""
+        """Replay keeps no raw hop alive while it builds the quadratic form:
+        at paper scale a raw 256x512 hop is 2 MB of peak memory. The loader's
+        checks, the summary and the form each rebuild both hops from the paths."""
         run_experiment(tiny_config(n_realizations=1), dump_dir=str(tmp_path))
         raw, alive = [], []
-        load, build = channel.load_realization, optimizer.build_quadratic_form
+        hop_matrix, build = channel.hop_matrix, optimizer.build_quadratic_form
 
-        def loaded(path):
-            real = load(path)
-            raw.extend([weakref.ref(real.h1), weakref.ref(real.h2)])
-            return real
+        def rebuilt(*args):
+            matrix = hop_matrix(*args)
+            raw.append(weakref.ref(matrix))
+            return matrix
 
         def built(*args):
             alive.append(sum(ref() is not None for ref in raw))
             return build(*args)
 
-        monkeypatch.setattr(channel, "load_realization", loaded)
+        monkeypatch.setattr(channel, "hop_matrix", rebuilt)
         monkeypatch.setattr(optimizer, "build_quadratic_form", built)
         summary, _, rates = harness.replay_realization(tmp_path / "real00000.txt", 10.0)
+        assert len(raw) == 6
         assert alive == [0]
         assert summary[0].startswith("seed ") and len(summary) == 3
         assert set(rates) == {"agd", "random"}
@@ -608,8 +619,8 @@ class TestCalibration:
             factors.extend(weakref.ref(a) for a in (rx, w, tx))
             return rx, w, tx
 
-        for module, name in ((channel, "sample_channel"), (channel, "reconstruct_channel")):
-            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        for name in ("sample_channel", "hop_matrix"):
+            monkeypatch.setattr(channel, name, lambda *args, name=name: calls.append(name))
         monkeypatch.setattr(channel, "sample_paths", sampled)
         monkeypatch.setattr(channel, "hop_factors", factored)
         calibrate_fixed_step(tiny_config())
@@ -843,7 +854,7 @@ class TestChannelDumps:
         from thzris.harness import stream_rng
         h1, _ = channel.sample_channel(cfg, channel.Hop.BS_RIS,
                                        stream_rng(cfg.master_seed, 0, "h1"))
-        np.testing.assert_allclose(real.h1, h1, rtol=1e-12)
+        np.testing.assert_array_equal(real.h1, h1)
         assert real.realization == 0
         assert real.config == cfg
         assert real.seed == stream_seed(cfg.master_seed, 0, "h1")
@@ -897,11 +908,10 @@ class TestChannelDumps:
         (tmp_path / "edited.txt").write_text(text)
         real = channel.load_realization(tmp_path / "edited.txt")
         assert real.config == edited
-        lam = SPEED_OF_LIGHT / edited.carrier_freq_hz
         for matrix, paths, hop in ((real.h1, real.paths_h1, channel.Hop.BS_RIS),
                                    (real.h2, real.paths_h2, channel.Hop.RIS_MS)):
-            np.testing.assert_array_equal(matrix, channel.reconstruct_channel(
-                paths, *channel.hop_arrays(edited, hop), lam))
+            np.testing.assert_array_equal(matrix, channel.hop_matrix(edited, hop, paths))
+            assert not np.array_equal(matrix, channel.hop_matrix(cfg, hop, paths))
 
 
 class TestPresets:
