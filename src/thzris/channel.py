@@ -13,7 +13,8 @@ package-wide e^{+j omega t} convention.
 A realization is its path lists: `hop_matrix` builds a hop's matrix from its
 `PathParams`, bit for bit as `sample_channel` draws it, so a realization, its
 channel dump and its replay hold no matrix (that is also the channel-dump
-replay contract).
+replay contract). A hop is referenced here only: `referenced_hop` for the
+sweep's matrices and `ris_root`, a thin root that stands in for the matrix.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ class PathParams:
 class ChannelRealization:
     """One Monte-Carlo draw of both RIS hops: their path lists, the realization
     index and the sweep-point config that drew them. The path lists determine
-    the hops, and h1 (N_RIS x N_BS) and h2 (N_MS x N_RIS) rebuild them."""
+    the hops, and h1 (N_RIS x N_BS) and h2 (N_MS x N_RIS), which remain only
+    for the benchmark's dump check (perfbench) and the tests, rebuild them."""
 
     paths_h1: tuple
     paths_h2: tuple
@@ -229,7 +231,8 @@ def sample_paths(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
 
 def sample_channel(config: "ExperimentConfig", hop: Hop, rng) -> tuple:
     """Sample one hop matrix; returns (matrix, path list). The paths are
-    sample_paths' draws, and the matrix is `hop_matrix` of them."""
+    sample_paths' draws, and the matrix is `hop_matrix` of them; only the
+    benchmark's dump check (perfbench) and the tests call this."""
     paths = sample_paths(config, hop, rng)
     return hop_matrix(config, hop, paths), paths
 
@@ -265,6 +268,28 @@ def hop_matrix(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
         # a Python complex w[l]: a numpy complex128 scalar rounds the product differently
         h += complex(w[l]) * np.outer(rx[:, l], tx[:, l].conj())
     return h
+
+
+def referenced_hop(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
+    """The hop matrix of a path list divided by its reference; the raw matrix is a temporary."""
+    return hop_matrix(config, hop, paths) / hop_reference(config, hop)
+
+
+def ris_root(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
+    """Thin root P (N_ris x min(n_other, L)) of a RIS hop's referenced Gram on its
+    RIS side, built without the matrix Hr = R diag(w) T^H: with Q_X the triangular
+    factor of a thin QR of X, P P^H = Hr Hr^H for h1's P = R diag(w) Q_T^H, and
+    P P^H = Hr^H Hr for h2's P = T diag(conj w) Q_R^H."""
+    rx, w, tx = hop_factors(config, hop, paths)
+    w = w / hop_reference(config, hop)
+    if hop is Hop.BS_RIS:
+        return (rx * w) @ np.linalg.qr(tx, mode="r").conj().T
+    return (tx * w.conj()) @ np.linalg.qr(rx, mode="r").conj().T
+
+
+def hop_norm(config: "ExperimentConfig", hop: Hop, paths) -> float:
+    """Frobenius norm of a RIS hop's matrix, its reference times ||ris_root||_F."""
+    return hop_reference(config, hop) * float(np.linalg.norm(ris_root(config, hop, paths)))
 
 
 # --- channel dump / replay -------------------------------------------------
@@ -320,14 +345,12 @@ def _path_row(path, n: int, tok: list) -> PathParams:
 
 def load_realization(path) -> ChannelRealization:
     """Parse a v4 channel dump: the config lines give the sweep-point config,
-    whose arrays and carrier rebuild both hops from the path rows to check them.
+    under which both hops' path rows are checked through their roots (ris_root).
 
     A malformed dump, a config that sets a sweep (a dump holds one point's
-    config), a hop that rebuilds to an all-zero or non-finite matrix or whose
-    squared Frobenius norm overflows once divided by its hop_reference, or
-    referenced hops whose quadratic form's trace is not positive and finite,
-    raises DumpError naming the file and line; an invalid config line raises
-    ConfigError naming the file and line."""
+    config), a referenced hop whose squared norm is not positive and finite, or
+    a quadratic form whose trace is not, raises DumpError naming the file and
+    line; an invalid config line raises ConfigError naming the file and line."""
     from .harness import parse_config   # harness imports this module
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -367,20 +390,15 @@ def load_realization(path) -> ChannelRealization:
                  if text.split("#", 1)[0].split("=", 1)[0].strip() == "sweep")
         raise DumpError(f"{path}:{n}: a dump holds one sweep point's config, "
                         f"but it sets sweep = {cfg.sweep}")
-    ris_norms = []   # each referenced hop's squared norms along its RIS side
-    for key, hop, axis in (("paths_h1", Hop.BS_RIS, 1), ("paths_h2", Hop.RIS_MS, 0)):
-        with np.errstate(over="ignore", invalid="ignore"):   # an overflow is reported below
-            h = hop_matrix(cfg, hop, paths[key])
-        if not np.any(h):
-            raise DumpError(f"{at[key]}: '{key}' rebuilds an all-zero channel")
-        if not np.all(np.isfinite(h)):
-            raise DumpError(f"{at[key]}: '{key}' rebuilds a non-finite channel")
-        with np.errstate(over="ignore"):
-            ris_norms.append(np.sum(np.abs(h / hop_reference(cfg, hop)) ** 2, axis=axis))
-        if not np.isfinite(np.sum(ris_norms[-1])):
-            raise DumpError(f"{at[key]}: '{key}' rebuilds a channel whose squared "
-                            "Frobenius norm overflows once divided by its LoS reference")
-    with np.errstate(over="ignore"):   # tr(D) = sum_p ||H1r[p, :]||^2 ||H2r[:, p]||^2
+    ris_norms = []   # each referenced hop's squared norms along its RIS elements
+    for key, hop in (("paths_h1", Hop.BS_RIS), ("paths_h2", Hop.RIS_MS)):
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+            ris_norms.append(np.sum(np.abs(ris_root(cfg, hop, paths[key])) ** 2, axis=1))
+            norm = float(np.sum(ris_norms[-1]))
+        if not 0.0 < norm < math.inf:
+            raise DumpError(f"{at[key]}: the referenced {hop.value} hop has squared "
+                            f"Frobenius norm {norm:g}, not positive and finite")
+    with np.errstate(over="ignore"):   # tr(D) = sum_p ||P1[p]||^2 ||P2[p]||^2
         trace = float(ris_norms[0] @ ris_norms[1])
     if not 0.0 < trace < math.inf:
         raise DumpError(f"{at['paths_h1']}: the referenced hops' quadratic form has "

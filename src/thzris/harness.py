@@ -4,10 +4,10 @@ hardware parameters, aggregated into deterministic CSV tables.
 Reproducibility contract: every random draw comes from a generator seeded by
 a 64-bit splittable hash of (master_seed, realization index, stream tag), so
 results are byte-identical for a given config regardless of worker count or
-execution order. A realization is its hops' path lists; a hop matrix is built
-from its paths only where it is used, divided by its reference in the same
-expression. Wall-clock columns default to zero for the same reason and
-are only populated when timing capture is explicitly enabled.
+execution order. A realization is its hops' path lists; only rates build hop
+matrices (channel.referenced_hop), while calibration and replay's summary read
+thin roots (channel.ris_root). Wall-clock columns default to zero for the same
+reason and are only populated when timing capture is enabled.
 
 Rate evaluation expresses every channel relative to the configured link
 geometry: each RIS hop is divided by its deterministic LoS reference
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from . import beamforming, channel, optimizer
-from .channel import Hop, hop_reference
+from .channel import Hop
 from .graphene import PhaseCodebook, build_codebook
 from .optimizer import OptimizerSettings
 
@@ -161,7 +161,7 @@ class ExperimentConfig:
             raise ConfigError(f"snr_grid_db values must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}] dB, "
                               f"got {_format_value(self.snr_grid_db)}", "snr_grid_db")
         for hop in Hop:
-            ref = _magnitude(hop_reference, self, hop)
+            ref = _magnitude(channel.hop_reference, self, hop)
             if not 0.0 < ref < math.inf:
                 keys = (("bs_ris_m", "ris_ms_m", "direct_blockage_db") if hop is Hop.BS_MS_DIRECT
                         else (channel.HOP_DISTANCE[hop],))
@@ -178,7 +178,8 @@ class ExperimentConfig:
         # forms s_i^2 and snr/Ns s_i^2 <= max(1, snr) ||H||_F^2 <= bound, as gain is the largest
         bound = _magnitude(lambda: max(1.0, 10.0 ** (max(self.snr_grid_db) / 10.0))
                            * self.n_nlos_direct * self.n_bs * self.n_ms
-                           * (gain / _magnitude(hop_reference, self, Hop.BS_MS_DIRECT)) ** 2)
+                           * (gain / _magnitude(channel.hop_reference, self,
+                                                Hop.BS_MS_DIRECT)) ** 2)
         if not math.isfinite(bound):
             raise ConfigError(f"the direct hop's rate terms are bounded by {bound:g}, not "
                               "finite; the bound is computed from snr_grid_db, n_nlos_direct, "
@@ -199,6 +200,8 @@ class ExperimentConfig:
                 self.bits * self.n_ris >= optimizer.EXHAUSTIVE_LIMIT.bit_length():
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
                               f"exceeds {optimizer.EXHAUSTIVE_LIMIT}")
+        if self.sweep == "none" and self.sweep_grid:
+            raise ConfigError("sweep 'none' takes an empty sweep_grid", "sweep_grid")
         if self.sweep != "none":
             kind = type(getattr(ExperimentConfig, self.sweep))   # the type of its default
             if not self.sweep_grid:
@@ -243,12 +246,6 @@ def _draw_paths(cfg: ExperimentConfig, hop: Hop, r: int, tag: str = "") -> tuple
     return channel.sample_paths(cfg, hop, stream_rng(cfg.master_seed, r, tag + hop.value))
 
 
-def _referenced_hop(cfg: ExperimentConfig, hop: Hop, paths) -> np.ndarray:
-    """The hop matrix of a path list divided by the hop's reference; the raw
-    matrix is a temporary of this expression."""
-    return channel.hop_matrix(cfg, hop, paths) / hop_reference(cfg, hop)
-
-
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
     """Rates over snr_grid_db: sum log2(1 + snr/Ns s_i^2) over he's Ns leading singular
     values, achievable_rate's log-det under SVD beamforming; LinAlgError if not finite."""
@@ -281,8 +278,8 @@ def _run_point(real: channel.ChannelRealization, cfgs: list, schemes) -> list:
     their best phases with its own codebook; random and exhaustive run per
     point. A scheme's wall time spans its optimization through a point's rates.
     The sweep and replay both run this."""
-    h1 = _referenced_hop(real.config, Hop.BS_RIS, real.paths_h1)
-    h2 = _referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)
+    h1 = channel.referenced_hop(real.config, Hop.BS_RIS, real.paths_h1)
+    h2 = channel.referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
     descents = {}   # scheme -> (best continuous phases, wall ms)
     for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
@@ -323,7 +320,7 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
     if "no_ris" in config.schemes:
         paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
         t0 = time.perf_counter()
-        rates = _rates_for_channel(_referenced_hop(config, Hop.BS_MS_DIRECT, paths), config)
+        rates = _rates_for_channel(channel.referenced_hop(config, Hop.BS_MS_DIRECT, paths), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     out = []
@@ -383,27 +380,23 @@ def replay_realization(path, snr_db: float) -> tuple:
     """The agd and random rates at snr_db of one dumped realization, re-derived
     by the sweep's own per-point code under the dumped point config. Returns
     (summary lines: seed, and each hop's shape, Frobenius norm and path count;
-    point config; {scheme: rate})."""
+    point config; {scheme: rate}); only the per-point code builds hop matrices."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
-    summary = [f"seed {real.seed}"] + [
-        f"{name} {hop.shape[0]}x{hop.shape[1]}  ||{name}||_F = {np.linalg.norm(hop):.6e}"
-        f"  paths = {len(paths)}"
-        for name, hop, paths in (("h1", real.h1, real.paths_h1), ("h2", real.h2, real.paths_h2))]
+    summary = [f"seed {real.seed}"]
+    for hop, paths in ((Hop.BS_RIS, real.paths_h1), (Hop.RIS_MS, real.paths_h2)):
+        rx, tx = channel.hop_arrays(cfg, hop)
+        summary.append(f"{hop.value} {rx.size}x{tx.size}  ||{hop.value}||_F = "
+                       f"{channel.hop_norm(cfg, hop, paths):.6e}  paths = {len(paths)}")
     point, = _run_point(real, [cfg], ("agd", "random"))
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
 def _calibration_factor(config: ExperimentConfig, c: int) -> np.ndarray:
-    """Calibration realization c's trace-normalized form as its thin path factor
-    G (G G^H = D), built from the path lists drawn from the calib- streams; no
-    hop matrix or dense form is built. Each w is divided by its hop's
-    reference, as the sweep's hops are."""
-    hops = []
-    for hop in (Hop.BS_RIS, Hop.RIS_MS):
-        rx, w, tx = channel.hop_factors(config, hop, _draw_paths(config, hop, c, "calib-"))
-        hops.append((rx, w / hop_reference(config, hop), tx))
-    return optimizer.trace_normalized_factor(*hops)
+    """Calibration realization c's trace-normalized thin factor G (G G^H = D)."""
+    return optimizer.trace_normalized_factor(*(
+        channel.ris_root(config, hop, _draw_paths(config, hop, c, "calib-"))
+        for hop in (Hop.BS_RIS, Hop.RIS_MS)))
 
 
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
@@ -516,7 +509,7 @@ CONFIG_SCHEMA = {
     "master_seed": ("int", "64-bit master seed"),
     "schemes": ("str_list", f"subset of {'/'.join(SCHEMES)}"),
     "sweep": ("str", f"swept field, one of {'/'.join(SWEEPS)}"),
-    "sweep_grid": ("float_list", "values of the swept field (unused for none)"),
+    "sweep_grid": ("float_list", "values of the swept field (empty for none)"),
     "direct_blockage_db": ("float", "excess obstruction loss of the blocked direct link (dB)"),
     "max_iterations": ("int", "gradient-descent iteration budget"),
     "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates once per n_ris value"),

@@ -8,12 +8,11 @@ the exact second-order expansion of f along the gradient direction. A-GD and
 C-GD return continuous phases; the harness quantizes them onto each sweep
 point's discrete hardware codebook (quantize_phases).
 
-C-GD's step calibration never builds D. A sparse channel hop is
-H = R diag(w) T^H over its few paths, so D = G G^H for a thin factor G with at
-most one column per pair of paths, built from thin QRs of the steering
-matrices (trace_normalized_factor), and fixed_step_best_objectives descends a
-stack of such factors at several constant steps at once, returning only each
-run's best trace objective.
+C-GD's step calibration never builds D: D = G G^H for a thin factor G, with
+at most one column per pair of paths, that trace_normalized_factor combines
+from the hops' thin roots (channel.ris_root), and fixed_step_best_objectives
+descends a stack of such factors at several constant steps at once, returning
+only each run's best trace objective.
 """
 
 from __future__ import annotations
@@ -235,23 +234,12 @@ def run_cgd(form: QuadraticForm, mean_amplitude: float,
     return _descend(form, mean_amplitude, settings, settings.fixed_step)
 
 
-def trace_normalized_factor(h1_factors: tuple, h2_factors: tuple) -> np.ndarray:
-    """Thin factor G (N x min(n_bs, L1) min(n_ms, L2)) of the trace-normalized
-    form: G G^H = D with tr(D) = N, for the hops H1 = R1 diag(w1) T1^H and
-    H2 = R2 diag(w2) T2^H given as their (R, w, T) path factors
-    (channel.hop_factors).
-
-    T^H T = Q^H Q for the triangular factor Q of a thin QR of T, so
-    H1 H1^H = P1 P1^H with P1 = R1 diag(w1) Q1^H (Q1 from T1) and
-    H2^H H2 = P2 P2^H with P2 = T2 diag(conj(w2)) Q2^H (Q2 from R2), and column
-    (i, k) of G is conj(P1[:, i]) * P2[:, k]. Then ||G||_F^2 =
-    sum_p ||P1[p]||^2 ||P2[p]||^2 = tr(D), so a zero or non-finite trace raises
-    ValueError, as in QuadraticForm.trace_normalized.
-    """
-    r1, w1, t1 = h1_factors
-    r2, w2, t2 = h2_factors
-    p1 = (r1 * w1) @ np.linalg.qr(t1, mode="r").conj().T
-    p2 = (t2 * w2.conj()) @ np.linalg.qr(r2, mode="r").conj().T
+def trace_normalized_factor(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Thin factor G (N x k1 k2) of the trace-normalized form, G G^H = D with
+    tr(D) = N, from roots P1 (N x k1, P1 P1^H = H1 H1^H) and P2 (N x k2,
+    P2 P2^H = H2^H H2) as channel.ris_root builds them: column (i, k) of G is
+    conj(P1[:, i]) * P2[:, k], so ||G||_F^2 = sum_p ||P1[p]||^2 ||P2[p]||^2 =
+    tr(D), and a zero or non-finite trace raises ValueError."""
     g = (p1.conj()[:, :, None] * p2[:, None, :]).reshape(p1.shape[0], -1)
     return g * math.sqrt(_trace_scale(float(np.vdot(g, g).real), g.shape[0]))
 

@@ -7,13 +7,15 @@ Frozen gain values come from a standalone 50-digit evaluation.
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind,
-                            hop_arrays, hop_factors, hop_matrix, hop_reference, los_gain,
-                            nlos_gain, sample_channel, sample_paths, upa_dims, upa_response)
+from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind, hop_arrays,
+                            hop_factors, hop_matrix, hop_norm, hop_reference, los_gain,
+                            nlos_gain, referenced_hop, ris_root, sample_channel, sample_paths,
+                            upa_dims, upa_response)
 from thzris.harness import ExperimentConfig, preset, stream_rng
 from thzris.optimizer import build_quadratic_form
 
@@ -246,6 +248,27 @@ class TestReconstructHelper:
         config = tiny_config()
         h = hop_matrix(config, Hop.RIS_MS, ())
         assert h.shape == (config.n_ms, config.n_ris) and not h.any()
+
+
+class TestRisRoot:
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig7-desk", {}), ("fig7-paper", {}), ("fig8-desk", dict(n_ris=16, n_nlos=4)),
+        ("fig7-desk", dict(n_nlos=0)), ("fig7-desk", dict(xi=0.0))])
+    def test_gram_equals_referenced_hop(self, name, overrides):
+        """P P^H is the referenced hop's Gram on its RIS side, Hr Hr^H for h1 and
+        Hr^H Hr for h2, with min(n_other, L) columns; xi = 0 zeroes the reflected
+        paths' gains, and n_nlos = 0 leaves the LoS path alone. The norm the
+        replay summary prints is the raw hop's."""
+        cfg = replace(preset(name), sweep="none", sweep_grid=(), **overrides)
+        for hop, n_other in ((Hop.BS_RIS, cfg.n_bs), (Hop.RIS_MS, cfg.n_ms)):
+            paths = sample_paths(cfg, hop, stream_rng(cfg.master_seed, 3, hop.value))
+            hr = referenced_hop(cfg, hop, paths)
+            gram = hr @ hr.conj().T if hop is Hop.BS_RIS else hr.conj().T @ hr
+            p = ris_root(cfg, hop, paths)
+            assert p.shape == (cfg.n_ris, min(n_other, len(paths)))
+            assert np.linalg.norm(p @ p.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
+            raw = np.linalg.norm(hop_matrix(cfg, hop, paths))
+            assert hop_norm(cfg, hop, paths) == pytest.approx(raw, rel=1e-12)
 
 
 class TestPresetRegime:

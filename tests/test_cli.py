@@ -14,7 +14,8 @@ from thzris.harness import (ExperimentConfig, config_to_text, load_config, prese
                             preset_names, replay_realization, run_experiment)
 from thzris.optimizer import OptimizerSettings
 
-GOLDEN_PRESETS = os.path.join(os.path.dirname(__file__), "golden", "presets")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_PRESETS = os.path.join(GOLDEN_DIR, "presets")
 
 TINY_CFG = """
 n_bs = 8
@@ -69,6 +70,7 @@ class TestRun:
                  ("sweep = bits\nsweep_grid = 2.5", 2, "sweep_grid"),
                  ("sweep = phi_max_deg\nsweep_grid = 120, 120", 2, "sweep_grid"),
                  ("sweep = vs_phimax", 1, "sweep"),
+                 ("sweep_grid = 60, 120", 1, "sweep_grid"),
                  ("n_bs = 8\nrecord_wall_time = false", 2, "record_wall_time"),
                  ("kappa_per_m = 100", None, "kappa_per_m"),
                  ("direct_blockage_db = 1e4", None, "direct_blockage_db"),
@@ -197,6 +199,15 @@ class TestConfigReference:
 
 
 class TestReplay:
+    def test_golden_dump_replays_to_golden_stdout(self, capsys):
+        """The committed fig7-desk dump's replay, byte for byte: the summary's
+        seed, shapes, hop norms and path counts, and both rates."""
+        code = cli_main(["replay", "--channel-dump",
+                         os.path.join(GOLDEN_DIR, "dump_fig7_desk_r0.txt")])
+        assert code == 0
+        with open(os.path.join(GOLDEN_DIR, "replay_fig7_desk_r0.txt"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_replay_dumped_channel(self, tiny_cfg_path, tmp_path, capsys):
         out = str(tmp_path / "out")
         dumps = str(tmp_path / "dumps")
@@ -246,9 +257,10 @@ class TestReplay:
     @pytest.mark.parametrize("case", ["truncated", "path_count", "version", "nan_header",
                                       "inf_path", "token_count", "invalid_config", "config_value",
                                       "v1", "v2", "v3", "v3_path_row", "zero_hop",
-                                      "overflow_hop", "overflow_referenced",
-                                      "overflow_form_trace", "sweep_config", "removed_key",
-                                      "empty_item", "not_utf8"])
+                                      "zero_hop_h2", "overflow_hop", "overflow_referenced",
+                                      "overflow_form_trace", "sweep_config",
+                                      "grid_without_sweep", "removed_key", "empty_item",
+                                      "not_utf8"])
     def test_malformed_dump_exits_2(self, case, tiny_cfg_path, tmp_path, capsys):
         dumps = tmp_path / "dumps"
         assert cli_main(["run", "--config", tiny_cfg_path, "--out", str(tmp_path),
@@ -284,14 +296,17 @@ class TestReplay:
             row = at["paths_h1"] + 1
             bad[row] += " 8.339102379953801e-11"
             line = row + 1
-        elif case == "zero_hop":      # h1 without its path rows rebuilds to zero
+        elif case == "zero_hop":      # h1 without its path rows has a zero norm
             bad = lines[:at["paths_h1"]] + ["paths_h1 0"] + lines[at["paths_h2"]:]
             line = at["paths_h1"] + 1
-        elif case == "overflow_hop":  # finite gains whose rebuilt h1 overflows
+        elif case == "zero_hop_h2":   # so has h2, the dump's last hop, without its rows
+            bad = lines[:at["paths_h2"]] + ["paths_h2 0"]
+            line = at["paths_h2"] + 1
+        elif case == "overflow_hop":  # finite gains whose h1 weight overflows
             row, tok = at["paths_h1"] + 1, lines[at["paths_h1"] + 1].split()
             bad[row] = " ".join(tok[:5] + ["1e308", "1e308"])
             line = at["paths_h1"] + 1
-        elif case == "overflow_referenced":   # a finite h1 that overflows once referenced
+        elif case == "overflow_referenced":   # an h1 whose squared norm overflows once referenced
             row, tok = at["paths_h1"] + 1, lines[at["paths_h1"] + 1].split()
             bad[row] = " ".join(tok[:5] + ["1e150", "1e150"])
             line = at["paths_h1"] + 1
@@ -304,6 +319,9 @@ class TestReplay:
             line = bad.index("config sweep = none") + 1
             bad[line - 1] = "config sweep = phi_max_deg"
             bad[bad.index("config sweep_grid = ")] = "config sweep_grid = 60, 120"
+        elif case == "grid_without_sweep":   # a grid that sweep = none would ignore
+            line = bad.index("config sweep_grid = ") + 1
+            bad[line - 1] = "config sweep_grid = 60, 120"
         elif case == "empty_item":
             line = bad.index("config schemes = agd,random") + 1
             bad[line - 1] = "config schemes = agd,,random,"

@@ -66,8 +66,8 @@ def valid_configs(draw) -> ExperimentConfig:
     sweep = draw(st.sampled_from(SWEEPS))
     grids = {"n_ris": st.integers(1, 300).map(float), "bits": st.integers(1, 6).map(float),
              "phi_max_deg": st.floats(0.5, 360.0)}
-    grid = tuple(draw(st.lists(grids.get(sweep, st.floats(-1e3, 1e3)),
-                               min_size=sweep in grids, max_size=4, unique=True)))
+    grid = () if sweep == "none" else tuple(draw(st.lists(grids[sweep], min_size=1,
+                                                          max_size=4, unique=True)))
     opt = OptimizerSettings(max_iterations=draw(st.integers(1, 1000)),
                             fixed_step=draw(st.just("auto") | st.floats(1e-6, 10.0)))
     return ExperimentConfig(
@@ -205,6 +205,7 @@ class TestLoadConfig:
             ("schemes = agd,,random,", 1, "schemes: empty list item in 'agd,,random,'"),
             ("snr_grid_db = 0,,10,", 1, "snr_grid_db: empty list item in '0,,10,'"),
             ("sweep = n_ris\nsweep_grid = 8,", 2, "sweep_grid: empty list item"),
+            ("n_bs = 8\nsweep_grid = 60, 120", 2, "sweep 'none' takes an empty sweep_grid"),
         ]
         for text, line, message in cases:
             path.write_text(text + "\n")
@@ -566,8 +567,9 @@ class TestReplay:
                         reason="older CPython keeps call arguments alive in the caller")
     def test_raw_hops_freed_before_the_form(self, monkeypatch, tmp_path):
         """Replay keeps no raw hop alive while it builds the quadratic form:
-        at paper scale a raw 256x512 hop is 2 MB of peak memory. The loader's
-        checks, the summary and the form each rebuild both hops from the paths."""
+        at paper scale a raw 256x512 hop is 2 MB of peak memory. Only the form
+        builds the two hops: the loader's checks and the summary read the
+        hops' thin roots and build none."""
         run_experiment(tiny_config(n_realizations=1), dump_dir=str(tmp_path))
         raw, alive = [], []
         hop_matrix, build = channel.hop_matrix, optimizer.build_quadratic_form
@@ -583,8 +585,10 @@ class TestReplay:
 
         monkeypatch.setattr(channel, "hop_matrix", rebuilt)
         monkeypatch.setattr(optimizer, "build_quadratic_form", built)
+        channel.load_realization(tmp_path / "real00000.txt")
+        assert raw == []
         summary, _, rates = harness.replay_realization(tmp_path / "real00000.txt", 10.0)
-        assert len(raw) == 6
+        assert len(raw) == 2
         assert alive == [0]
         assert summary[0].startswith("seed ") and len(summary) == 3
         assert set(rates) == {"agd", "random"}

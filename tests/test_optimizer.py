@@ -548,14 +548,22 @@ class TestFixedStepBlock:
 
 
 class TestTraceNormalizedFactor:
-    """trace_normalized_factor builds G with G G^H = D straight from the hops'
-    path factors (R, w, T), H = R diag(w) T^H."""
+    """trace_normalized_factor combines the RIS-side roots of two hops given as
+    path factors (R, w, T), H = R diag(w) T^H, into G with G G^H = D."""
 
     @staticmethod
     def path_hops(rng, n_ris, n_bs, n_ms, n_paths):
         h1 = (crandn(rng, n_ris, n_paths), crandn(rng, n_paths), crandn(rng, n_bs, n_paths))
         h2 = (crandn(rng, n_ms, n_paths), crandn(rng, n_paths), crandn(rng, n_ris, n_paths))
         return h1, h2
+
+    @staticmethod
+    def roots(h1, h2):
+        """P1 P1^H = H1 H1^H and P2 P2^H = H2^H H2, from the triangular factor Q
+        of a thin QR of T1 and of R2 (X^H X = Q^H Q)."""
+        (r1, w1, t1), (r2, w2, t2) = h1, h2
+        return ((r1 * w1) @ np.linalg.qr(t1, mode="r").conj().T,
+                (t2 * w2.conj()) @ np.linalg.qr(r2, mode="r").conj().T)
 
     @pytest.mark.parametrize("n_ris, n_paths, repeat", [
         pytest.param(n_ris, n_paths, False, id=f"{n_ris}-{n_paths}")
@@ -572,7 +580,7 @@ class TestTraceNormalizedFactor:
             h1[2][:, 1] = h1[2][:, 0]
         dense = [r @ np.diag(w) @ t.conj().T for r, w, t in (h1, h2)]
         form, _ = build_quadratic_form(*dense).trace_normalized()
-        g = trace_normalized_factor(h1, h2)
+        g = trace_normalized_factor(*self.roots(h1, h2))
         assert g.shape == (n_ris, min(7, n_paths) * min(3, n_paths))
         err = np.linalg.norm(g @ g.conj().T - form.matrix)
         assert err <= 1e-12 * np.linalg.norm(form.matrix)
@@ -583,7 +591,7 @@ class TestTraceNormalizedFactor:
         QuadraticForm.trace_normalized does."""
         h1, (r2, w2, t2) = self.path_hops(np.random.default_rng(3), 4, 5, 2, 3)
         with pytest.raises(ValueError, match="positive and finite"):
-            trace_normalized_factor(h1, (r2, np.full_like(w2, gain), t2))
+            trace_normalized_factor(*self.roots(h1, (r2, np.full_like(w2, gain), t2)))
 
 
 class TestRunRandomPhase:
