@@ -384,22 +384,35 @@ class TestRunCgd:
 
 
 def reference_descent(form, mu, settings, adaptive):
-    """The descent loop composed of the public oracles gradient, adaptive_step,
-    objective and np.linalg.norm, recomputing every product per call; returns
-    (iteration rows, best phases, best objective)."""
+    """The uninterrupted descent loop composed of the public oracles gradient,
+    adaptive_step, objective and np.linalg.norm, recomputing every product per
+    call for the whole budget; returns (iteration rows, best phases, best
+    objective, every iterate's phases)."""
     phases = np.zeros(form.n_ris)
     trace_obj = -objective(form, phases, mu)
-    best_obj, best_phases, rows = trace_obj, phases.copy(), []
+    best_obj, best_phases, rows, iterates = trace_obj, phases.copy(), [], [phases]
     for i in range(settings.max_iterations):
         grad = gradient(form, phases, mu)
         lam = adaptive_step(form, phases, grad, mu) if adaptive else settings.fixed_step
         rows.append((i, trace_obj, lam, float(np.linalg.norm(grad))))
         phases = phases - lam * grad
+        iterates.append(phases)
         trace_obj = -objective(form, phases, mu)
         if trace_obj > best_obj:
             best_obj, best_phases = trace_obj, phases.copy()
     rows.append((settings.max_iterations, trace_obj, 0.0, 0.0))
-    return rows, best_phases, best_obj
+    return rows, best_phases, best_obj, iterates
+
+
+def first_recurrence(iterates) -> tuple | None:
+    """(k, p): the first iterate k whose phases equal, bit for bit, those of an
+    earlier iterate k - p; None if no iterate repeats."""
+    bits = np.stack(iterates).view(np.uint64)
+    for k in range(1, len(bits)):
+        (earlier,) = np.nonzero(np.all(bits[:k] == bits[k], axis=1))
+        if earlier.size:
+            return k, k - int(earlier[0])
+    return None
 
 
 class CountingMatrix(np.ndarray):
@@ -426,19 +439,29 @@ def _first_branch(form, mu):
 
 
 class TestDescentExactness:
-    """run_agd and run_cgd compute each iterate's products once; every float
-    they report equals the loop built from the public oracles."""
+    """run_agd and run_cgd compute each iterate's products once and stop at the
+    first iterate whose phases repeat an earlier one's; every float they report
+    equals the uninterrupted loop built from the public oracles."""
 
     SETTINGS = OptimizerSettings(max_iterations=60, fixed_step=0.1)
 
     @staticmethod
-    def assert_matches_reference(form, mu, settings):
-        for run, adaptive in ((run_agd, True), (run_cgd, False)):
+    def assert_matches_reference(form, mu, settings, runs=((run_agd, True), (run_cgd, False))):
+        for run, adaptive in runs:
             trace = run(form, mu, settings)
-            rows, best, best_obj = reference_descent(form, mu, settings, adaptive)
+            rows, best, best_obj, _ = reference_descent(form, mu, settings, adaptive)
             assert trace.iterations == rows
             assert np.array_equal(trace.best_phases_rad, best)
             assert trace.best_objective == best_obj
+
+    @staticmethod
+    def count_products(run, form, mu, settings) -> int:
+        """Products with D that one run takes; its trace equals an uncounted run's."""
+        counted = QuadraticForm(matrix=form.matrix.view(CountingMatrix))
+        before = CountingMatrix.matmuls
+        trace = run(counted, mu, settings)
+        assert trace.iterations == run(form, mu, settings).iterations
+        return CountingMatrix.matmuls - before
 
     @pytest.mark.parametrize("mu", [0.5, 0.8, 1.0])
     @pytest.mark.parametrize("n_ris", [1, 2, 8, 64])
@@ -453,11 +476,14 @@ class TestDescentExactness:
         self.assert_matches_reference(form, mu, self.SETTINGS)
 
     def test_identity_form_takes_fallback_steps(self):
+        """The identity form's gradient is zero, so iterate 1 repeats iterate 0:
+        A-GD stops after one iteration (4 products) and copies its fallback row."""
         form = QuadraticForm(matrix=np.eye(8, dtype=complex))
         assert _first_branch(form, MU) == "fallback"
         self.assert_matches_reference(form, MU, self.SETTINGS)
         assert {row[2] for row in run_agd(form, MU, self.SETTINGS).iterations[:-1]} \
             == {FALLBACK_STEP}
+        assert self.count_products(run_agd, form, MU, self.SETTINGS) == 4
 
     def test_concave_branch(self):
         form = random_form(np.random.default_rng(0), n_ris=8)
@@ -466,16 +492,49 @@ class TestDescentExactness:
 
     def test_products_per_iteration(self):
         """A-GD takes 3 products with D per iteration (u^H D, D u and the step
-        model's (g u)^H D), C-GD 2; both add the first objective's u^H D."""
+        model's (g u)^H D), C-GD 2; both add the first objective's u^H D. No
+        iterate of this form repeats, so both run the whole budget."""
         rng = np.random.default_rng(3)
         form = random_form(rng, n_ris=8)
-        counted = QuadraticForm(matrix=form.matrix.view(CountingMatrix))
         n = self.SETTINGS.max_iterations
-        for run, per_iter in ((run_agd, 3), (run_cgd, 2)):
-            before = CountingMatrix.matmuls
-            trace = run(counted, MU, self.SETTINGS)
-            assert CountingMatrix.matmuls - before == per_iter * n + 1
-            assert trace.iterations == run(form, MU, self.SETTINGS).iterations
+        for run, adaptive, per_iter in ((run_agd, True, 3), (run_cgd, False, 2)):
+            assert first_recurrence(reference_descent(form, MU, self.SETTINGS, adaptive)[3]) \
+                is None
+            assert self.count_products(run, form, MU, self.SETTINGS) == per_iter * n + 1
+
+    @pytest.mark.parametrize("preset, n_ris, r, adaptive, step, period", [
+        ("fig7-desk", 64, 0, True, "auto", 1),
+        ("fig8-desk", 96, 0, True, "auto", 8),
+        ("fig8-desk", 96, 10, True, "auto", 2),
+        ("fig8-desk", 32, 0, False, 1e-2, 1)])
+    def test_stops_at_first_recurrence(self, preset, n_ris, r, adaptive, step, period):
+        """A desk realization's form, built as the sweep builds it, whose descent
+        repeats an iterate within the preset's 400-iteration budget (C-GD at the
+        step calibration picks for that point): the run stops at the first
+        recurrence k, after 3k + 1 (A-GD) or 2k + 1 (C-GD) products, and its
+        trace still equals the uninterrupted loop's. The 2-cycle of fig8-desk's
+        realization 10 alternates between two objectives, and the budget ends
+        on the other one than the recurrence, so its final row must come from
+        the cycle."""
+        from dataclasses import replace
+
+        from thzris.channel import Hop, referenced_hop, sample_paths
+        from thzris.harness import preset as load_preset
+        from thzris.harness import stream_rng
+
+        cfg = replace(load_preset(preset), sweep="none", sweep_grid=(), n_ris=n_ris)
+        h1, h2 = (referenced_hop(cfg, hop, sample_paths(cfg, hop, stream_rng(
+            cfg.master_seed, r, hop.value))) for hop in (Hop.BS_RIS, Hop.RIS_MS))
+        form = build_quadratic_form(h1, h2).trace_normalized()[0]
+        settings = replace(cfg.optimizer, fixed_step=step)
+        run = run_agd if adaptive else run_cgd
+        recurrence = first_recurrence(reference_descent(form, cfg.mean_amplitude, settings,
+                                                        adaptive)[3])
+        assert recurrence is not None and recurrence[1] == period
+        k = recurrence[0]
+        self.assert_matches_reference(form, cfg.mean_amplitude, settings, ((run, adaptive),))
+        per_iter = 3 if adaptive else 2
+        assert self.count_products(run, form, cfg.mean_amplitude, settings) == per_iter * k + 1
 
 
 def form_and_factor(rng, n_ris, n_bs, n_ms) -> tuple:
