@@ -350,11 +350,14 @@ def load_realization(path) -> ChannelRealization:
     A malformed dump, a config that sets a sweep (a dump holds one point's
     config), a referenced hop whose squared norm is not positive and finite, or
     a quadratic form whose trace is not, raises DumpError naming the file and
-    line; an invalid config line raises ConfigError naming the file and line."""
+    line, and an unreadable file DumpError naming the file; an invalid config
+    line raises ConfigError naming the file and line."""
     from .harness import parse_config   # harness imports this module
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+    except OSError as exc:
+        raise DumpError(f"cannot read channel dump {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DumpError(f"{path}: not UTF-8 text ({exc.reason})") from None
     version = lines[0].strip() if lines else ""

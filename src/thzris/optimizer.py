@@ -6,8 +6,8 @@ Minimizing f(phi) = -theta^H D theta over the unconstrained continuous phases
 is done by gradient descent; the adaptive variant picks each step size from
 the exact second-order expansion of f along the gradient direction. A-GD and
 C-GD return continuous phases; the harness quantizes them onto each sweep
-point's discrete hardware codebook (quantize_phases). A descent stops where its
-phases repeat an earlier iterate's bit for bit, with the full budget's trace.
+point's discrete hardware codebook (quantize_phases). A descent stops at the
+first iterate that repeats an earlier one bit for bit; its trace holds what ran.
 
 C-GD's step calibration never builds D: D = G G^H for a thin factor G, with
 at most one column per pair of paths, that trace_normalized_factor combines
@@ -85,9 +85,9 @@ class GdTrace:
     """Per-iteration record of one optimizer run.
 
     iterations rows are (iteration index, trace objective theta^H D theta,
-    step size applied at that iterate, gradient norm): one per budgeted
-    iterate and the final one, also past a recurrence stop (copied from the
-    cycle). best_* track the continuous iterate with the largest trace objective.
+    step size applied at that iterate, gradient norm): one per iteration run,
+    then (k, objective, 0, 0) for the last iterate k = len(iterations) - 1.
+    best_* track the continuous iterate with the largest trace objective.
     """
 
     iterations: list
@@ -185,10 +185,9 @@ def _descend(form: QuadraticForm, mean_amplitude: float,
     gradient and quadratic_model_coeffs compute them, so every float equals
     theirs: col = u^H D gives the objective, row = D u the gradient, and A-GD's
     step model adds only (g u)^H D (g u). An iterate's row and successor depend
-    only on its phases, so once iterate i + 1 repeats iterate j's bit for bit
-    the run cycles with period p = i + 1 - j: the loop stops, row k is row k - p
-    and no later iterate beats the best under the strict >, so the trace equals
-    the full budget's.
+    only on its phases, so the loop stops at the first iterate that repeats an
+    earlier one bit for bit: past it the run only cycles, and the strict > keeps
+    the best. phases is rebound, never written in place, so it needs no copy.
     """
     d = form.matrix
     mu2 = mean_amplitude ** 2
@@ -197,9 +196,8 @@ def _descend(form: QuadraticForm, mean_amplitude: float,
     uh = u.conj()
     col = uh @ d
     trace_obj = -float((-mu2 * (col @ u)).real)
-    best_obj = trace_obj
-    best_phases = phases.copy()
-    rows, seen = [], {phases.tobytes(): 0}
+    best_obj, best_phases = trace_obj, phases
+    rows, seen = [], {phases.tobytes()}
     for i in range(settings.max_iterations):
         ur = uh * (d @ u)
         uc = u * col
@@ -220,15 +218,12 @@ def _descend(form: QuadraticForm, mean_amplitude: float,
         col = uh @ d
         trace_obj = -float((-mu2 * (col @ u)).real)
         if trace_obj > best_obj:
-            best_obj = trace_obj
-            best_phases = phases.copy()
-        period = i + 1 - seen.setdefault(phases.tobytes(), i + 1)
-        if period:
-            for k in range(i + 1, settings.max_iterations):
-                rows.append((k,) + rows[k - period][1:])
-            trace_obj = rows[settings.max_iterations - period][1]
+            best_obj, best_phases = trace_obj, phases
+        key = phases.tobytes()
+        if key in seen:
             break
-    rows.append((settings.max_iterations, trace_obj, 0.0, 0.0))
+        seen.add(key)
+    rows.append((len(rows), trace_obj, 0.0, 0.0))
     return GdTrace(iterations=rows, best_phases_rad=best_phases, best_objective=best_obj)
 
 

@@ -222,7 +222,8 @@ def test_criterion_8_paper_scale_gap():
 
 def test_criterion_9_complexity_scaling():
     """Wall time of the adaptive optimizer grows at most ~cubically with the
-    element count: <= 10x per doubling (cubic prediction 8x)."""
+    element count: <= 10x per doubling (cubic prediction 8x). Each timed run
+    must run its whole budget, so an early stop cannot hide the scaling."""
     settings = opt.OptimizerSettings(max_iterations=100)
     times = {}
     for n in (64, 128, 256):
@@ -232,8 +233,9 @@ def test_criterion_9_complexity_scaling():
         best = math.inf
         for _ in range(3):
             t0 = time.perf_counter()
-            opt.run_agd(form, MU, settings)
+            trace = opt.run_agd(form, MU, settings)
             best = min(best, time.perf_counter() - t0)
+            assert len(trace.iterations) == settings.max_iterations + 1
         times[n] = best
     r1 = times[128] / times[64]
     r2 = times[256] / times[128]

@@ -337,6 +337,11 @@ class TestReplay:
         where = f"{path}:{line}" if line else f"{path}"
         assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
-    def test_replay_missing_file_exits_1(self, capsys):
-        assert cli_main(["replay", "--channel-dump", "/no/such/file.txt"]) == 1
-        capsys.readouterr()
+    def test_replay_missing_file_exits_2(self, tmp_path, capsys):
+        """An unreadable dump, a missing file or a directory, is a config error
+        that names the path, as a missing config file is."""
+        for path in (tmp_path / "nope.txt", tmp_path):
+            capsys.readouterr()
+            assert cli_main(["replay", "--channel-dump", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: cannot read channel dump {path}: ")

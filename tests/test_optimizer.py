@@ -7,6 +7,7 @@ alignment.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thzris.beamforming import cascaded_channel
+from thzris.channel import (Hop, hop_reference, referenced_hop, sample_channel,
+                            sample_paths)
 from thzris.graphene import build_codebook
+from thzris.harness import ExperimentConfig, stream_rng
+from thzris.harness import preset as load_preset
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               QuadraticForm, _block_terms, adaptive_step,
                               build_quadratic_form, fixed_step_best_objectives,
@@ -358,9 +363,6 @@ class TestRunCgd:
     def test_adaptive_wins_or_ties_on_channel_like_instances(self):
         # near-rank-one forms (LoS-dominated cascades); the constant step is
         # calibrated on the first ten instances like the experiment harness
-        from thzris.channel import Hop, hop_reference, sample_channel
-        from thzris.harness import ExperimentConfig, stream_rng
-
         cfg = ExperimentConfig(n_ris=16)
         forms = []
         for r in range(200):
@@ -438,10 +440,20 @@ def _first_branch(form, mu):
     return "convex" if c2 > guard else "concave" if c2 < -guard else "fallback"
 
 
+def sweep_form(preset, n_ris, r) -> tuple:
+    """(trace-normalized form, point config) of realization r at n_ris elements
+    of a preset, built as the sweep builds it."""
+    cfg = replace(load_preset(preset), sweep="none", sweep_grid=(), n_ris=n_ris)
+    h1, h2 = (referenced_hop(cfg, hop, sample_paths(cfg, hop, stream_rng(
+        cfg.master_seed, r, hop.value))) for hop in (Hop.BS_RIS, Hop.RIS_MS))
+    return build_quadratic_form(h1, h2).trace_normalized()[0], cfg
+
+
 class TestDescentExactness:
     """run_agd and run_cgd compute each iterate's products once and stop at the
-    first iterate whose phases repeat an earlier one's; every float they report
-    equals the uninterrupted loop built from the public oracles."""
+    first iterate k whose phases repeat an earlier one's: their trace is the
+    uninterrupted loop built from the public oracles cut at k, with every float
+    equal and the same best iterate."""
 
     SETTINGS = OptimizerSettings(max_iterations=60, fixed_step=0.1)
 
@@ -449,8 +461,9 @@ class TestDescentExactness:
     def assert_matches_reference(form, mu, settings, runs=((run_agd, True), (run_cgd, False))):
         for run, adaptive in runs:
             trace = run(form, mu, settings)
-            rows, best, best_obj, _ = reference_descent(form, mu, settings, adaptive)
-            assert trace.iterations == rows
+            rows, best, best_obj, iterates = reference_descent(form, mu, settings, adaptive)
+            k = (first_recurrence(iterates) or (settings.max_iterations,))[0]
+            assert trace.iterations == rows[:k] + [(k, rows[k][1], 0.0, 0.0)]
             assert np.array_equal(trace.best_phases_rad, best)
             assert trace.best_objective == best_obj
 
@@ -477,12 +490,12 @@ class TestDescentExactness:
 
     def test_identity_form_takes_fallback_steps(self):
         """The identity form's gradient is zero, so iterate 1 repeats iterate 0:
-        A-GD stops after one iteration (4 products) and copies its fallback row."""
+        A-GD stops after one fallback-step iteration (4 products)."""
         form = QuadraticForm(matrix=np.eye(8, dtype=complex))
         assert _first_branch(form, MU) == "fallback"
         self.assert_matches_reference(form, MU, self.SETTINGS)
-        assert {row[2] for row in run_agd(form, MU, self.SETTINGS).iterations[:-1]} \
-            == {FALLBACK_STEP}
+        trace = run_agd(form, MU, self.SETTINGS)
+        assert len(trace.iterations) == 2 and trace.iterations[0][2] == FALLBACK_STEP
         assert self.count_products(run_agd, form, MU, self.SETTINGS) == 4
 
     def test_concave_branch(self):
@@ -500,6 +513,7 @@ class TestDescentExactness:
         for run, adaptive, per_iter in ((run_agd, True, 3), (run_cgd, False, 2)):
             assert first_recurrence(reference_descent(form, MU, self.SETTINGS, adaptive)[3]) \
                 is None
+            assert len(run(form, MU, self.SETTINGS).iterations) == n + 1
             assert self.count_products(run, form, MU, self.SETTINGS) == per_iter * n + 1
 
     @pytest.mark.parametrize("preset, n_ris, r, adaptive, step, period", [
@@ -511,21 +525,11 @@ class TestDescentExactness:
         """A desk realization's form, built as the sweep builds it, whose descent
         repeats an iterate within the preset's 400-iteration budget (C-GD at the
         step calibration picks for that point): the run stops at the first
-        recurrence k, after 3k + 1 (A-GD) or 2k + 1 (C-GD) products, and its
-        trace still equals the uninterrupted loop's. The 2-cycle of fig8-desk's
-        realization 10 alternates between two objectives, and the budget ends
-        on the other one than the recurrence, so its final row must come from
-        the cycle."""
-        from dataclasses import replace
-
-        from thzris.channel import Hop, referenced_hop, sample_paths
-        from thzris.harness import preset as load_preset
-        from thzris.harness import stream_rng
-
-        cfg = replace(load_preset(preset), sweep="none", sweep_grid=(), n_ris=n_ris)
-        h1, h2 = (referenced_hop(cfg, hop, sample_paths(cfg, hop, stream_rng(
-            cfg.master_seed, r, hop.value))) for hop in (Hop.BS_RIS, Hop.RIS_MS))
-        form = build_quadratic_form(h1, h2).trace_normalized()[0]
+        recurrence k, after 3k + 1 (A-GD) or 2k + 1 (C-GD) products, with k + 1
+        rows that equal the uninterrupted loop's cut at k. The 2-cycle of
+        fig8-desk's realization 10 alternates between two objectives, so the
+        final row must hold iterate k's, not iterate k - 1's."""
+        form, cfg = sweep_form(preset, n_ris, r)
         settings = replace(cfg.optimizer, fixed_step=step)
         run = run_agd if adaptive else run_cgd
         recurrence = first_recurrence(reference_descent(form, cfg.mean_amplitude, settings,
@@ -533,8 +537,21 @@ class TestDescentExactness:
         assert recurrence is not None and recurrence[1] == period
         k = recurrence[0]
         self.assert_matches_reference(form, cfg.mean_amplitude, settings, ((run, adaptive),))
+        assert len(run(form, cfg.mean_amplitude, settings).iterations) == k + 1
         per_iter = 3 if adaptive else 2
         assert self.count_products(run, form, cfg.mean_amplitude, settings) == per_iter * k + 1
+
+    def test_budget_does_not_bound_a_stopped_run(self):
+        """fig7-desk realization 0's A-GD repeats at iterate 24, so a budget of
+        10**6 iterations returns the same 25 rows and best iterate as the
+        preset's 400: nothing past the recurrence is computed or stored."""
+        form, cfg = sweep_form("fig7-desk", 64, 0)
+        trace = run_agd(form, cfg.mean_amplitude,
+                        replace(cfg.optimizer, max_iterations=10 ** 6))
+        budget = run_agd(form, cfg.mean_amplitude, cfg.optimizer)
+        assert len(trace.iterations) == 25 and trace.iterations == budget.iterations
+        assert np.array_equal(trace.best_phases_rad, budget.best_phases_rad)
+        assert trace.best_objective == budget.best_objective
 
 
 def form_and_factor(rng, n_ris, n_bs, n_ms) -> tuple:
