@@ -65,9 +65,12 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
 
-    if args.dump_channels:
-        os.makedirs(args.dump_channels, exist_ok=True)
-    os.makedirs(args.out, exist_ok=True)
+    for flag, path in (("--dump-channels", args.dump_channels), ("--out", args.out)):
+        if path:
+            try:
+                os.makedirs(path, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"{flag}: cannot create directory {path}: {exc}") from None
     out_path = os.path.join(args.out, stem + ".csv")
 
     rows = harness.run_experiment(config, workers=args.workers, dump_dir=args.dump_channels,

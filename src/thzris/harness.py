@@ -4,10 +4,13 @@ hardware parameters, aggregated into deterministic CSV tables.
 Reproducibility contract: every random draw comes from a generator seeded by
 a 64-bit splittable hash of (master_seed, realization index, stream tag), so
 results are byte-identical for a given config regardless of worker count or
-execution order. A realization is its hops' path lists; only rates build hop
-matrices (channel.referenced_hop), while calibration and replay's summary read
-thin roots (channel.ris_root). Wall-clock columns default to zero for the same
-reason and are only populated when timing capture is enabled.
+execution order. A realization is its hops' path lists; only rates and A-GD's
+form build hop matrices (channel.referenced_hop), while C-GD, in calibration and
+in the sweep, and replay's summary read thin roots (channel.ris_root). The
+sweep's C-GD runs each point group's realizations as one block in the parent
+process, so its rows do not depend on the worker count either. Wall-clock
+columns default to zero for the same reason and are only populated when timing
+capture is enabled.
 
 Rate evaluation expresses every channel relative to the configured link
 geometry: each RIS hop is divided by its deterministic LoS reference
@@ -271,22 +274,22 @@ def _point_groups(config: ExperimentConfig) -> list:
     return [points] if config.sweep in ("phi_max_deg", "bits") else [[p] for p in points]
 
 
-def _run_point(real: channel.ChannelRealization, cfgs: list, schemes) -> list:
+def _run_point(real: channel.ChannelRealization, cfgs: list, schemes, cgd=None) -> list:
     """One scheme -> (rates, iterations, wall ms) dict per point config of a
-    group, for the RIS schemes on the realization's referenced hops. A-GD and
-    C-GD descend once on their trace-normalized form and each point quantizes
-    their best phases with its own codebook; random and exhaustive run per
-    point. A scheme's wall time spans its optimization through a point's rates.
-    The sweep and replay both run this."""
+    group, for the RIS schemes on the realization's referenced hops. A-GD
+    descends once on their trace-normalized form; C-GD's (best continuous
+    phases, wall ms) come in as `cgd`, from the group's block descent
+    (_cgd_descents). Each point quantizes both best phases with its own
+    codebook; random and exhaustive run per point. A scheme's wall time spans
+    its optimization through a point's rates. The sweep and replay both run this."""
     h1 = channel.referenced_hop(real.config, Hop.BS_RIS, real.paths_h1)
     h2 = channel.referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)
     form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
-    descents = {}   # scheme -> (best continuous phases, wall ms)
-    for scheme, run in (("agd", optimizer.run_agd), ("cgd", optimizer.run_cgd)):
-        if scheme in schemes:
-            t0 = time.perf_counter()
-            best = run(form, cfgs[0].mean_amplitude, cfgs[0].optimizer).best_phases_rad
-            descents[scheme] = (best, (time.perf_counter() - t0) * 1e3)
+    descents = {} if cgd is None else {"cgd": cgd}   # scheme -> (best phases, wall ms)
+    if "agd" in schemes:
+        t0 = time.perf_counter()
+        best = optimizer.run_agd(form, cfgs[0].mean_amplitude, cfgs[0].optimizer).best_phases_rad
+        descents["agd"] = (best, (time.perf_counter() - t0) * 1e3)
     out = []
     for cfg in cfgs:
         codebook, point = cfg.codebook(), {}
@@ -311,9 +314,11 @@ def _run_point(real: channel.ChannelRealization, cfgs: list, schemes) -> list:
     return out
 
 
-def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -> list:
+def _run_realization(r: int, cgd: tuple, config: ExperimentConfig, groups: list,
+                     dump_dir) -> list:
     """One {scheme: (rates, iterations, wall ms)} per sweep point, in point order,
-    for channel realization r. The direct hop depends on no swept field, so its
+    for channel realization r, given its C-GD (best phases, wall ms) per group, or
+    None per group without cgd. The direct hop depends on no swept field, so its
     no_ris result is drawn once and shared by every point; the RIS hops' path
     lists are drawn once per group, and their matrices built only for a RIS scheme."""
     direct = {}
@@ -324,7 +329,7 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     out = []
-    for group in groups:
+    for group, group_cgd in zip(groups, cgd):
         cfgs = [cfg for _, cfg in group]
         real = channel.ChannelRealization(
             paths_h1=_draw_paths(cfgs[0], Hop.BS_RIS, r),
@@ -335,7 +340,8 @@ def _run_realization(r: int, config: ExperimentConfig, groups: list, dump_dir) -
                 suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
                 channel.dump_realization(replace(real, config=cfg), cfg,
                                          f"{dump_dir}/real{r:05d}{suffix}.txt")
-        results = _run_point(real, cfgs, ris_schemes) if ris_schemes else [{}] * len(cfgs)
+        results = (_run_point(real, cfgs, ris_schemes, group_cgd) if ris_schemes
+                   else [{}] * len(cfgs))
         out += [{**direct, **point} for point in results]
     return out
 
@@ -392,11 +398,26 @@ def replay_realization(path, snr_db: float) -> tuple:
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
-def _calibration_factor(config: ExperimentConfig, c: int) -> np.ndarray:
-    """Calibration realization c's trace-normalized thin factor G (G G^H = D)."""
+def _factor(config: ExperimentConfig, r: int, tag: str) -> np.ndarray:
+    """Trace-normalized thin factor G (G G^H = D) of realization r's RIS hops drawn
+    from the streams tag + hop: tag "" for the sweep's, "calib-" for calibration's."""
     return optimizer.trace_normalized_factor(*(
-        channel.ris_root(config, hop, _draw_paths(config, hop, c, "calib-"))
+        channel.ris_root(config, hop, _draw_paths(config, hop, r, tag))
         for hop in (Hop.BS_RIS, Hop.RIS_MS)))
+
+
+def _cgd_descents(config: ExperimentConfig, n_realizations: int) -> list:
+    """Each realization's (best C-GD phases, wall ms) for a point group whose first
+    point config is `config`: all realizations descend at its step as one block on
+    their stacked sweep factors, which are built here and freed on return, and
+    each realization's wall ms is its share of the block's descent."""
+    factors = np.stack([_factor(config, r, "") for r in range(n_realizations)])
+    t0 = time.perf_counter()
+    _, best = optimizer.fixed_step_descents(factors, (config.optimizer.fixed_step,),
+                                            config.mean_amplitude,
+                                            config.optimizer.max_iterations)
+    ms = (time.perf_counter() - t0) * 1e3 / n_realizations
+    return [(phases, ms) for phases in best[:, 0]]
 
 
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
@@ -405,11 +426,11 @@ def calibrate_fixed_step(config: ExperimentConfig) -> float:
     grid step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best. Every
     form and grid step descends in one block on the forms' stacked path factors.
     A mean that is not finite raises ValueError."""
-    factors = np.stack([_calibration_factor(config, c)
+    factors = np.stack([_factor(config, c, "calib-")
                         for c in range(CGD_CALIBRATION_REALIZATIONS)])
-    means = optimizer.fixed_step_best_objectives(
+    means = optimizer.fixed_step_descents(
         factors, CGD_CALIBRATION_GRID, config.mean_amplitude,
-        config.optimizer.max_iterations).mean(axis=0)
+        config.optimizer.max_iterations)[0].mean(axis=0)
     for step, mean_obj in zip(CGD_CALIBRATION_GRID, means):
         if not math.isfinite(mean_obj):
             raise ValueError(f"C-GD calibration at step {step} (n_ris = {config.n_ris}) "
@@ -431,6 +452,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         for group in groups:   # calibrated once, on the group's first point
             opt = replace(group[0][1].optimizer, fixed_step=calibrate_fixed_step(group[0][1]))
             group[:] = [(value, replace(cfg, optimizer=opt)) for value, cfg in group]
+    # per group, every realization's C-GD result; zipped, realization r's per group
+    cgd = [_cgd_descents(group[0][1], config.n_realizations) if "cgd" in config.schemes
+           else [None] * config.n_realizations for group in groups]
     run = partial(_run_realization, config=config, groups=groups, dump_dir=dump_dir)
     if workers > 1:
         # imported here: the pool loads multiprocessing, socket and logging
@@ -438,9 +462,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         # one BLAS thread per worker too, so that workers do not oversubscribe the cores
         with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
                                  initializer=_set_blas_threads, initargs=(1,)) as pool:
-            results = list(pool.map(run, range(config.n_realizations)))
+            results = list(pool.map(run, range(config.n_realizations), zip(*cgd)))
     else:
-        results = list(map(run, range(config.n_realizations)))
+        results = list(map(run, range(config.n_realizations), zip(*cgd)))
 
     rows = []
     for k, (value, _) in enumerate(point for group in groups for point in group):

@@ -9,11 +9,12 @@ C-GD return continuous phases; the harness quantizes them onto each sweep
 point's discrete hardware codebook (quantize_phases). A descent stops at the
 first iterate that repeats an earlier one bit for bit; its trace holds what ran.
 
-C-GD's step calibration never builds D: D = G G^H for a thin factor G, with
-at most one column per pair of paths, that trace_normalized_factor combines
-from the hops' thin roots (channel.ris_root), and fixed_step_best_objectives
-descends a stack of such factors at several constant steps at once, returning
-only each run's best trace objective.
+C-GD never builds D, in the sweep or in its step calibration: D = G G^H for a
+thin factor G, with at most one column per pair of paths, that
+trace_normalized_factor combines from the hops' thin roots (channel.ris_root),
+and fixed_step_descents descends a stack of such factors at one or several
+constant steps at once, returning each run's best objective and phases.
+run_cgd, C-GD on the dense D, is the tests' oracle; the sweep does not call it.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ def run_agd(form: QuadraticForm, mean_amplitude: float,
 
 def run_cgd(form: QuadraticForm, mean_amplitude: float,
             settings: OptimizerSettings) -> GdTrace:
-    """Constant-step gradient descent (C-GD) baseline on continuous phases."""
+    """Constant-step gradient descent (C-GD) baseline on continuous phases, on the
+    dense form: the oracle of fixed_step_descents, which the sweep calls instead."""
     if settings.fixed_step == "auto":
         raise ValueError("run_cgd needs a numeric fixed_step, got 'auto'")
     return _descend(form, mean_amplitude, settings, settings.fixed_step)
@@ -268,21 +270,30 @@ def _block_terms(factors: np.ndarray, phases: np.ndarray, mean_amplitude: float)
     return mu2 * z.real.sum(axis=2), -2.0 * mu2 * z.imag
 
 
-def fixed_step_best_objectives(factors: np.ndarray, steps, mean_amplitude: float,
-                               max_iterations: int) -> np.ndarray:
-    """Best trace objective (F, K) of a max_iterations C-GD run at each of K
-    constant steps on each form G G^H of an (F, N, L) factor stack: all forms
-    and steps descend together from zero phases as one phase block. Each run
-    tracks its best iterate as run_cgd does; sums reassociate, so objectives
-    match run_cgd's on the dense form to rounding, which a large step amplifies."""
+def fixed_step_descents(factors: np.ndarray, steps, mean_amplitude: float,
+                        max_iterations: int) -> tuple:
+    """Best trace objective (F, K) and best phases (F, K, N) of a max_iterations
+    C-GD run at each of K constant steps on each form G G^H of an (F, N, L) factor
+    stack: all forms and steps descend together from zero phases as one phase
+    block. Each run tracks its best iterate as run_cgd does (strict >); sums
+    reassociate, so objectives match run_cgd's on the dense form to rounding,
+    which a large step amplifies. An iterate depends only on the block's phases,
+    so once a step leaves every run's phases unchanged bit for bit, the rest of
+    the budget would only repeat it, and the block stops."""
     lam = np.asarray(steps, dtype=float)[:, None]
     phases = np.zeros((factors.shape[0], lam.size, factors.shape[1]))
+    stepped, best_phases = np.empty_like(phases), np.zeros_like(phases)
     best = np.full(phases.shape[:2], -math.inf)
     for _ in range(max_iterations + 1):
         trace_obj, grad = _block_terms(factors, phases, mean_amplitude)
+        np.copyto(best_phases, phases, where=(trace_obj > best)[:, :, None])
         best = np.maximum(best, trace_obj)   # a NaN objective stays NaN
-        phases -= lam * grad
-    return best
+        grad *= lam
+        np.subtract(phases, grad, out=stepped)
+        if np.array_equal(stepped.view(np.uint64), phases.view(np.uint64)):
+            break
+        phases, stepped = stepped, phases
+    return best, best_phases
 
 
 def run_random_phase(n_ris: int, codebook: PhaseCodebook, rng) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import thzris
+from thzris import harness
 from thzris.cli import cli_main
 from thzris.harness import (ExperimentConfig, config_to_text, load_config, preset,
                             preset_names, replay_realization, run_experiment)
@@ -104,6 +105,22 @@ class TestRun:
                          "--workers", workers]) == 2
         assert capsys.readouterr().err == "config error: --workers must be >= 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-channels"])
+    def test_uncreatable_directory_exits_2(self, flag, tiny_cfg_path, tmp_path, capsys,
+                                           monkeypatch):
+        """An --out or --dump-channels path that cannot be made a directory, an
+        existing file or a path under one, is a config error naming the flag and
+        the path, raised before any realization runs."""
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *args, **kwargs: pytest.fail("a realization ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for path in (blocker, blocker / "sub"):
+            capsys.readouterr()
+            assert cli_main(["run", "--config", tiny_cfg_path, flag, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: {flag}: cannot create directory {path}: ")
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

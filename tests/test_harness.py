@@ -346,6 +346,16 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, workers=3)
         assert serial == parallel
 
+    def test_cgd_deterministic_across_worker_counts(self):
+        """C-GD descends every realization of a point group in one block before
+        the pool starts, and each worker receives its realizations' rows of each
+        group's block (two groups here, one per n_ris)."""
+        cfg = tiny_config(schemes=("agd", "cgd", "random"), sweep="n_ris", sweep_grid=(4.0, 8.0),
+                          optimizer=OptimizerSettings(max_iterations=40, fixed_step="auto"))
+        serial = run_experiment(cfg, workers=1)
+        assert {r.scheme for r in serial} == {"agd", "cgd", "random"}
+        assert serial == run_experiment(cfg, workers=3)
+
     def test_exhaustive_scheme_dominates_others(self):
         cfg = tiny_config(n_ris=4, schemes=("agd", "exhaustive", "random"),
                           n_realizations=2)
@@ -406,8 +416,12 @@ class TestRunExperiment:
     def test_codebook_sweep_calibrates_and_descends_once(self, monkeypatch, sweep, grid,
                                                          n_problems):
         """A phi_max_deg or bits sweep is one point group, which calibrates once
-        and descends once per realization; an n_ris sweep has one group per point."""
+        and descends once per realization; an n_ris sweep has one group per point.
+        Each group takes two block C-GD descents on thin factors, the calibration
+        grid's 5 steps on its 10 forms and its calibrated step on every
+        realization's form, and the sweep runs no run_cgd."""
         calls = {"calibrate": 0, "agd": 0, "cgd": 0}
+        blocks, descents = [], optimizer.fixed_step_descents
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -415,14 +429,23 @@ class TestRunExperiment:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(harness, "calibrate_fixed_step", counted("calibrate", lambda _: 1e-3))
+        def block(factors, steps, *args):
+            blocks.append((len(factors), len(steps)))
+            return descents(factors, steps, *args)
+
+        monkeypatch.setattr(harness, "calibrate_fixed_step",
+                            counted("calibrate", harness.calibrate_fixed_step))
         monkeypatch.setattr(optimizer, "run_agd", counted("agd", optimizer.run_agd))
         monkeypatch.setattr(optimizer, "run_cgd", counted("cgd", optimizer.run_cgd))
+        monkeypatch.setattr(optimizer, "fixed_step_descents", block)
         cfg = tiny_config(schemes=("agd", "cgd"), sweep=sweep, sweep_grid=grid,
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         run_experiment(cfg)
         n = cfg.n_realizations * n_problems
-        assert calls == {"calibrate": n_problems, "agd": n, "cgd": n}
+        assert calls == {"calibrate": n_problems, "agd": n, "cgd": 0}
+        assert blocks == [(harness.CGD_CALIBRATION_REALIZATIONS,
+                           len(harness.CGD_CALIBRATION_GRID))] * n_problems \
+            + [(cfg.n_realizations, 1)] * n_problems
 
     def test_pool_workers_use_one_blas_thread(self, monkeypatch):
         """run_experiment's pool has no more workers than realizations, and
@@ -636,7 +659,7 @@ class TestCalibration:
         grid step descends in one block on the forms' stacked thin path factors,
         N x (1 + n_nlos)^2 per form instead of a dense N x N form."""
         calls, blocks = [], []
-        block = optimizer.fixed_step_best_objectives
+        block = optimizer.fixed_step_descents
 
         def ran(factors, steps, *args):
             blocks.append(factors.shape)
@@ -645,7 +668,7 @@ class TestCalibration:
 
         for name in ("build_quadratic_form", "run_cgd"):
             monkeypatch.setattr(optimizer, name, lambda *args, name=name: calls.append(name))
-        monkeypatch.setattr(optimizer, "fixed_step_best_objectives", ran)
+        monkeypatch.setattr(optimizer, "fixed_step_descents", ran)
         cfg = tiny_config()
         calibrate_fixed_step(cfg)
         assert calls == []
@@ -663,7 +686,7 @@ class TestCalibration:
         for c in (0, 9):
             form, _ = optimizer.build_quadratic_form(
                 calib_hop(cfg, Hop.BS_RIS, c), calib_hop(cfg, Hop.RIS_MS, c)).trace_normalized()
-            g = harness._calibration_factor(cfg, c)
+            g = harness._factor(cfg, c, "calib-")
             assert g.shape == (cfg.n_ris, (1 + cfg.n_nlos) ** 2)
             err = np.linalg.norm(g @ g.conj().T - form.matrix)
             assert err <= 1e-12 * np.linalg.norm(form.matrix)
@@ -686,7 +709,7 @@ class TestCalibration:
             return tuple(replace(p, complex_gain=0j) for p in sample(*args))
 
         monkeypatch.setattr(channel, "sample_paths", silent)
-        monkeypatch.setattr(optimizer, "fixed_step_best_objectives",
+        monkeypatch.setattr(optimizer, "fixed_step_descents",
                             lambda *args: blocks.append(args))
         with pytest.raises(ValueError, match="positive and finite, got 0.0"):
             calibrate_fixed_step(tiny_config())
@@ -717,11 +740,11 @@ class TestCalibration:
             table.append(objs)
             if float(np.mean(objs)) > best_mean:
                 best_step, best_mean = step, float(np.mean(objs))
-        factors = np.stack([harness._calibration_factor(cfg, c)
+        factors = np.stack([harness._factor(cfg, c, "calib-")
                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
-        streamed = optimizer.fixed_step_best_objectives(
+        streamed = optimizer.fixed_step_descents(
             factors, harness.CGD_CALIBRATION_GRID, cfg.mean_amplitude,
-            cfg.optimizer.max_iterations).T
+            cfg.optimizer.max_iterations)[0].T
         for k, step in enumerate(harness.CGD_CALIBRATION_GRID):
             if step <= 1e-2:
                 np.testing.assert_allclose(streamed[k], table[k], rtol=1e-12, atol=0)
@@ -751,8 +774,8 @@ class TestCalibration:
         """The smallest grid step whose mean is within CGD_CALIBRATION_TIE_RTOL
         (relative) of the best mean wins; beyond it, the best mean wins."""
         assert harness.CGD_CALIBRATION_TIE_RTOL == 1e-9
-        monkeypatch.setattr(optimizer, "fixed_step_best_objectives",
-                            lambda factors, *args: np.tile(means, (len(factors), 1)))
+        monkeypatch.setattr(optimizer, "fixed_step_descents",
+                            lambda factors, *args: (np.tile(means, (len(factors), 1)), None))
         assert calibrate_fixed_step(tiny_config()) == step
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -764,9 +787,9 @@ class TestCalibration:
             assert factors.shape[1] == 12
             best = np.ones((len(factors), len(steps)))
             best[4, list(steps).index(0.1)] = bad
-            return best
+            return best, None
 
-        monkeypatch.setattr(optimizer, "fixed_step_best_objectives", block)
+        monkeypatch.setattr(optimizer, "fixed_step_descents", block)
         with pytest.raises(ValueError, match=rf"step 0\.1 \(n_ris = 12\).* {bad}$"):
             calibrate_fixed_step(tiny_config(n_ris=12))
 

@@ -18,11 +18,12 @@ from thzris.beamforming import cascaded_channel
 from thzris.channel import (Hop, hop_reference, referenced_hop, sample_channel,
                             sample_paths)
 from thzris.graphene import build_codebook
-from thzris.harness import ExperimentConfig, stream_rng
+from thzris import optimizer
+from thzris.harness import ExperimentConfig, _factor, stream_rng
 from thzris.harness import preset as load_preset
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               QuadraticForm, _block_terms, adaptive_step,
-                              build_quadratic_form, fixed_step_best_objectives,
+                              build_quadratic_form, fixed_step_descents,
                               gradient, objective, quadratic_model_coeffs,
                               quantize_phases, run_agd, run_cgd,
                               run_exhaustive, run_random_phase,
@@ -563,7 +564,7 @@ def form_and_factor(rng, n_ris, n_bs, n_ms) -> tuple:
 
 
 class TestFixedStepBlock:
-    """fixed_step_best_objectives runs C-GD at several constant steps on a stack
+    """fixed_step_descents runs C-GD at one or several constant steps on a stack
     of forms given by their factors, as one phase block; objective, gradient and
     run_cgd on the dense form stay its oracles. Its sums reassociate, so it
     matches them to rounding."""
@@ -606,7 +607,7 @@ class TestFixedStepBlock:
         rows = [run_cgd(form, MU, OptimizerSettings(max_iterations=10, fixed_step=step))
                 .iterations for step in steps]
         for i in range(11):
-            best = fixed_step_best_objectives(factors, steps, MU, i)
+            best, _ = fixed_step_descents(factors, steps, MU, i)
             for k, step_rows in enumerate(rows):
                 ref = max(obj for _, obj, _, _ in step_rows[:i + 1])
                 assert best[0, k] == pytest.approx(ref, rel=1e-12)
@@ -618,9 +619,92 @@ class TestFixedStepBlock:
         factors = np.stack([form_and_factor(rng, 8, 3, 2)[1] for _ in range(3)])
         counted = factors.view(CountingMatrix)
         before = CountingMatrix.matmuls
-        best = fixed_step_best_objectives(counted, self.STEPS, MU, 30)
+        best, phases = fixed_step_descents(counted, self.STEPS, MU, 30)
         assert CountingMatrix.matmuls - before == 2 * 31
-        assert np.array_equal(best, fixed_step_best_objectives(factors, self.STEPS, MU, 30))
+        plain = fixed_step_descents(factors, self.STEPS, MU, 30)
+        assert np.array_equal(best, plain[0]) and np.array_equal(phases, plain[1])
+
+
+def sweep_factors(preset, n_ris, realizations) -> np.ndarray:
+    """(R, N, L) stack of the sweep's thin factors of the given realizations at
+    n_ris elements of a preset, as the sweep's C-GD block receives them."""
+    cfg = replace(load_preset(preset), sweep="none", sweep_grid=(), n_ris=n_ris)
+    return np.stack([_factor(cfg, r, "") for r in realizations])
+
+
+def reference_block(factors, steps, mu, max_iterations) -> tuple:
+    """fixed_step_descents without its stop: the whole budget runs, and each run
+    keeps its best iterate by a strict > in a per-run Python loop."""
+    lam = np.asarray(steps, dtype=float)[:, None]
+    phases = np.zeros((factors.shape[0], lam.size, factors.shape[1]))
+    best, best_phases = np.full(phases.shape[:2], -math.inf), np.zeros(phases.shape)
+    for _ in range(max_iterations + 1):
+        trace_obj, grad = _block_terms(factors, phases, mu)
+        for run in np.ndindex(best.shape):
+            if trace_obj[run] > best[run]:
+                best[run], best_phases[run] = trace_obj[run], phases[run]
+        phases = phases - lam * grad
+    return best, best_phases
+
+
+class TestSweepBlock:
+    """The sweep's C-GD: every realization of a point group descends at the
+    group's step as one block (K = 1) on the sweep's thin factors. fig8-desk at
+    N=32 and step 1e-2 reaches a fixed point in each of these realizations;
+    fig7-desk at N=64 and 1e-3 does not within the 400-iteration budget."""
+
+    CASES = {"fixed point": ("fig8-desk", 32, 1e-2), "full budget": ("fig7-desk", 64, 1e-3)}
+    REALIZATIONS = range(5)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_quantizes_as_dense_run_cgd(self, case):
+        """Each row's best phases quantize to the same codebook entries as
+        run_cgd's on the realization's dense form, and the best objectives agree
+        to 1e-9 relative."""
+        preset, n_ris, step = self.CASES[case]
+        cfg = sweep_form(preset, n_ris, 0)[1]
+        settings, codebook = replace(cfg.optimizer, fixed_step=step), cfg.codebook()
+        best, phases = fixed_step_descents(sweep_factors(preset, n_ris, self.REALIZATIONS),
+                                           (step,), cfg.mean_amplitude, settings.max_iterations)
+        for r in self.REALIZATIONS:
+            dense = run_cgd(sweep_form(preset, n_ris, r)[0], cfg.mean_amplitude, settings)
+            assert np.array_equal(quantize_phases(phases[r, 0], codebook),
+                                  quantize_phases(dense.best_phases_rad, codebook))
+            assert best[r, 0] == pytest.approx(dense.best_objective, rel=1e-9)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_row_alone_equals_row_in_block(self, case):
+        """A realization's row is the same bit for bit whether it descends alone
+        or inside the group's block, where other rows run longer or stop sooner:
+        rows do not depend on the number of realizations or the worker count."""
+        preset, n_ris, step = self.CASES[case]
+        factors = sweep_factors(preset, n_ris, self.REALIZATIONS)
+        block = fixed_step_descents(factors, (step,), MU, 400)
+        for r in self.REALIZATIONS:
+            alone = fixed_step_descents(factors[r:r + 1], (step,), MU, 400)
+            assert alone[0][0, 0] == block[0][r, 0]
+            assert np.array_equal(alone[1][0], block[1][r])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stop_equals_full_budget(self, monkeypatch, case):
+        """The block stops once a step leaves every row's phases unchanged bit for
+        bit, and its best objectives and phases equal, bit for bit, those of the
+        same loop run for the whole budget: before the budget on the fixed-point
+        case, and never on the other."""
+        preset, n_ris, step = self.CASES[case]
+        factors = sweep_factors(preset, n_ris, self.REALIZATIONS)
+        calls, block_terms = [], _block_terms
+
+        def counted(*args):
+            calls.append(1)
+            return block_terms(*args)
+
+        monkeypatch.setattr(optimizer, "_block_terms", counted)
+        best, phases = fixed_step_descents(factors, (step,), MU, 400)
+        iterations = len(calls)
+        ref_best, ref_phases = reference_block(factors, (step,), MU, 400)
+        assert np.array_equal(best, ref_best) and np.array_equal(phases, ref_phases)
+        assert (iterations < 401) if case == "fixed point" else (iterations == 401)
 
 
 class TestTraceNormalizedFactor:
