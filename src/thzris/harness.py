@@ -8,9 +8,10 @@ execution order. A realization is its hops' path lists; only rates and A-GD's
 form build hop matrices (channel.referenced_hop), while C-GD, in calibration and
 in the sweep, and replay's summary read thin roots (channel.ris_root). The
 sweep's C-GD runs each point group's realizations as one block in the parent
-process, so its rows do not depend on the worker count either. Wall-clock
-columns default to zero for the same reason and are only populated when timing
-capture is enabled.
+process, on the RIS path lists the parent draws once per realization and group
+for both C-GD and the rates, so its rows do not depend on the worker count
+either. Wall-clock columns default to zero for the same reason and are only
+populated when timing capture is enabled.
 
 Rate evaluation expresses every channel relative to the configured link
 geometry: each RIS hop is divided by its deterministic LoS reference
@@ -277,14 +278,16 @@ def _point_groups(config: ExperimentConfig) -> list:
 def _run_point(real: channel.ChannelRealization, cfgs: list, schemes, cgd=None) -> list:
     """One scheme -> (rates, iterations, wall ms) dict per point config of a
     group, for the RIS schemes on the realization's referenced hops. A-GD
-    descends once on their trace-normalized form; C-GD's (best continuous
-    phases, wall ms) come in as `cgd`, from the group's block descent
-    (_cgd_descents). Each point quantizes both best phases with its own
-    codebook; random and exhaustive run per point. A scheme's wall time spans
-    its optimization through a point's rates. The sweep and replay both run this."""
+    descends once on their trace-normalized form, which only A-GD and
+    exhaustive search read; C-GD's (best continuous phases, wall ms) come in as
+    `cgd`, from the group's block descent (_cgd_descents). Each point quantizes
+    both best phases with its own codebook; random and exhaustive run per point.
+    A scheme's wall time spans its optimization through a point's rates. The
+    sweep and replay both run this."""
     h1 = channel.referenced_hop(real.config, Hop.BS_RIS, real.paths_h1)
     h2 = channel.referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)
-    form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
+    if "agd" in schemes or "exhaustive" in schemes:
+        form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
     descents = {} if cgd is None else {"cgd": cgd}   # scheme -> (best phases, wall ms)
     if "agd" in schemes:
         t0 = time.perf_counter()
@@ -301,11 +304,11 @@ def _run_point(real: channel.ChannelRealization, cfgs: list, schemes, cgd=None) 
                 n_iters = cfg.optimizer.max_iterations
             elif scheme == "random":
                 rng = stream_rng(cfg.master_seed, real.realization, "random")
-                phases = optimizer.run_random_phase(form.n_ris, codebook, rng)
+                phases = optimizer.run_random_phase(cfg.n_ris, codebook, rng)
                 n_iters = 1
             else:   # exhaustive, the one other scheme validate() admits
                 phases, _ = optimizer.run_exhaustive(form, codebook)
-                n_iters = codebook.size ** form.n_ris
+                n_iters = codebook.size ** cfg.n_ris
             theta = codebook.mean_amplitude * np.exp(1j * phases)
             he = beamforming.cascaded_channel(h1, h2, theta)
             point[scheme] = (_rates_for_channel(he, cfg), n_iters,
@@ -314,26 +317,27 @@ def _run_point(real: channel.ChannelRealization, cfgs: list, schemes, cgd=None) 
     return out
 
 
-def _run_realization(r: int, cgd: tuple, config: ExperimentConfig, groups: list,
-                     dump_dir) -> list:
+def _run_realization(r: int, paths: tuple, cgd: tuple, config: ExperimentConfig,
+                     groups: list, dump_dir) -> list:
     """One {scheme: (rates, iterations, wall ms)} per sweep point, in point order,
-    for channel realization r, given its C-GD (best phases, wall ms) per group, or
-    None per group without cgd. The direct hop depends on no swept field, so its
-    no_ris result is drawn once and shared by every point; the RIS hops' path
-    lists are drawn once per group, and their matrices built only for a RIS scheme."""
+    for channel realization r, given its RIS hops' path lists (_ris_paths) per
+    group and its C-GD (best phases, wall ms) per group, or None per group without
+    cgd. The direct hop depends on no swept field, so its no_ris result is drawn
+    once and shared by every point; the RIS hops' matrices are built only for a
+    RIS scheme."""
     direct = {}
     if "no_ris" in config.schemes:
-        paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
+        direct_paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
         t0 = time.perf_counter()
-        rates = _rates_for_channel(channel.referenced_hop(config, Hop.BS_MS_DIRECT, paths), config)
+        rates = _rates_for_channel(
+            channel.referenced_hop(config, Hop.BS_MS_DIRECT, direct_paths), config)
         direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
     ris_schemes = [s for s in config.schemes if s != "no_ris"]
     out = []
-    for group, group_cgd in zip(groups, cgd):
+    for group, (paths_h1, paths_h2), group_cgd in zip(groups, paths, cgd):
         cfgs = [cfg for _, cfg in group]
-        real = channel.ChannelRealization(
-            paths_h1=_draw_paths(cfgs[0], Hop.BS_RIS, r),
-            paths_h2=_draw_paths(cfgs[0], Hop.RIS_MS, r), realization=r, config=cfgs[0])
+        real = channel.ChannelRealization(paths_h1=paths_h1, paths_h2=paths_h2,
+                                          realization=r, config=cfgs[0])
         if dump_dir is not None:
             for cfg in cfgs:
                 name = config.sweep   # the file name carries the swept field's value
@@ -398,46 +402,88 @@ def replay_realization(path, snr_db: float) -> tuple:
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
-def _factor(config: ExperimentConfig, r: int, tag: str) -> np.ndarray:
-    """Trace-normalized thin factor G (G G^H = D) of realization r's RIS hops drawn
-    from the streams tag + hop: tag "" for the sweep's, "calib-" for calibration's."""
+def _ris_paths(config: ExperimentConfig, r: int, tag: str = "") -> tuple:
+    """Realization r's (BS-RIS, RIS-MS) path lists, drawn from the streams tag + hop:
+    tag "" for the sweep's, "calib-" for calibration's."""
+    return tuple(_draw_paths(config, hop, r, tag) for hop in (Hop.BS_RIS, Hop.RIS_MS))
+
+
+def _factor(config: ExperimentConfig, paths: tuple) -> np.ndarray:
+    """Trace-normalized thin factor G (G G^H = D) of the RIS hops of one
+    realization's (BS-RIS, RIS-MS) path lists."""
     return optimizer.trace_normalized_factor(*(
-        channel.ris_root(config, hop, _draw_paths(config, hop, r, tag))
-        for hop in (Hop.BS_RIS, Hop.RIS_MS)))
+        channel.ris_root(config, hop, hop_paths)
+        for hop, hop_paths in zip((Hop.BS_RIS, Hop.RIS_MS), paths)))
 
 
-def _cgd_descents(config: ExperimentConfig, n_realizations: int) -> list:
+def _cgd_descents(config: ExperimentConfig, paths: list) -> list:
     """Each realization's (best C-GD phases, wall ms) for a point group whose first
-    point config is `config`: all realizations descend at its step as one block on
-    their stacked sweep factors, which are built here and freed on return, and
-    each realization's wall ms is its share of the block's descent."""
-    factors = np.stack([_factor(config, r, "") for r in range(n_realizations)])
+    point config is `config`, given each realization's RIS path lists: all
+    realizations descend at its step as one block on their stacked factors, which
+    are built here and freed on return, and each realization's wall ms is its
+    share of the block's descent."""
+    factors = np.stack([_factor(config, pair) for pair in paths])
     t0 = time.perf_counter()
     _, best = optimizer.fixed_step_descents(factors, (config.optimizer.fixed_step,),
                                             config.mean_amplitude,
                                             config.optimizer.max_iterations)
-    ms = (time.perf_counter() - t0) * 1e3 / n_realizations
+    ms = (time.perf_counter() - t0) * 1e3 / len(paths)
     return [(phases, ms) for phases in best[:, 0]]
+
+
+def _objective_bound(factors: np.ndarray, mean_amplitude: float) -> float:
+    """U = mu^2 N mean_f sigma_max(G_f)^2 over an (F, N, L) factor stack, widened
+    by 1e-12 relative for rounding: no mean over the forms of objectives
+    mu^2 ||G_f^H u||^2 of unit-modulus u exceeds it."""
+    sigma = np.linalg.svd(factors, compute_uv=False)[:, 0]
+    return mean_amplitude ** 2 * factors.shape[1] * float(np.mean(sigma ** 2)) * (1 + 1e-12)
+
+
+def _tie_pick(steps, means) -> float:
+    """The smallest step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best."""
+    best_mean = max(means)
+    return min(step for step, mean_obj in zip(steps, means)
+               if best_mean - mean_obj <= CGD_CALIBRATION_TIE_RTOL * abs(best_mean))
+
+
+def _calibration_means(config: ExperimentConfig, factors: np.ndarray, steps: tuple) -> tuple:
+    """Mean best objective over the stacked calibration factors at each of
+    `steps`, descending as one block; a mean that is not finite raises ValueError."""
+    means = optimizer.fixed_step_descents(factors, steps, config.mean_amplitude,
+                                          config.optimizer.max_iterations)[0].mean(axis=0)
+    for step, mean_obj in zip(steps, means):
+        if not math.isfinite(mean_obj):
+            raise ValueError(f"C-GD calibration at step {step} (n_ris = {config.n_ris}) "
+                             f"has mean objective {mean_obj}")
+    return tuple(means)
 
 
 def calibrate_fixed_step(config: ExperimentConfig) -> float:
     """Pick the constant step with the best mean objective on a small seeded
     calibration batch (streams disjoint from the main experiment): the smallest
-    grid step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best. Every
-    form and grid step descends in one block on the forms' stacked path factors.
-    A mean that is not finite raises ValueError."""
-    factors = np.stack([_factor(config, c, "calib-")
+    grid step whose mean is within CGD_CALIBRATION_TIE_RTOL of the best.
+
+    The forms descend on their stacked path factors in two ascending blocks of
+    grid steps, (1e-4, 1e-3) and then (1e-2, 0.1, 1.0); a block of two or more
+    steps gives each run the bits it has in one 5-step block. The second block
+    runs only where the bound U = mu^2 N mean_f sigma_max(G_f)^2
+    (_objective_bound) does not certify the first block's pick p. Each
+    objective is mu^2 ||G^H u||^2 <= mu^2 N sigma_max(G)^2 for unit-modulus u,
+    so the best mean B over all 5 steps lies in [b, U], b the first block's
+    best. The rule keeps a step s iff B - m_s <= rtol |B|, and B - m_s -
+    rtol |B| grows with B: if p passes that test against U it passes against
+    B, and a smaller step, which failed against b, fails against B. So a
+    certified p is the rule's pick on all 5 means. A mean that is not finite
+    in a block that runs raises ValueError."""
+    factors = np.stack([_factor(config, _ris_paths(config, c, "calib-"))
                         for c in range(CGD_CALIBRATION_REALIZATIONS)])
-    means = optimizer.fixed_step_descents(
-        factors, CGD_CALIBRATION_GRID, config.mean_amplitude,
-        config.optimizer.max_iterations)[0].mean(axis=0)
-    for step, mean_obj in zip(CGD_CALIBRATION_GRID, means):
-        if not math.isfinite(mean_obj):
-            raise ValueError(f"C-GD calibration at step {step} (n_ris = {config.n_ris}) "
-                             f"has mean objective {mean_obj}")
-    best_mean = max(means)
-    return min(step for step, mean_obj in zip(CGD_CALIBRATION_GRID, means)
-               if best_mean - mean_obj <= CGD_CALIBRATION_TIE_RTOL * abs(best_mean))
+    first, rest = CGD_CALIBRATION_GRID[:2], CGD_CALIBRATION_GRID[2:]
+    means = _calibration_means(config, factors, first)
+    pick = _tie_pick(first, means)
+    bound = _objective_bound(factors, config.mean_amplitude)
+    if bound - means[first.index(pick)] <= CGD_CALIBRATION_TIE_RTOL * abs(bound):
+        return pick
+    return _tie_pick(CGD_CALIBRATION_GRID, means + _calibration_means(config, factors, rest))
 
 
 @_blas_threads(1)
@@ -452,9 +498,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         for group in groups:   # calibrated once, on the group's first point
             opt = replace(group[0][1].optimizer, fixed_step=calibrate_fixed_step(group[0][1]))
             group[:] = [(value, replace(cfg, optimizer=opt)) for value, cfg in group]
-    # per group, every realization's C-GD result; zipped, realization r's per group
-    cgd = [_cgd_descents(group[0][1], config.n_realizations) if "cgd" in config.schemes
-           else [None] * config.n_realizations for group in groups]
+    # per group, every realization's RIS path lists and C-GD result, each drawn or
+    # descended once; zipped, realization r's per group
+    paths = [[_ris_paths(group[0][1], r) for r in range(config.n_realizations)]
+             for group in groups]
+    cgd = [_cgd_descents(group[0][1], group_paths) if "cgd" in config.schemes
+           else [None] * config.n_realizations for group, group_paths in zip(groups, paths)]
     run = partial(_run_realization, config=config, groups=groups, dump_dir=dump_dir)
     if workers > 1:
         # imported here: the pool loads multiprocessing, socket and logging
@@ -462,9 +511,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
         # one BLAS thread per worker too, so that workers do not oversubscribe the cores
         with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
                                  initializer=_set_blas_threads, initargs=(1,)) as pool:
-            results = list(pool.map(run, range(config.n_realizations), zip(*cgd)))
+            results = list(pool.map(run, range(config.n_realizations), zip(*paths),
+                                    zip(*cgd)))
     else:
-        results = list(map(run, range(config.n_realizations), zip(*cgd)))
+        results = list(map(run, range(config.n_realizations), zip(*paths), zip(*cgd)))
 
     rows = []
     for k, (value, _) in enumerate(point for group in groups for point in group):

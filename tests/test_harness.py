@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, sweeps, CSV, determinism."""
 
 import concurrent.futures
+import itertools
 import math
 import os
 import re
@@ -10,6 +11,7 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,6 +49,20 @@ def calib_hop(cfg: ExperimentConfig, hop: Hop, c: int) -> np.ndarray:
     calibration draws its paths from."""
     rng = harness.stream_rng(cfg.master_seed, c, "calib-" + hop.value)
     return channel.sample_channel(cfg, hop, rng)[0] / channel.hop_reference(cfg, hop)
+
+
+def one_block_pick(cfg: ExperimentConfig) -> float:
+    """The tie rule on one block of all 5 grid steps: the smallest step whose mean
+    best objective over the 10 calibration forms is within
+    CGD_CALIBRATION_TIE_RTOL (relative) of the best mean."""
+    factors = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+                        for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
+    means = optimizer.fixed_step_descents(factors, harness.CGD_CALIBRATION_GRID,
+                                          cfg.mean_amplitude,
+                                          cfg.optimizer.max_iterations)[0].mean(axis=0)
+    best = max(means)
+    return min(step for step, mean in zip(harness.CGD_CALIBRATION_GRID, means)
+               if best - mean <= harness.CGD_CALIBRATION_TIE_RTOL * abs(best))
 
 
 @st.composite
@@ -417,9 +433,10 @@ class TestRunExperiment:
                                                          n_problems):
         """A phi_max_deg or bits sweep is one point group, which calibrates once
         and descends once per realization; an n_ris sweep has one group per point.
-        Each group takes two block C-GD descents on thin factors, the calibration
-        grid's 5 steps on its 10 forms and its calibrated step on every
-        realization's form, and the sweep runs no run_cgd."""
+        Each group takes block C-GD descents on thin factors: the calibration
+        grid's two blocks of steps on its 10 forms (these 10-iteration budgets
+        stay short of the objective bound, so the second block runs), and its
+        calibrated step on every realization's form; the sweep runs no run_cgd."""
         calls = {"calibrate": 0, "agd": 0, "cgd": 0}
         blocks, descents = [], optimizer.fixed_step_descents
 
@@ -443,8 +460,8 @@ class TestRunExperiment:
         run_experiment(cfg)
         n = cfg.n_realizations * n_problems
         assert calls == {"calibrate": n_problems, "agd": n, "cgd": 0}
-        assert blocks == [(harness.CGD_CALIBRATION_REALIZATIONS,
-                           len(harness.CGD_CALIBRATION_GRID))] * n_problems \
+        assert blocks == [(harness.CGD_CALIBRATION_REALIZATIONS, 2),
+                          (harness.CGD_CALIBRATION_REALIZATIONS, 3)] * n_problems \
             + [(cfg.n_realizations, 1)] * n_problems
 
     def test_pool_workers_use_one_blas_thread(self, monkeypatch):
@@ -567,6 +584,38 @@ class TestRunExperiment:
         assert len(os.listdir(tmp_path)) == 5
         assert built == [Hop.BS_MS_DIRECT] * 10 and forms == []
 
+    def test_form_built_only_for_agd_or_exhaustive(self, monkeypatch):
+        """C-GD, random and no_ris need no dense form: without agd and exhaustive
+        a run builds none, and its rows equal those of the same run with agd."""
+        forms, build = [], optimizer.build_quadratic_form
+        cfg = tiny_config(schemes=("cgd", "random", "no_ris"), sweep="n_ris",
+                          sweep_grid=(4.0, 8.0),
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "build_quadratic_form",
+                          lambda *args: forms.append(args) or build(*args))
+            rows = run_experiment(cfg)
+        assert forms == []
+        with_agd = run_experiment(replace(cfg, schemes=("agd",) + cfg.schemes))
+        assert rows == tuple(r for r in with_agd if r.scheme != "agd")
+
+    def test_ris_paths_drawn_once_per_realization_and_group(self, monkeypatch):
+        """Each realization's RIS path lists are drawn once per point group and
+        serve both the group's C-GD block and the realization's rates: with no_ris,
+        1 + 2 draws per group per realization; rows do not depend on the worker
+        count."""
+        draws, sample = [], channel.sample_paths
+        cfg = tiny_config(schemes=("cgd", "random", "no_ris"), sweep="n_ris",
+                          sweep_grid=(4.0, 8.0),
+                          optimizer=OptimizerSettings(max_iterations=10, fixed_step=0.01))
+        with monkeypatch.context() as patch:
+            patch.setattr(channel, "sample_paths",
+                          lambda config, hop, rng: draws.append(hop) or sample(config, hop, rng))
+            rows = run_experiment(cfg)
+        assert len(draws) == cfg.n_realizations * (1 + 2 * 2)
+        assert draws.count(Hop.BS_MS_DIRECT) == cfg.n_realizations
+        assert rows == run_experiment(cfg, workers=2)
+
     def test_detour_without_excess_runs(self):
         """A zero detour excess must not round a reflected path below the direct
         distance: r1 + r2 < r0 made nlos_gain raise on some of these draws."""
@@ -655,15 +704,15 @@ class TestCalibration:
         assert alive == [0] * harness.CGD_CALIBRATION_REALIZATIONS
 
     def test_holds_one_form_at_a_time(self, monkeypatch):
-        """Calibration builds no dense form and runs no run_cgd: every form and
-        grid step descends in one block on the forms' stacked thin path factors,
-        N x (1 + n_nlos)^2 per form instead of a dense N x N form."""
+        """Calibration builds no dense form and runs no run_cgd: every form
+        descends at each block of grid steps in one block on the forms' stacked
+        thin path factors, N x (1 + n_nlos)^2 per form instead of a dense N x N
+        form; this short budget runs both blocks."""
         calls, blocks = [], []
         block = optimizer.fixed_step_descents
 
         def ran(factors, steps, *args):
-            blocks.append(factors.shape)
-            assert tuple(steps) == harness.CGD_CALIBRATION_GRID
+            blocks.append((factors.shape, tuple(steps)))
             return block(factors, steps, *args)
 
         for name in ("build_quadratic_form", "run_cgd"):
@@ -672,8 +721,9 @@ class TestCalibration:
         cfg = tiny_config()
         calibrate_fixed_step(cfg)
         assert calls == []
-        assert blocks == [(harness.CGD_CALIBRATION_REALIZATIONS, cfg.n_ris,
-                           (1 + cfg.n_nlos) ** 2)]
+        shape = (harness.CGD_CALIBRATION_REALIZATIONS, cfg.n_ris, (1 + cfg.n_nlos) ** 2)
+        assert blocks == [(shape, harness.CGD_CALIBRATION_GRID[:2]),
+                          (shape, harness.CGD_CALIBRATION_GRID[2:])]
 
     @pytest.mark.parametrize("name, overrides", [
         ("fig7-desk", {}), ("fig8-desk", dict(n_ris=16)), ("fig7-desk", dict(xi=0.0)),
@@ -686,7 +736,7 @@ class TestCalibration:
         for c in (0, 9):
             form, _ = optimizer.build_quadratic_form(
                 calib_hop(cfg, Hop.BS_RIS, c), calib_hop(cfg, Hop.RIS_MS, c)).trace_normalized()
-            g = harness._factor(cfg, c, "calib-")
+            g = harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
             assert g.shape == (cfg.n_ris, (1 + cfg.n_nlos) ** 2)
             err = np.linalg.norm(g @ g.conj().T - form.matrix)
             assert err <= 1e-12 * np.linalg.norm(form.matrix)
@@ -740,7 +790,7 @@ class TestCalibration:
             table.append(objs)
             if float(np.mean(objs)) > best_mean:
                 best_step, best_mean = step, float(np.mean(objs))
-        factors = np.stack([harness._factor(cfg, c, "calib-")
+        factors = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         streamed = optimizer.fixed_step_descents(
             factors, harness.CGD_CALIBRATION_GRID, cfg.mean_amplitude,
@@ -772,11 +822,24 @@ class TestCalibration:
         ((-3.0, -2.0, -1.0, -1.0 * (1 + 2e-9), -4.0), 1e-2)])
     def test_tie_rule(self, monkeypatch, means, step):
         """The smallest grid step whose mean is within CGD_CALIBRATION_TIE_RTOL
-        (relative) of the best mean wins; beyond it, the best mean wins."""
+        (relative) of the best mean wins; beyond it, the best mean wins. Each
+        case runs twice: under an objective bound far above every mean, so that
+        both blocks of steps run, and under a bound equal to the best mean, which
+        certifies the first block's pick, and so skips the second block, exactly
+        when the winning step lies in the first block."""
         assert harness.CGD_CALIBRATION_TIE_RTOL == 1e-9
-        monkeypatch.setattr(optimizer, "fixed_step_descents",
-                            lambda factors, *args: (np.tile(means, (len(factors), 1)), None))
-        assert calibrate_fixed_step(tiny_config()) == step
+        mean_of, blocks = dict(zip(harness.CGD_CALIBRATION_GRID, means)), []
+
+        def block(factors, steps, *args):
+            blocks.append(steps)
+            return np.tile([mean_of[s] for s in steps], (len(factors), 1)), None
+
+        monkeypatch.setattr(optimizer, "fixed_step_descents", block)
+        for bound, n_blocks in ((1e300, 2), (max(means), 1 if step < 1e-2 else 2)):
+            monkeypatch.setattr(harness, "_objective_bound", lambda *args: bound)
+            blocks.clear()
+            assert calibrate_fixed_step(tiny_config()) == step
+            assert len(blocks) == n_blocks
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mean_raises(self, monkeypatch, bad):
@@ -786,12 +849,32 @@ class TestCalibration:
         def block(factors, steps, *args):
             assert factors.shape[1] == 12
             best = np.ones((len(factors), len(steps)))
-            best[4, list(steps).index(0.1)] = bad
+            if 0.1 in steps:
+                best[4, steps.index(0.1)] = bad
             return best, None
 
         monkeypatch.setattr(optimizer, "fixed_step_descents", block)
+        # a bound the first block's means of 1 do not reach, so the second block runs
+        monkeypatch.setattr(harness, "_objective_bound", lambda *args: 2.0)
         with pytest.raises(ValueError, match=rf"step 0\.1 \(n_ris = 12\).* {bad}$"):
             calibrate_fixed_step(tiny_config(n_ris=12))
+
+    def test_non_finite_first_block_mean_raises_before_the_second(self, monkeypatch):
+        """A mean that is not finite in the first block fails calibration before
+        the bound is taken or the second block runs."""
+        blocks = []
+
+        def block(factors, steps, *args):
+            blocks.append(steps)
+            best = np.ones((len(factors), len(steps)))
+            best[0, 1] = math.nan
+            return best, None
+
+        monkeypatch.setattr(optimizer, "fixed_step_descents", block)
+        monkeypatch.setattr(harness, "_objective_bound", lambda *args: blocks.append("bound"))
+        with pytest.raises(ValueError, match=r"step 0\.001 \(n_ris = 8\).* nan$"):
+            calibrate_fixed_step(tiny_config())
+        assert blocks == [harness.CGD_CALIBRATION_GRID[:2]]
 
     @pytest.mark.parametrize("name, n_ris, step", [
         ("fig5-desk", 64, 1e-3), ("fig6-desk", 64, 1e-3), ("fig7-desk", 64, 1e-3),
@@ -800,13 +883,112 @@ class TestCalibration:
         ("fig5-paper", 256, 1e-3), ("fig6-paper", 256, 1e-3), ("fig7-paper", 256, 1e-3),
         ("fig8-paper", 64, 1e-3), ("fig8-paper", 128, 1e-3), ("fig8-paper", 192, 1e-3),
         ("fig8-paper", 256, 1e-3)])
-    def test_desk_preset_steps(self, name, n_ris, step):
+    def test_desk_preset_steps(self, monkeypatch, name, n_ris, step):
         """The step each calibration group of the desk and paper presets picks; a
         change that flips one also changes that preset's cgd rows, which at paper
-        scale no CSV golden covers."""
+        scale no CSV golden covers. The objective bound certifies every pick of
+        1e-3, so those groups run only the first block of steps, the cheap one:
+        the second block's large steps cost about twice as much per iteration."""
+        blocks, descents = [], optimizer.fixed_step_descents
+
+        def block(factors, steps, *args):
+            blocks.append(steps)
+            return descents(factors, steps, *args)
+
+        monkeypatch.setattr(optimizer, "fixed_step_descents", block)
         point = next(group[0][1] for group in harness._point_groups(preset(name))
                      if group[0][1].n_ris == n_ris)
         assert calibrate_fixed_step(point) == step
+        assert len(blocks) == (1 if step < 1e-2 else 2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_picks_equal_one_block_rule_on_preset_groups(self, seed):
+        """On every calibration group of the desk and paper presets, the pick
+        equals the tie rule applied to one 5-step block."""
+        for name in preset_names():
+            for group in harness._point_groups(replace(preset(name), master_seed=seed)):
+                assert calibrate_fixed_step(group[0][1]) == one_block_pick(group[0][1]), \
+                    (name, group[0][1].n_ris)
+
+    def test_picks_equal_one_block_rule_on_random_configs(self, monkeypatch):
+        """The pick equals the tie rule applied to one 5-step block on 200 random
+        configs: most on short budgets and a third of those at xi >= 0.1, where
+        the first block's pick is not certified, and one in eight in the rank-1
+        regime (xi <= 1e-4, n_ris >= 48, 400 iterations), where it mostly is."""
+        rng = np.random.default_rng(2024)
+        blocks, descents = [], optimizer.fixed_step_descents
+
+        def block(factors, steps, *args):
+            blocks.append(steps)
+            return descents(factors, steps, *args)
+
+        n_certified = 0
+        for k in range(200):
+            rank_one = k % 8 == 0
+            cfg = tiny_config(
+                n_ris=int(rng.integers(56 if rank_one else 4, 65)),
+                n_bs=int(rng.integers(4, 17)), n_ms=int(rng.integers(4, 9)),
+                n_nlos=int(rng.integers(0, 5)),
+                xi=float(10.0 ** (rng.uniform(-6.0, -4.0) if rank_one else
+                                  rng.uniform(-1.0 if k % 3 == 0 else -6.0, 0.0))),
+                mean_amplitude=float(rng.uniform(0.75 if rank_one else 0.5, 1.0)),
+                master_seed=int(rng.integers(0, 2 ** 63)),
+                optimizer=OptimizerSettings(max_iterations=400 if rank_one else int(
+                    rng.choice((10, 40, 400), p=(0.45, 0.45, 0.1)))))
+            blocks.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "fixed_step_descents", block)
+                step = calibrate_fixed_step(cfg)
+            assert step == one_block_pick(cfg), cfg
+            n_certified += len(blocks) == 1
+        assert 10 <= n_certified <= 190, n_certified
+
+    @pytest.mark.parametrize("n_ris, n_nlos, xi", [(12, 8, 1e-6), (12, 8, 1.0), (64, 2, 1e-6),
+                                                   (16, 4, 0.3)])
+    def test_bound_exceeds_every_best_objective(self, n_ris, n_nlos, xi):
+        """mu^2 N sigma_max(G)^2, widened for rounding, is at least every computed
+        best objective of its form at every grid step, and _objective_bound is
+        that bound's mean over the forms: on calibration factors, some wider
+        than the form (81 columns at n_nlos = 8), and on random Gaussian ones."""
+        cfg = tiny_config(n_ris=n_ris, n_nlos=n_nlos, xi=xi,
+                          optimizer=OptimizerSettings(max_iterations=400))
+        calib = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+                          for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
+        rng = np.random.default_rng(n_ris + n_nlos)
+        gauss = rng.normal(size=(6, n_ris, 2 * n_nlos + 1)) \
+            + 1j * rng.normal(size=(6, n_ris, 2 * n_nlos + 1))
+        for factors in (calib, gauss):
+            best = optimizer.fixed_step_descents(factors, harness.CGD_CALIBRATION_GRID,
+                                                 cfg.mean_amplitude, 400)[0]
+            per_form = [cfg.mean_amplitude ** 2 * n_ris * np.linalg.norm(g, 2) ** 2
+                        * (1 + 1e-12) for g in factors]
+            assert np.all(best <= np.array(per_form)[:, None])
+            assert harness._objective_bound(factors, cfg.mean_amplitude) == \
+                pytest.approx(np.mean(per_form), rel=1e-13)
+            assert np.all(best.mean(axis=0) <= harness._objective_bound(factors,
+                                                                         cfg.mean_amplitude))
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig8-desk", dict(n_ris=16)), ("fig7-desk", dict(xi=0.3)),
+        ("fig8-desk", dict(n_ris=16, n_nlos=4))])
+    def test_every_block_of_two_steps_or_more_gives_the_five_step_rows(self, name, overrides):
+        """Every block of two or more grid steps gives each run the best
+        objectives and best phases, bit for bit, that it has in the block of all
+        5 steps; so the two blocks calibration runs read the same means as one
+        5-step block would. (A block of one step multiplies by matrix-vector
+        products, whose bits differ.)"""
+        cfg = replace(preset(name), sweep="none", sweep_grid=(), **overrides)
+        factors = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+                            for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
+        grid = harness.CGD_CALIBRATION_GRID
+        run = partial(optimizer.fixed_step_descents, factors, mean_amplitude=cfg.mean_amplitude,
+                      max_iterations=cfg.optimizer.max_iterations)
+        best, phases = run(grid)
+        for size in range(2, len(grid)):
+            for subset in itertools.combinations(range(len(grid)), size):
+                sub_best, sub_phases = run(tuple(grid[k] for k in subset))
+                assert np.array_equal(sub_best, best[:, subset]), subset
+                assert np.array_equal(sub_phases, phases[:, subset]), subset
 
 
 class TestEmitCsv:

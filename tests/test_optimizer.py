@@ -19,7 +19,7 @@ from thzris.channel import (Hop, hop_reference, referenced_hop, sample_channel,
                             sample_paths)
 from thzris.graphene import build_codebook
 from thzris import optimizer
-from thzris.harness import ExperimentConfig, _factor, stream_rng
+from thzris.harness import ExperimentConfig, _factor, _ris_paths, stream_rng
 from thzris.harness import preset as load_preset
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               QuadraticForm, _block_terms, adaptive_step,
@@ -629,7 +629,7 @@ def sweep_factors(preset, n_ris, realizations) -> np.ndarray:
     """(R, N, L) stack of the sweep's thin factors of the given realizations at
     n_ris elements of a preset, as the sweep's C-GD block receives them."""
     cfg = replace(load_preset(preset), sweep="none", sweep_grid=(), n_ris=n_ris)
-    return np.stack([_factor(cfg, r, "") for r in realizations])
+    return np.stack([_factor(cfg, _ris_paths(cfg, r)) for r in realizations])
 
 
 def reference_block(factors, steps, mu, max_iterations) -> tuple:
