@@ -32,7 +32,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -52,6 +52,10 @@ SWEEPS = ("none", "n_ris", "phi_max_deg", "bits")
 # quantize_phases allocates (n_ris, 2**bits) float arrays: 134 MB each at 16
 # bits and n_ris = 256, while 40 bits would ask for terabytes
 MAX_BITS = 16
+# channel.upa_dims finds an array's grid by trial division down from isqrt(n),
+# at most 256 divisions up to this count, where the dense BS-RIS hop of
+# 65536 x 65536 elements would already need 64 GiB
+MAX_ELEMENTS = 65536
 # 10 ** (snr / 10) overflows a float above 3080 dB and the rate's log-det stops
 # being finite near 3050 dB; +-300 dB still evaluates at desk and paper scale
 MAX_SNR_DB = 300
@@ -84,37 +88,47 @@ class SweepRow(NamedTuple):
     mean_wall_ms: float
 
 
+def _key(default, kind: str, doc: str):
+    """A config key's field: its default, the kind of value parsed for it, and
+    its config_reference doc."""
+    return field(default=default, metadata={"kind": kind, "doc": doc})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment (defaults are desk scale)."""
+    """Full description of one experiment (defaults are desk scale). Each field
+    but `optimizer` is the config key of its name, declared by _key."""
 
-    n_bs: int = 64
-    n_ris: int = 64
-    n_ms: int = 16
-    m_bs: int = 6
-    m_ms: int = 4
-    n_streams: int = 4
-    carrier_freq_hz: float = 1.6e12
-    bs_ris_m: float = 10.0
-    ris_ms_m: float = 20.0
-    bs_ms_m: float = 25.0
-    kappa_per_m: float = 0.2
-    xi: float = 1e-6
-    n_nlos: int = 2
-    n_nlos_direct: int = 3
-    nlos_excess_min_m: float = 1.0
-    nlos_excess_max_m: float = 10.0
-    ris_element_period_m: float = 70e-6
-    phi_max_deg: float = 306.82
-    bits: int = 2
-    mean_amplitude: float = 0.8
-    snr_grid_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
-    n_realizations: int = 50
-    master_seed: int = 1
-    schemes: tuple = ("agd", "cgd", "no_ris", "random")
-    sweep: str = "none"
-    sweep_grid: tuple = ()
-    direct_blockage_db: float = 20.0
+    n_bs: int = _key(64, "int", "BS antenna count")
+    n_ris: int = _key(64, "int", "RIS element count")
+    n_ms: int = _key(16, "int", "MS antenna count")
+    m_bs: int = _key(6, "int", "BS RF chains")
+    m_ms: int = _key(4, "int", "MS RF chains")
+    n_streams: int = _key(4, "int", "spatial streams")
+    carrier_freq_hz: float = _key(1.6e12, "float", "carrier frequency (Hz)")
+    bs_ris_m: float = _key(10.0, "float", "BS to RIS distance (m)")
+    ris_ms_m: float = _key(20.0, "float", "RIS to MS distance (m)")
+    bs_ms_m: float = _key(25.0, "float", "BS to MS direct distance (m)")
+    kappa_per_m: float = _key(0.2, "float", "molecular absorption coefficient (1/m)")
+    xi: float = _key(1e-6, "float", "material reflection coefficient of scatterers")
+    n_nlos: int = _key(2, "int", "reflected paths per RIS hop")
+    n_nlos_direct: int = _key(3, "int", "reflected paths of the blocked direct link")
+    nlos_excess_min_m: float = _key(1.0, "float", "min detour excess of reflected paths (m)")
+    nlos_excess_max_m: float = _key(10.0, "float", "max detour excess of reflected paths (m)")
+    ris_element_period_m: float = _key(70e-6, "float", "RIS element side length / spacing (m)")
+    phi_max_deg: float = _key(306.82, "float", "maximum element phase response (deg)")
+    bits: int = _key(2, "int", "phase quantization bits")
+    mean_amplitude: float = _key(0.8, "float", "mean reflecting amplitude in [0.5, 1]")
+    snr_grid_db: tuple = _key((-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0), "float_list",
+                              "SNR grid (dB)")
+    n_realizations: int = _key(50, "int", "Monte-Carlo channel realizations")
+    master_seed: int = _key(1, "int", "64-bit master seed")
+    schemes: tuple = _key(("agd", "cgd", "no_ris", "random"), "str_list",
+                          f"subset of {'/'.join(SCHEMES)}")
+    sweep: str = _key("none", "str", f"swept field, one of {'/'.join(SWEEPS)}")
+    sweep_grid: tuple = _key((), "float_list", "values of the swept field (empty for none)")
+    direct_blockage_db: float = _key(20.0, "float", "excess obstruction loss of the blocked "
+                                     "direct link (dB)")
     optimizer: OptimizerSettings = OptimizerSettings(fixed_step="auto")
 
     def codebook(self) -> PhaseCodebook:
@@ -204,6 +218,9 @@ class ExperimentConfig:
                 self.bits * self.n_ris >= optimizer.EXHAUSTIVE_LIMIT.bit_length():
             raise ConfigError("scheme 'exhaustive' infeasible: (2^bits)^n_ris "
                               f"exceeds {optimizer.EXHAUSTIVE_LIMIT}")
+        for key in ("n_bs", "n_ris", "n_ms"):
+            if getattr(self, key) > MAX_ELEMENTS:
+                raise ConfigError(f"{key} must be <= {MAX_ELEMENTS}", key)
         if self.sweep == "none" and self.sweep_grid:
             raise ConfigError("sweep 'none' takes an empty sweep_grid", "sweep_grid")
         if self.sweep != "none":
@@ -508,8 +525,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     if workers > 1:
         # imported here: the pool loads multiprocessing, socket and logging
         from concurrent.futures import ProcessPoolExecutor
-        # one BLAS thread per worker too, so that workers do not oversubscribe the cores
-        with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations),
+        # one BLAS thread per worker too, so that workers do not oversubscribe the cores;
+        # the pool starts every worker at its first submit, so at most one per usable CPU
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations, cpus),
                                  initializer=_set_blas_threads, initargs=(1,)) as pool:
             results = list(pool.map(run, range(config.n_realizations), zip(*paths),
                                     zip(*cgd)))
@@ -555,48 +575,17 @@ def emit_csv(rows, path) -> None:
 
 # --- config files ------------------------------------------------------------
 
-# key -> (value kind, documentation): the one list of config keys, each the
-# name of its ExperimentConfig or OptimizerSettings field.
-CONFIG_SCHEMA = {
-    "n_bs": ("int", "BS antenna count"),
-    "n_ris": ("int", "RIS element count"),
-    "n_ms": ("int", "MS antenna count"),
-    "m_bs": ("int", "BS RF chains"),
-    "m_ms": ("int", "MS RF chains"),
-    "n_streams": ("int", "spatial streams"),
-    "carrier_freq_hz": ("float", "carrier frequency (Hz)"),
-    "bs_ris_m": ("float", "BS to RIS distance (m)"),
-    "ris_ms_m": ("float", "RIS to MS distance (m)"),
-    "bs_ms_m": ("float", "BS to MS direct distance (m)"),
-    "kappa_per_m": ("float", "molecular absorption coefficient (1/m)"),
-    "xi": ("float", "material reflection coefficient of scatterers"),
-    "n_nlos": ("int", "reflected paths per RIS hop"),
-    "n_nlos_direct": ("int", "reflected paths of the blocked direct link"),
-    "nlos_excess_min_m": ("float", "min detour excess of reflected paths (m)"),
-    "nlos_excess_max_m": ("float", "max detour excess of reflected paths (m)"),
-    "ris_element_period_m": ("float", "RIS element side length / spacing (m)"),
-    "phi_max_deg": ("float", "maximum element phase response (deg)"),
-    "bits": ("int", "phase quantization bits"),
-    "mean_amplitude": ("float", "mean reflecting amplitude in [0.5, 1]"),
-    "snr_grid_db": ("float_list", "SNR grid (dB)"),
-    "n_realizations": ("int", "Monte-Carlo channel realizations"),
-    "master_seed": ("int", "64-bit master seed"),
-    "schemes": ("str_list", f"subset of {'/'.join(SCHEMES)}"),
-    "sweep": ("str", f"swept field, one of {'/'.join(SWEEPS)}"),
-    "sweep_grid": ("float_list", "values of the swept field (empty for none)"),
-    "direct_blockage_db": ("float", "excess obstruction loss of the blocked direct link (dB)"),
-    "max_iterations": ("int", "gradient-descent iteration budget"),
-    "fixed_step": ("float_or_auto", "C-GD step size; 'auto' calibrates once per n_ris value"),
-}
-
-
-_OPTIMIZER_FIELDS = tuple(f.name for f in fields(OptimizerSettings))
+# key -> (value kind, documentation), in field order: each key is the name of an
+# ExperimentConfig field but `optimizer`, or of an OptimizerSettings field
+CONFIG_SCHEMA = {f.name: (f.metadata["kind"], f.metadata["doc"])
+                 for f in fields(ExperimentConfig) + fields(OptimizerSettings)
+                 if f.name != "optimizer"}
 
 
 def _config_values(config: ExperimentConfig) -> dict:
     """key -> value of config for every CONFIG_SCHEMA key, in schema order."""
-    return {key: getattr(config.optimizer if key in _OPTIMIZER_FIELDS else config, key)
-            for key in CONFIG_SCHEMA}
+    return {key: getattr(config.optimizer if key in OptimizerSettings.__dataclass_fields__
+                         else config, key) for key in CONFIG_SCHEMA}
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -621,7 +610,7 @@ def _build_config(values: dict) -> ExperimentConfig:
     """Config from parsed key -> value pairs; absent keys keep their defaults.
     An optimizer key OptimizerSettings rejects raises ConfigError naming it."""
     merged = {**_config_values(ExperimentConfig()), **values}
-    opt = {name: merged.pop(name) for name in _OPTIMIZER_FIELDS}
+    opt = {f.name: merged.pop(f.name) for f in fields(OptimizerSettings)}
     for name, value in opt.items():   # each OptimizerSettings check is about one field
         try:
             OptimizerSettings(**{name: value})

@@ -20,7 +20,7 @@ run_cgd, C-GD on the dense D, is the tests' oracle; the sweep does not call it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,8 +71,10 @@ class OptimizerSettings:
     """Iteration budget shared by A-GD and C-GD, and the C-GD step size, or
     "auto" for a step the harness calibrates before any C-GD run."""
 
-    max_iterations: int = 100
-    fixed_step: float | str = 1e-2
+    max_iterations: int = field(default=100, metadata={
+        "kind": "int", "doc": "gradient-descent iteration budget"})
+    fixed_step: float | str = field(default=1e-2, metadata={
+        "kind": "float_or_auto", "doc": "C-GD step size; 'auto' calibrates once per n_ris value"})
 
     def __post_init__(self):
         if self.max_iterations < 1:

@@ -200,6 +200,12 @@ class TestLoadConfig:
              "h1 hop's LoS reference is inf, not positive and finite; it is computed from "
              "carrier_freq_hz, kappa_per_m, bs_ris_m"),
             ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits must be <= 16"),
+            # 2^61 - 1 elements would hang upa_dims' trial division once a run started
+            ("n_bs = 2305843009213693951", 1, "n_bs must be <= 65536"),
+            ("n_bs = 8\nn_ris = 2305843009213693951", 2, "n_ris must be <= 65536"),
+            ("n_ms = 2305843009213693951", 1, "n_ms must be <= 65536"),
+            ("sweep = n_ris\nsweep_grid = 64, 2305843009213693951", 2,
+             "sweep_grid value 2.30584e+18: n_ris must be <= 65536"),
             ("carrier_freq_hz = 1e-150\nbs_ris_m = 1e6\nris_ms_m = 1e6\nkappa_per_m = 0\n"
              "bs_ms_m = 1e-180\nnlos_excess_min_m = 0\nnlos_excess_max_m = 0", None,
              "direct hop's reflected-path gain at its shortest detour is inf, not finite; it "
@@ -231,12 +237,17 @@ class TestLoadConfig:
                 load_config(path)
 
     def test_schema_reaches_every_field(self):
-        """Each config key is the name of exactly one ExperimentConfig or
-        OptimizerSettings field, and each field but `optimizer` has a key."""
-        config_fields = {f.name for f in fields(ExperimentConfig)}
-        optimizer_fields = {f.name for f in fields(OptimizerSettings)}
-        assert not config_fields & optimizer_fields
-        assert set(CONFIG_SCHEMA) == (config_fields - {"optimizer"}) | optimizer_fields
+        """Each ExperimentConfig field but `optimizer`, and each OptimizerSettings
+        field, declares its key's kind and doc, and no key is declared twice: a
+        field without a declaration would drop out of config files and dumps."""
+        keys = [f for f in fields(ExperimentConfig) + fields(OptimizerSettings)
+                if f.name != "optimizer"]
+        for f in keys:
+            assert set(f.metadata) == {"kind", "doc"}, f.name
+            assert f.metadata["kind"] in ("int", "float", "str", "float_list", "str_list",
+                                          "float_or_auto") and f.metadata["doc"], f.name
+        assert len({f.name for f in keys}) == len(keys)
+        assert list(CONFIG_SCHEMA) == [f.name for f in keys]
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -478,6 +489,8 @@ class TestRunExperiment:
 
         # run_experiment imports the pool class from concurrent.futures when it starts a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        # more usable CPUs than realizations, so the realizations bound the pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         cfg = tiny_config(n_realizations=2)
         assert run_experiment(cfg, workers=4) == run_experiment(cfg)
         assert pools == [dict(max_workers=2, initializer=harness._set_blas_threads,
@@ -485,6 +498,37 @@ class TestRunExperiment:
         with ProcessPoolExecutor(max_workers=1, initializer=harness._set_blas_threads,
                                  initargs=(1,)) as pool:
             assert pool.submit(_blas_threads).result() == 1
+
+    @pytest.mark.parametrize("affinity, cpu_count, size", [
+        ({0, 3, 5}, 64, 3), (None, 2, 2), (None, None, 1)])
+    def test_pool_has_no_more_workers_than_usable_cpus(self, monkeypatch, affinity,
+                                                       cpu_count, size):
+        """The pool starts all its workers at once, so it has at most one per CPU
+        this process may use (os.cpu_count() without sched_getaffinity); a fake
+        pool that maps in this process records its size."""
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, **_):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        cfg = tiny_config(n_realizations=5)
+        assert run_experiment(cfg, workers=100000) == run_experiment(cfg)
+        assert pools == [size]
 
     def test_paper_scale_rows_equal_across_worker_counts(self):
         """A threaded LAPACK SVD of the 32x512 direct hop differs in the last
