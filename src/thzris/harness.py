@@ -7,11 +7,14 @@ results are byte-identical for a given config regardless of worker count or
 execution order. A realization is its hops' path lists; only rates and A-GD's
 form build hop matrices (channel.referenced_hop), while C-GD, in calibration and
 in the sweep, and replay's summary read thin roots (channel.ris_root). The
-sweep's C-GD runs each point group's realizations as one block in the parent
-process, on the RIS path lists the parent draws once per realization and group
-for both C-GD and the rates, so its rows do not depend on the worker count
-either. Wall-clock columns default to zero for the same reason and are only
-populated when timing capture is enabled.
+sweep runs its point groups (_point_groups) in turn: the parent process
+calibrates a group's C-GD step, draws each realization's RIS path lists once,
+writes the group's dumps and descends its C-GD as one block (_cgd_descents),
+and a map, over a process pool for workers > 1, runs each realization's points
+(_run_point). The no_ris result (_direct_result) reads no swept field and is
+mapped once per run. Each mapped task carries all it reads, so rows and dumps
+do not depend on the worker count either. Wall-clock columns default to zero
+for the same reason and are only populated when timing capture is enabled.
 
 Rate evaluation expresses every channel relative to the configured link
 geometry: each RIS hop is divided by its deterministic LoS reference
@@ -56,6 +59,9 @@ MAX_BITS = 16
 # at most 256 divisions up to this count, where the dense BS-RIS hop of
 # 65536 x 65536 elements would already need 64 GiB
 MAX_ELEMENTS = 65536
+# channel.sample_paths draws paths one by one and a hop build takes a column a path:
+# at desk scale 4096 paths a hop draw in 0.1 s and reference in 0.3 s; 10**10 hang
+MAX_PATHS = 4096
 # 10 ** (snr / 10) overflows a float above 3080 dB and the rate's log-det stops
 # being finite near 3050 dB; +-300 dB still evaluates at desk and paper scale
 MAX_SNR_DB = 300
@@ -156,6 +162,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 1", key)
         if self.bits > MAX_BITS:
             raise ConfigError(f"bits must be <= {MAX_BITS}", "bits")
+        for key in ("n_nlos", "n_nlos_direct"):
+            if getattr(self, key) > MAX_PATHS:
+                raise ConfigError(f"{key} must be <= {MAX_PATHS}", key)
         for key in ("carrier_freq_hz", "bs_ris_m", "ris_ms_m", "bs_ms_m",
                     "ris_element_period_m"):
             if getattr(self, key) <= 0:
@@ -292,7 +301,16 @@ def _point_groups(config: ExperimentConfig) -> list:
     return [points] if config.sweep in ("phi_max_deg", "bits") else [[p] for p in points]
 
 
-def _run_point(real: channel.ChannelRealization, cfgs: list, schemes, cgd=None) -> list:
+def _direct_result(config: ExperimentConfig, r: int) -> tuple:
+    """Realization r's no_ris (rates, iterations, wall ms). The direct hop depends
+    on no swept field, so one result serves every sweep point."""
+    paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
+    t0 = time.perf_counter()
+    rates = _rates_for_channel(channel.referenced_hop(config, Hop.BS_MS_DIRECT, paths), config)
+    return rates, 0, (time.perf_counter() - t0) * 1e3
+
+
+def _run_point(cfgs: list, schemes, real: channel.ChannelRealization, cgd=None) -> list:
     """One scheme -> (rates, iterations, wall ms) dict per point config of a
     group, for the RIS schemes on the realization's referenced hops. A-GD
     descends once on their trace-normalized form, which only A-GD and
@@ -331,39 +349,6 @@ def _run_point(real: channel.ChannelRealization, cfgs: list, schemes, cgd=None) 
             point[scheme] = (_rates_for_channel(he, cfg), n_iters,
                              shared_ms + (time.perf_counter() - t0) * 1e3)
         out.append(point)
-    return out
-
-
-def _run_realization(r: int, paths: tuple, cgd: tuple, config: ExperimentConfig,
-                     groups: list, dump_dir) -> list:
-    """One {scheme: (rates, iterations, wall ms)} per sweep point, in point order,
-    for channel realization r, given its RIS hops' path lists (_ris_paths) per
-    group and its C-GD (best phases, wall ms) per group, or None per group without
-    cgd. The direct hop depends on no swept field, so its no_ris result is drawn
-    once and shared by every point; the RIS hops' matrices are built only for a
-    RIS scheme."""
-    direct = {}
-    if "no_ris" in config.schemes:
-        direct_paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
-        t0 = time.perf_counter()
-        rates = _rates_for_channel(
-            channel.referenced_hop(config, Hop.BS_MS_DIRECT, direct_paths), config)
-        direct["no_ris"] = (rates, 0, (time.perf_counter() - t0) * 1e3)
-    ris_schemes = [s for s in config.schemes if s != "no_ris"]
-    out = []
-    for group, (paths_h1, paths_h2), group_cgd in zip(groups, paths, cgd):
-        cfgs = [cfg for _, cfg in group]
-        real = channel.ChannelRealization(paths_h1=paths_h1, paths_h2=paths_h2,
-                                          realization=r, config=cfgs[0])
-        if dump_dir is not None:
-            for cfg in cfgs:
-                name = config.sweep   # the file name carries the swept field's value
-                suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
-                channel.dump_realization(replace(real, config=cfg), cfg,
-                                         f"{dump_dir}/real{r:05d}{suffix}.txt")
-        results = (_run_point(real, cfgs, ris_schemes, group_cgd) if ris_schemes
-                   else [{}] * len(cfgs))
-        out += [{**direct, **point} for point in results]
     return out
 
 
@@ -415,7 +400,7 @@ def replay_realization(path, snr_db: float) -> tuple:
         rx, tx = channel.hop_arrays(cfg, hop)
         summary.append(f"{hop.value} {rx.size}x{tx.size}  ||{hop.value}||_F = "
                        f"{channel.hop_norm(cfg, hop, paths):.6e}  paths = {len(paths)}")
-    point, = _run_point(real, [cfg], ("agd", "random"))
+    point, = _run_point([cfg], ("agd", "random"), real)
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
@@ -510,45 +495,57 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     worker count. With cgd calibrated, each point config carries the C-GD step it runs.
     mean_wall_ms is 0 unless `timing` is set, which makes the rows non-reproducible."""
     config.validate()
-    groups = _point_groups(config)
-    if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
-        for group in groups:   # calibrated once, on the group's first point
-            opt = replace(group[0][1].optimizer, fixed_step=calibrate_fixed_step(group[0][1]))
-            group[:] = [(value, replace(cfg, optimizer=opt)) for value, cfg in group]
-    # per group, every realization's RIS path lists and C-GD result, each drawn or
-    # descended once; zipped, realization r's per group
-    paths = [[_ris_paths(group[0][1], r) for r in range(config.n_realizations)]
-             for group in groups]
-    cgd = [_cgd_descents(group[0][1], group_paths) if "cgd" in config.schemes
-           else [None] * config.n_realizations for group, group_paths in zip(groups, paths)]
-    run = partial(_run_realization, config=config, groups=groups, dump_dir=dump_dir)
-    if workers > 1:
-        # imported here: the pool loads multiprocessing, socket and logging
-        from concurrent.futures import ProcessPoolExecutor
-        # one BLAS thread per worker too, so that workers do not oversubscribe the cores;
-        # the pool starts every worker at its first submit, so at most one per usable CPU
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=min(workers, config.n_realizations, cpus),
-                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
-            results = list(pool.map(run, range(config.n_realizations), zip(*paths),
-                                    zip(*cgd)))
-    else:
-        results = list(map(run, range(config.n_realizations), zip(*paths), zip(*cgd)))
+    n_real = config.n_realizations
+    ris_schemes = [s for s in config.schemes if s != "no_ris"]
+    points = []   # (sweep value, scheme, each realization's (rates, iterations, wall ms))
+    with contextlib.ExitStack() as stack:
+        pool_map = map
+        if workers > 1:
+            # imported here: the pool loads multiprocessing, socket and logging
+            from concurrent.futures import ProcessPoolExecutor
+            # one BLAS thread per worker too, so that workers do not oversubscribe the cores;
+            # the pool starts every worker at its first submit, so at most one per usable CPU
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            pool_map = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, n_real, cpus),
+                initializer=_set_blas_threads, initargs=(1,))).map
+        direct = (list(pool_map(partial(_direct_result, config), range(n_real)))
+                  if "no_ris" in config.schemes else None)
+        for group in _point_groups(config):
+            cfgs = [cfg for _, cfg in group]
+            if "cgd" in config.schemes and config.optimizer.fixed_step == "auto":
+                # calibrated once, on the group's first point
+                opt = replace(cfgs[0].optimizer, fixed_step=calibrate_fixed_step(cfgs[0]))
+                cfgs = [replace(cfg, optimizer=opt) for cfg in cfgs]
+            # each realization's RIS path lists, drawn once for the dumps, C-GD and rates
+            paths = [_ris_paths(cfgs[0], r) for r in range(n_real)]
+            reals = [channel.ChannelRealization(*pair, realization=r, config=cfgs[0])
+                     for r, pair in enumerate(paths)]
+            if dump_dir is not None:
+                name = config.sweep   # the file name carries the swept field's value
+                for cfg in cfgs:
+                    suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
+                    for r, real in enumerate(reals):
+                        channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
+            cgd = _cgd_descents(cfgs[0], paths) if "cgd" in config.schemes else [None] * n_real
+            results = (list(pool_map(partial(_run_point, cfgs, ris_schemes), reals, cgd))
+                       if ris_schemes else None)
+            points += [(value, scheme, direct if scheme == "no_ris"
+                        else [res[k][scheme] for res in results])
+                       for k, (value, _) in enumerate(group) for scheme in config.schemes]
 
     rows = []
-    for k, (value, _) in enumerate(point for group in groups for point in group):
-        for scheme in config.schemes:
-            # (R, Q) rates, (R,) iterations and wall ms over the realizations
-            rates, iters, wall = map(np.array, zip(*(res[k][scheme] for res in results)))
-            for q, snr in enumerate(config.snr_grid_db):
-                rows.append(SweepRow(
-                    sweep_value=float(value), scheme=scheme, snr_db=float(snr),
-                    mean_rate=float(np.mean(rates[:, q])),
-                    std_rate=float(np.std(rates[:, q])),
-                    n_real=config.n_realizations,
-                    mean_iters=float(np.mean(iters)),
-                    mean_wall_ms=float(np.mean(wall)) if timing else 0.0))
+    for value, scheme, per_real in points:
+        # (R, Q) rates, (R,) iterations and wall ms over the realizations
+        rates, iters, wall = map(np.array, zip(*per_real))
+        for q, snr in enumerate(config.snr_grid_db):
+            rows.append(SweepRow(
+                sweep_value=float(value), scheme=scheme, snr_db=float(snr),
+                mean_rate=float(np.mean(rates[:, q])),
+                std_rate=float(np.std(rates[:, q])),
+                n_real=n_real, mean_iters=float(np.mean(iters)),
+                mean_wall_ms=float(np.mean(wall)) if timing else 0.0))
     return tuple(sorted(rows, key=lambda row: (row.sweep_value, row.scheme, row.snr_db)))
 
 

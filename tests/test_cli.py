@@ -77,6 +77,7 @@ class TestRun:
                  ("direct_blockage_db = 1e4", None, "direct_blockage_db"),
                  ("carrier_freq_hz = 1e-300\nbs_ris_m = 1e-30", None, "bs_ris_m"),
                  ("n_realizations = 1\nbits = 40\nschemes = agd", 2, "bits"),
+                 ("n_nlos = 10000000000", 1, "n_nlos"),
                  ("carrier_freq_hz = 1e-150\nbs_ris_m = 1e6\nris_ms_m = 1e6\n"
                   "kappa_per_m = 0\nbs_ms_m = 1e-180\nnlos_excess_min_m = 0\n"
                   "nlos_excess_max_m = 0", None, "reflected-path gain"),
@@ -148,6 +149,26 @@ class TestRun:
         serial = run("w1", "--workers", "1")
         assert serial == run("w2", "--workers", "2")
         assert all(ln.endswith(b",0") for ln in serial.splitlines()[1:])
+
+    @pytest.mark.parametrize("sweep, grid", [("n_ris", "4, 8"), ("phi_max_deg", "90, 360")])
+    def test_dump_tree_identical_across_worker_counts(self, sweep, grid, tmp_path):
+        """The --dump-channels tree is byte-identical at --workers 1 and 2, on an
+        n_ris sweep of two point groups and on a phi_max_deg sweep of one; cgd puts
+        each group's calibrated step into its dumps."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(TINY_CFG.replace("agd, random", "agd, cgd, no_ris, random")
+                       + f"sweep = {sweep}\nsweep_grid = {grid}\n")
+
+        def dumps(workers):
+            out = tmp_path / f"w{workers}"
+            assert cli_main(["run", "--config", str(cfg), "--out", str(out), "--workers",
+                             workers, "--dump-channels", str(out / "dumps")]) == 0
+            return {p.name: p.read_bytes() for p in (out / "dumps").iterdir()}
+
+        serial = dumps("1")
+        assert len(serial) == 2 * 2   # points times realizations
+        assert not any(b"config fixed_step = auto" in text for text in serial.values())
+        assert serial == dumps("2")
 
     def test_loads_no_scipy(self, tiny_cfg_path, tmp_path):
         """Neither `import thzris` nor a run loads a scipy module. It runs in a

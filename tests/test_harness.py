@@ -206,6 +206,9 @@ class TestLoadConfig:
             ("n_ms = 2305843009213693951", 1, "n_ms must be <= 65536"),
             ("sweep = n_ris\nsweep_grid = 64, 2305843009213693951", 2,
              "sweep_grid value 2.30584e+18: n_ris must be <= 65536"),
+            # 10^10 paths would hang sample_paths once a run started
+            ("n_nlos = 10000000000", 1, "n_nlos must be <= 4096"),
+            ("n_bs = 8\nn_nlos_direct = 10000000000", 2, "n_nlos_direct must be <= 4096"),
             ("carrier_freq_hz = 1e-150\nbs_ris_m = 1e6\nris_ms_m = 1e6\nkappa_per_m = 0\n"
              "bs_ms_m = 1e-180\nnlos_excess_min_m = 0\nnlos_excess_max_m = 0", None,
              "direct hop's reflected-path gain at its shortest detour is inf, not finite; it "
@@ -444,10 +447,10 @@ class TestRunExperiment:
                                                          n_problems):
         """A phi_max_deg or bits sweep is one point group, which calibrates once
         and descends once per realization; an n_ris sweep has one group per point.
-        Each group takes block C-GD descents on thin factors: the calibration
-        grid's two blocks of steps on its 10 forms (these 10-iteration budgets
-        stay short of the objective bound, so the second block runs), and its
-        calibrated step on every realization's form; the sweep runs no run_cgd."""
+        Each group in turn takes block C-GD descents on thin factors: the
+        calibration grid's two blocks of steps on its 10 forms (these 10-iteration
+        budgets stay short of the objective bound, so the second block runs), then
+        its calibrated step on every realization's form; the sweep runs no run_cgd."""
         calls = {"calibrate": 0, "agd": 0, "cgd": 0}
         blocks, descents = [], optimizer.fixed_step_descents
 
@@ -472,8 +475,8 @@ class TestRunExperiment:
         n = cfg.n_realizations * n_problems
         assert calls == {"calibrate": n_problems, "agd": n, "cgd": 0}
         assert blocks == [(harness.CGD_CALIBRATION_REALIZATIONS, 2),
-                          (harness.CGD_CALIBRATION_REALIZATIONS, 3)] * n_problems \
-            + [(cfg.n_realizations, 1)] * n_problems
+                          (harness.CGD_CALIBRATION_REALIZATIONS, 3),
+                          (cfg.n_realizations, 1)] * n_problems
 
     def test_pool_workers_use_one_blas_thread(self, monkeypatch):
         """run_experiment's pool has no more workers than realizations, and
@@ -554,7 +557,7 @@ class TestRunExperiment:
             return run_point(*args)
 
         def failed(*args, **kwargs):
-            raise RuntimeError("realization failed")
+            raise RuntimeError("point failed")
 
         monkeypatch.setattr(harness, "calibrate_fixed_step", calibrated)
         monkeypatch.setattr(harness, "_run_point", ran)
@@ -568,8 +571,8 @@ class TestRunExperiment:
             harness.replay_realization(tmp_path / "real00000.txt", 10.0)
             assert _blas_threads() == entry
             assert seen == [("calibrate", 1), ("point", 1), ("point", 1)]
-            monkeypatch.setattr(harness, "_run_realization", failed)
-            with pytest.raises(RuntimeError, match="realization failed"):
+            monkeypatch.setattr(harness, "_run_point", failed)
+            with pytest.raises(RuntimeError, match="point failed"):
                 run_experiment(cfg)
             assert _blas_threads() == entry
         finally:
