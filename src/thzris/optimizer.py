@@ -7,7 +7,9 @@ is done by gradient descent; the adaptive variant picks each step size from
 the exact second-order expansion of f along the gradient direction. A-GD and
 C-GD return continuous phases; the harness quantizes them onto each sweep
 point's discrete hardware codebook (quantize_phases). A descent stops at the
-first iterate that repeats an earlier one bit for bit; its trace holds what ran.
+first iterate that repeats an earlier one bit for bit, and an A-GD run given a
+target objective also at the first iterate that raises its best to the target;
+its trace holds what ran.
 
 C-GD never builds D, in the sweep or in its step calibration: D = G G^H for a
 thin factor G, with at most one column per pair of paths, that
@@ -89,8 +91,10 @@ class GdTrace:
 
     iterations rows are (iteration index, trace objective theta^H D theta,
     step size applied at that iterate, gradient norm): one per iteration run,
-    then (k, objective, 0, 0) for the last iterate k = len(iterations) - 1.
-    best_* track the continuous iterate with the largest trace objective.
+    then (k, objective, 0, 0) for the last iterate k = len(iterations) - 1,
+    the budget's, a repeated one's or, for a run given a target, the first
+    that reached it. best_* track the continuous iterate with the largest
+    trace objective.
     """
 
     iterations: list
@@ -179,8 +183,8 @@ def adaptive_step(form: QuadraticForm, phases: np.ndarray, grad: np.ndarray,
     return _model_step(*quadratic_model_coeffs(form, phases, grad, mean_amplitude))
 
 
-def _descend(form: QuadraticForm, mean_amplitude: float,
-             settings: OptimizerSettings, fixed_step: float | None) -> GdTrace:
+def _descend(form: QuadraticForm, mean_amplitude: float, settings: OptimizerSettings,
+             fixed_step: float | None, target: float | None = None) -> GdTrace:
     """Common gradient-descent loop from zero phases with best-iterate tracking:
     A-GD's adaptive step when fixed_step is None, else C-GD's constant step.
 
@@ -190,7 +194,10 @@ def _descend(form: QuadraticForm, mean_amplitude: float,
     step model adds only (g u)^H D (g u). An iterate's row and successor depend
     only on its phases, so the loop stops at the first iterate that repeats an
     earlier one bit for bit: past it the run only cycles, and the strict > keeps
-    the best. phases is rebound, never written in place, so it needs no copy.
+    the best. Given a target, the loop also stops at the first iterate whose
+    strict > improvement raises the best objective to at least the target, so
+    its trace is that of a run whose budget ends at that iterate. phases is
+    rebound, never written in place, so it needs no copy.
     """
     d = form.matrix
     mu2 = mean_amplitude ** 2
@@ -222,6 +229,8 @@ def _descend(form: QuadraticForm, mean_amplitude: float,
         trace_obj = -float((-mu2 * (col @ u)).real)
         if trace_obj > best_obj:
             best_obj, best_phases = trace_obj, phases
+            if target is not None and best_obj >= target:
+                break
         key = phases.tobytes()
         if key in seen:
             break
@@ -230,10 +239,11 @@ def _descend(form: QuadraticForm, mean_amplitude: float,
     return GdTrace(iterations=rows, best_phases_rad=best_phases, best_objective=best_obj)
 
 
-def run_agd(form: QuadraticForm, mean_amplitude: float,
-            settings: OptimizerSettings) -> GdTrace:
-    """Adaptive-step gradient descent (A-GD) on continuous phases."""
-    return _descend(form, mean_amplitude, settings, None)
+def run_agd(form: QuadraticForm, mean_amplitude: float, settings: OptimizerSettings,
+            target: float | None = None) -> GdTrace:
+    """Adaptive-step gradient descent (A-GD) on continuous phases; given a target
+    trace objective, it stops at the first iterate whose best reaches it."""
+    return _descend(form, mean_amplitude, settings, None, target)
 
 
 def run_cgd(form: QuadraticForm, mean_amplitude: float,

@@ -122,7 +122,7 @@ class TestConfigValidation:
         for infeasible in (dict(n_ris=64),
                            dict(sweep="n_ris", sweep_grid=(4.0, 64.0)),
                            dict(sweep="bits", sweep_grid=(1.0, 4.0)),
-                           dict(n_ris=10 ** 12)):
+                           dict(n_ris=65536)):
             cfg = tiny_config(schemes=("exhaustive",), **{"n_ris": 8, **infeasible})
             with pytest.raises(ConfigError, match="exhaustive"):
                 cfg.validate()
@@ -204,6 +204,8 @@ class TestLoadConfig:
             ("n_bs = 2305843009213693951", 1, "n_bs must be <= 65536"),
             ("n_bs = 8\nn_ris = 2305843009213693951", 2, "n_ris must be <= 65536"),
             ("n_ms = 2305843009213693951", 1, "n_ms must be <= 65536"),
+            # the cap comes before the direct hop's rate bound, which would be inf here
+            ("n_bs = " + "9" * 400, 1, "n_bs must be <= 65536"),
             ("sweep = n_ris\nsweep_grid = 64, 2305843009213693951", 2,
              "sweep_grid value 2.30584e+18: n_ris must be <= 65536"),
             # 10^10 paths would hang sample_paths once a run started
@@ -679,6 +681,53 @@ class TestRunExperiment:
             if r.scheme == "no_ris":
                 vals.setdefault(r.snr_db, set()).add(round(r.mean_rate, 12))
         assert all(len(v) == 1 for v in vals.values())
+
+
+class TestAgdCertificate:
+    """The sweep's A-GD stops at its first best objective within
+    AGD_CERTIFICATE_RTOL of the bound of the realization's thin factor."""
+
+    @staticmethod
+    def agd_runs(monkeypatch, cfg, n_real) -> list:
+        """(certified trace, target, untargeted trace) of _run_point's A-GD on
+        realizations 0..n_real-1 of a one-point config, drawn as the sweep draws
+        them; each certified run must quantize as the untargeted run does."""
+        runs, run_agd, codebook = [], optimizer.run_agd, cfg.codebook()
+
+        def recorded(form, mu, settings, target=None):
+            trace = run_agd(form, mu, settings, target)
+            runs.append((trace, target, run_agd(form, mu, settings)))
+            return trace
+
+        monkeypatch.setattr(optimizer, "run_agd", recorded)
+        for r in range(n_real):
+            real = channel.ChannelRealization(*harness._ris_paths(cfg, r), realization=r,
+                                              config=cfg)
+            harness._run_point([cfg], ("agd",), real)
+            trace, _, full = runs[-1]
+            assert np.array_equal(optimizer.quantize_phases(trace.best_phases_rad, codebook),
+                                  optimizer.quantize_phases(full.best_phases_rad, codebook))
+        return runs
+
+    def test_paper_agd_stops_before_its_budget(self, monkeypatch):
+        """Perf guard: fig7-paper A-GD never repeats an iterate, so without the
+        certificate each run takes all 400 iterations; with it, each of the
+        first 5 realizations stops early (the latest certificate sampled on
+        fig7-paper came at iteration 91) and quantizes as the full run does."""
+        cfg = preset("fig7-paper")
+        for trace, target, full in self.agd_runs(monkeypatch, cfg, 5):
+            assert len(full.iterations) - 1 == cfg.optimizer.max_iterations
+            assert len(trace.iterations) - 1 < cfg.optimizer.max_iterations
+            assert trace.best_objective >= target
+
+    def test_off_rank_one_nothing_certifies(self, monkeypatch):
+        """At xi = 0.3 the reflected paths make fig7-desk's forms full rank, so no
+        run reaches its target and each trace is the untargeted run's."""
+        cfg = replace(preset("fig7-desk"), xi=0.3)
+        for trace, target, full in self.agd_runs(monkeypatch, cfg, 5):
+            assert trace.best_objective < target
+            assert trace.iterations == full.iterations
+            assert np.array_equal(trace.best_phases_rad, full.best_phases_rad)
 
 
 class TestReplay:

@@ -19,7 +19,8 @@ from thzris.channel import (Hop, hop_reference, referenced_hop, sample_channel,
                             sample_paths)
 from thzris.graphene import build_codebook
 from thzris import optimizer
-from thzris.harness import ExperimentConfig, _factor, _ris_paths, stream_rng
+from thzris.harness import (AGD_CERTIFICATE_RTOL, ExperimentConfig, _factor,
+                            _objective_bound, _ris_paths, stream_rng)
 from thzris.harness import preset as load_preset
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               QuadraticForm, _block_terms, adaptive_step,
@@ -553,6 +554,52 @@ class TestDescentExactness:
         assert len(trace.iterations) == 25 and trace.iterations == budget.iterations
         assert np.array_equal(trace.best_phases_rad, budget.best_phases_rad)
         assert trace.best_objective == budget.best_objective
+
+
+class TestCertifiedStop:
+    """Given a target, run_agd also stops at the first iterate whose best
+    objective reaches it; the sweep's target is the bound U of the form's thin
+    factor less AGD_CERTIFICATE_RTOL. Its trace is then the run's whose budget
+    ends at that iterate, and a run that never reaches the target is the
+    untargeted run."""
+
+    @staticmethod
+    def target(factor, mu) -> float:
+        return _objective_bound(factor[None], mu) * (1 - AGD_CERTIFICATE_RTOL)
+
+    @pytest.mark.parametrize("preset, n_ris, r", [
+        ("fig7-desk", 64, 0), ("fig7-desk", 64, 6), ("fig7-paper", 256, 0)])
+    def test_stops_at_first_certified_iterate(self, preset, n_ris, r):
+        """On a rank-1 sweep form, the certified run stops at the first iterate k
+        whose objective reaches the target, before the untargeted run stops, and
+        its rows, best phases and best objective are those of a run with a budget
+        of k iterations."""
+        form, cfg = sweep_form(preset, n_ris, r)
+        mu, settings = cfg.mean_amplitude, cfg.optimizer
+        target = self.target(_factor(cfg, _ris_paths(cfg, r)), mu)
+        trace = run_agd(form, mu, settings, target)
+        full = run_agd(form, mu, settings)
+        objs = [row[1] for row in full.iterations]
+        k = len(trace.iterations) - 1
+        assert objs[0] < target and k == next(i for i, obj in enumerate(objs) if obj >= target)
+        assert k < len(full.iterations) - 1
+        cut = run_agd(form, mu, replace(settings, max_iterations=k))
+        assert trace.iterations == cut.iterations
+        assert np.array_equal(trace.best_phases_rad, cut.best_phases_rad)
+        assert trace.best_objective == cut.best_objective >= target
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_rank_form_never_certifies(self, seed):
+        """Off rank 1, theta^H D theta stays well below N lambda_1 on unit-modulus
+        theta, so the target is never reached and the trace is the untargeted one."""
+        form, factor = form_and_factor(np.random.default_rng(seed), 16, 8, 4)
+        settings = OptimizerSettings(max_iterations=200)
+        target = self.target(factor, MU)
+        trace, plain = run_agd(form, MU, settings, target), run_agd(form, MU, settings)
+        assert trace.best_objective < target
+        assert trace.iterations == plain.iterations
+        assert np.array_equal(trace.best_phases_rad, plain.best_phases_rad)
+        assert trace.best_objective == plain.best_objective
 
 
 def form_and_factor(rng, n_ris, n_bs, n_ms) -> tuple:
