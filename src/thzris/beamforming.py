@@ -1,10 +1,10 @@
-"""Cascaded channel, SVD transceiver beamforming, achievable rate.
+"""Cascaded channel, SVD transceiver beamforming, achievable rate: the rate definition and
+the tests' oracle; no run builds a cascade, the sweep's rates read the hops' thin roots.
 
-The RIS applies a diagonal reflection matrix diag(theta) with
-theta_n = mean_amplitude * e^{j phi_n}; the effective channel is
-H_e = H2 diag(theta) H1. With the channel fixed, the optimal precoder and
-combiner are the leading right/left singular vectors of H_e, and the rate
-reduces to a sum of per-stream log terms over the leading singular values.
+The RIS applies a diagonal reflection matrix diag(theta) with theta_n = mean_amplitude
+e^{j phi_n}; the effective channel is H_e = H2 diag(theta) H1. With the channel fixed,
+the optimal precoder and combiner are the leading right/left singular vectors of H_e,
+and the rate reduces to a sum of per-stream log terms over the leading singular values.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ package-wide e^{+j omega t} convention.
 A realization is its path lists: `hop_matrix` builds a hop's matrix from its
 `PathParams`, bit for bit as `sample_channel` draws it, so a realization, its
 channel dump and its replay hold no matrix (that is also the channel-dump
-replay contract). A hop is referenced here only: `referenced_hop` for the
-sweep's matrices and `ris_root`, a thin root that stands in for the matrix.
+replay contract). A hop is referenced here only: `referenced_hop` for the dense
+form's matrices and `ris_root`, the thin root that stands in for the matrix.
 """
 
 from __future__ import annotations
@@ -276,20 +276,15 @@ def referenced_hop(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
 
 
 def ris_root(config: "ExperimentConfig", hop: Hop, paths) -> np.ndarray:
-    """Thin root P (N_ris x min(n_other, L)) of a RIS hop's referenced Gram on its
-    RIS side, built without the matrix Hr = R diag(w) T^H: with Q_X the triangular
-    factor of a thin QR of X, P P^H = Hr Hr^H for h1's P = R diag(w) Q_T^H, and
-    P P^H = Hr^H Hr for h2's P = T diag(conj w) Q_R^H."""
+    """Thin root P (N_ris, or N_bs for the direct hop, x min(n_other, L)) of a hop's
+    referenced Gram on that side, built without the matrix Hr = R diag(w) T^H: with Q_X
+    the triangular factor of a thin QR of X, P P^H = Hr Hr^H for h1's P = R diag(w) Q_T^H,
+    and P P^H = Hr^H Hr for h2's and the direct hop's P = T diag(conj w) Q_R^H."""
     rx, w, tx = hop_factors(config, hop, paths)
     w = w / hop_reference(config, hop)
     if hop is Hop.BS_RIS:
         return (rx * w) @ np.linalg.qr(tx, mode="r").conj().T
     return (tx * w.conj()) @ np.linalg.qr(rx, mode="r").conj().T
-
-
-def hop_norm(config: "ExperimentConfig", hop: Hop, paths) -> float:
-    """Frobenius norm of a RIS hop's matrix, its reference times ||ris_root||_F."""
-    return hop_reference(config, hop) * float(np.linalg.norm(ris_root(config, hop, paths)))
 
 
 # --- channel dump / replay -------------------------------------------------

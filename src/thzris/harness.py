@@ -4,17 +4,16 @@ hardware parameters, aggregated into deterministic CSV tables.
 Reproducibility contract: every random draw comes from a generator seeded by
 a 64-bit splittable hash of (master_seed, realization index, stream tag), so
 results are byte-identical for a given config regardless of worker count or
-execution order. A realization is its hops' path lists; only rates and A-GD's
-form build hop matrices (channel.referenced_hop), while C-GD, in calibration and
-in the sweep, and replay's summary read thin roots (channel.ris_root). The
-sweep runs its point groups (_point_groups) in turn: the parent process
-calibrates a group's C-GD step, draws each realization's RIS path lists once,
-writes the group's dumps and descends its C-GD as one block (_cgd_descents),
-and a map, over a process pool for workers > 1, runs each realization's points
-(_run_point). The no_ris result (_direct_result) reads no swept field and is
-mapped once per run. Each mapped task carries all it reads, so rows and dumps
-do not depend on the worker count either. Wall-clock columns default to zero
-for the same reason and are only populated when timing capture is enabled.
+execution order. A realization is its hops' path lists. Rates, C-GD, A-GD's stop and
+replay's summary read the hops' thin roots (channel.ris_root); only the dense form of
+A-GD and exhaustive search builds hop matrices (channel.referenced_hop). The sweep runs
+its point groups (_point_groups) in turn: the parent process calibrates a group's C-GD
+step, draws each realization's RIS path lists once, writes the group's dumps, builds
+each realization's roots once and descends the group's C-GD on their factors as one
+block (_factor_descents); a map, over a process pool for workers > 1, runs each
+realization's points (_run_point). no_ris (_direct_result) reads no swept field and is
+mapped once per run. Each mapped task carries all it reads, so rows and dumps do not
+depend on the worker count; wall-clock columns stay zero unless timing is enabled.
 
 Rate evaluation expresses every channel relative to the configured link
 geometry: each RIS hop is divided by its deterministic LoS reference
@@ -42,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from . import beamforming, channel, optimizer
+from . import channel, optimizer
 from .channel import Hop
 from .graphene import PhaseCodebook, build_codebook
 from .optimizer import OptimizerSettings
@@ -283,8 +282,9 @@ def _draw_paths(cfg: ExperimentConfig, hop: Hop, r: int, tag: str = "") -> tuple
 
 
 def _rates_for_channel(he: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """Rates over snr_grid_db: sum log2(1 + snr/Ns s_i^2) over he's Ns leading singular
-    values, achievable_rate's log-det under SVD beamforming; LinAlgError if not finite."""
+    """Rates over snr_grid_db: sum log2(1 + snr/Ns s_i^2) over the Ns leading singular values
+    of he, any matrix with the channel's nonzero singular values (a path core or a root),
+    achievable_rate's log-det under SVD beamforming; LinAlgError if not finite."""
     s2 = np.linalg.svd(he, compute_uv=False)[:config.n_streams] ** 2
     rates = np.array([np.sum(np.log2(1.0 + 10.0 ** (snr / 10.0) / config.n_streams * s2))
                       for snr in config.snr_grid_db])
@@ -308,34 +308,31 @@ def _point_groups(config: ExperimentConfig) -> list:
 
 
 def _direct_result(config: ExperimentConfig, r: int) -> tuple:
-    """Realization r's no_ris (rates, iterations, wall ms). The direct hop depends
-    on no swept field, so one result serves every sweep point."""
+    """Realization r's no_ris (rates, iterations, wall ms), from the direct hop's root
+    (P P^H = Hr^H Hr); it reads no swept field, so one result serves every point."""
     paths = _draw_paths(config, Hop.BS_MS_DIRECT, r)
     t0 = time.perf_counter()
-    rates = _rates_for_channel(channel.referenced_hop(config, Hop.BS_MS_DIRECT, paths), config)
+    rates = _rates_for_channel(channel.ris_root(config, Hop.BS_MS_DIRECT, paths), config)
     return rates, 0, (time.perf_counter() - t0) * 1e3
 
 
-def _run_point(cfgs: list, schemes, real: channel.ChannelRealization, cgd=None) -> list:
-    """One scheme -> (rates, iterations, wall ms) dict per point config of a
-    group, for the RIS schemes on the realization's referenced hops. A-GD
-    descends once on their trace-normalized form, which only A-GD and
-    exhaustive search read, and stops at its first best objective within
-    AGD_CERTIFICATE_RTOL of the bound U of the realization's thin factor
-    (_objective_bound); C-GD's (best continuous phases, wall ms) come in as
-    `cgd`, from the group's block descent (_cgd_descents). Each point quantizes
-    both best phases with its own codebook; random and exhaustive run per point.
-    A scheme's wall time spans its optimization through a point's rates. The
-    sweep and replay both run this."""
-    h1 = channel.referenced_hop(real.config, Hop.BS_RIS, real.paths_h1)
-    h2 = channel.referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)
+def _run_point(cfgs: list, schemes, real, roots: tuple, target=None, cgd=None) -> list:
+    """One scheme -> (rates, iterations, wall ms) dict per point config of a group, for the
+    RIS schemes on one realization given its hops' roots (P1, P2) (_roots). Rates come
+    from the path core P2^H diag(theta) P1, at most L2 x L1, with the singular values of
+    H2 diag(theta) H1. A-GD descends once on the trace-normalized form of the referenced
+    hops, which only A-GD and exhaustive search read, until a best objective reaches
+    `target`; it and C-GD's (best phases, wall ms), `cgd`, come from _factor_descents.
+    Each point quantizes both best phases with its own codebook; random and exhaustive
+    run per point. A scheme's wall time spans its optimization through a point's rates.
+    The sweep and replay both run this."""
     if "agd" in schemes or "exhaustive" in schemes:
-        form, _ = optimizer.build_quadratic_form(h1, h2).trace_normalized()
+        form, _ = optimizer.build_quadratic_form(
+            channel.referenced_hop(real.config, Hop.BS_RIS, real.paths_h1),
+            channel.referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)).trace_normalized()
     descents = {} if cgd is None else {"cgd": cgd}   # scheme -> (best phases, wall ms)
     if "agd" in schemes:
         t0, mu = time.perf_counter(), cfgs[0].mean_amplitude
-        factor = _factor(real.config, (real.paths_h1, real.paths_h2))
-        target = _objective_bound(factor[None], mu) * (1 - AGD_CERTIFICATE_RTOL)
         best = optimizer.run_agd(form, mu, cfgs[0].optimizer, target).best_phases_rad
         descents["agd"] = (best, (time.perf_counter() - t0) * 1e3)
     out = []
@@ -355,8 +352,8 @@ def _run_point(cfgs: list, schemes, real: channel.ChannelRealization, cgd=None) 
                 phases, _ = optimizer.run_exhaustive(form, codebook)
                 n_iters = codebook.size ** cfg.n_ris
             theta = codebook.mean_amplitude * np.exp(1j * phases)
-            he = beamforming.cascaded_channel(h1, h2, theta)
-            point[scheme] = (_rates_for_channel(he, cfg), n_iters,
+            core = (roots[1].conj().T * theta) @ roots[0]   # P2^H diag(theta) P1
+            point[scheme] = (_rates_for_channel(core, cfg), n_iters,
                              shared_ms + (time.perf_counter() - t0) * 1e3)
         out.append(point)
     return out
@@ -399,18 +396,20 @@ def _blas_threads(n: int):
 
 @_blas_threads(1)
 def replay_realization(path, snr_db: float) -> tuple:
-    """The agd and random rates at snr_db of one dumped realization, re-derived
-    by the sweep's own per-point code under the dumped point config. Returns
-    (summary lines: seed, and each hop's shape, Frobenius norm and path count;
-    point config; {scheme: rate}); only the per-point code builds hop matrices."""
+    """The agd and random rates at snr_db of one dumped realization, re-derived by the
+    sweep's own per-point code under the dumped point config from roots and a factor
+    built here as the sweep builds them. Returns (summary lines: seed, and each hop's
+    shape, Frobenius norm and path count; point config; {scheme: rate})."""
     real = channel.load_realization(path)
     cfg = replace(real.config, snr_grid_db=(snr_db,))
-    summary = [f"seed {real.seed}"]
-    for hop, paths in ((Hop.BS_RIS, real.paths_h1), (Hop.RIS_MS, real.paths_h2)):
+    roots, summary = _roots(cfg, (real.paths_h1, real.paths_h2)), [f"seed {real.seed}"]
+    for hop, paths, root in zip((Hop.BS_RIS, Hop.RIS_MS), (real.paths_h1, real.paths_h2), roots):
+        norm = channel.hop_reference(cfg, hop) * float(np.linalg.norm(root))
         rx, tx = channel.hop_arrays(cfg, hop)
         summary.append(f"{hop.value} {rx.size}x{tx.size}  ||{hop.value}||_F = "
-                       f"{channel.hop_norm(cfg, hop, paths):.6e}  paths = {len(paths)}")
-    point, = _run_point([cfg], ("agd", "random"), real)
+                       f"{norm:.6e}  paths = {len(paths)}")
+    targets, _ = _factor_descents(cfg, [roots], ("agd",))
+    point, = _run_point([cfg], ("agd", "random"), real, roots, targets[0])
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
@@ -420,27 +419,32 @@ def _ris_paths(config: ExperimentConfig, r: int, tag: str = "") -> tuple:
     return tuple(_draw_paths(config, hop, r, tag) for hop in (Hop.BS_RIS, Hop.RIS_MS))
 
 
-def _factor(config: ExperimentConfig, paths: tuple) -> np.ndarray:
-    """Trace-normalized thin factor G (G G^H = D) of the RIS hops of one
-    realization's (BS-RIS, RIS-MS) path lists."""
-    return optimizer.trace_normalized_factor(*(
-        channel.ris_root(config, hop, hop_paths)
-        for hop, hop_paths in zip((Hop.BS_RIS, Hop.RIS_MS), paths)))
+def _roots(config: ExperimentConfig, paths: tuple) -> tuple:
+    """Thin roots (P1, P2) (channel.ris_root) of one realization's RIS hops' path lists."""
+    return tuple(channel.ris_root(config, hop, hop_paths)
+                 for hop, hop_paths in zip((Hop.BS_RIS, Hop.RIS_MS), paths))
 
 
-def _cgd_descents(config: ExperimentConfig, paths: list) -> list:
-    """Each realization's (best C-GD phases, wall ms) for a point group whose first
-    point config is `config`, given each realization's RIS path lists: all
-    realizations descend at its step as one block on their stacked factors, which
-    are built here and freed on return, and each realization's wall ms is its
-    share of the block's descent."""
-    factors = np.stack([_factor(config, pair) for pair in paths])
-    t0 = time.perf_counter()
-    _, best = optimizer.fixed_step_descents(factors, (config.optimizer.fixed_step,),
-                                            config.mean_amplitude,
-                                            config.optimizer.max_iterations)
-    ms = (time.perf_counter() - t0) * 1e3 / len(paths)
-    return [(phases, ms) for phases in best[:, 0]]
+def _factor_descents(config: ExperimentConfig, roots: list, schemes) -> tuple:
+    """Each realization's A-GD target and C-GD (best phases, wall ms) for a point group
+    whose first point config is `config`, from the thin factors of its realizations'
+    roots, built here and freed on return; None unless agd or cgd (for C-GD's, cgd) is in
+    `schemes`. A-GD stops at U (1 - AGD_CERTIFICATE_RTOL) of its factor (_objective_bound);
+    C-GD descends at the group's step as one block, a realization's ms its share."""
+    none, mu = [None] * len(roots), config.mean_amplitude
+    if "agd" not in schemes and "cgd" not in schemes:
+        return none, none
+    p1, p2 = roots[0]   # filled in turn: np.stack of a list holds every factor twice
+    factors = np.empty((len(roots), len(p1), p1.shape[1] * p2.shape[1]), dtype=complex)
+    for g, pair in zip(factors, roots):
+        g[...] = optimizer.trace_normalized_factor(*pair)
+    targets = [_objective_bound(g[None], mu) * (1 - AGD_CERTIFICATE_RTOL) for g in factors]
+    if "cgd" not in schemes:
+        return targets, none
+    t0, opt = time.perf_counter(), config.optimizer
+    _, best = optimizer.fixed_step_descents(factors, (opt.fixed_step,), mu, opt.max_iterations)
+    ms = (time.perf_counter() - t0) * 1e3 / len(roots)
+    return targets, [(phases, ms) for phases in best[:, 0]]
 
 
 def _objective_bound(factors: np.ndarray, mean_amplitude: float) -> float:
@@ -488,8 +492,8 @@ def calibrate_fixed_step(config: ExperimentConfig) -> float:
     B, and a smaller step, which failed against b, fails against B. So a
     certified p is the rule's pick on all 5 means. A mean that is not finite
     in a block that runs raises ValueError."""
-    factors = np.stack([_factor(config, _ris_paths(config, c, "calib-"))
-                        for c in range(CGD_CALIBRATION_REALIZATIONS)])
+    factors = np.stack([optimizer.trace_normalized_factor(*_roots(config, _ris_paths(
+        config, c, "calib-"))) for c in range(CGD_CALIBRATION_REALIZATIONS)])
     first, rest = CGD_CALIBRATION_GRID[:2], CGD_CALIBRATION_GRID[2:]
     means = _calibration_means(config, factors, first)
     pick = _tie_pick(first, means)
@@ -529,7 +533,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
                 # calibrated once, on the group's first point
                 opt = replace(cfgs[0].optimizer, fixed_step=calibrate_fixed_step(cfgs[0]))
                 cfgs = [replace(cfg, optimizer=opt) for cfg in cfgs]
-            # each realization's RIS path lists, drawn once for the dumps, C-GD and rates
+            # each realization's RIS path lists, drawn once for the dumps, roots and form
             paths = [_ris_paths(cfgs[0], r) for r in range(n_real)]
             reals = [channel.ChannelRealization(*pair, realization=r, config=cfgs[0])
                      for r, pair in enumerate(paths)]
@@ -539,9 +543,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
                     suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
                     for r, real in enumerate(reals):
                         channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-            cgd = _cgd_descents(cfgs[0], paths) if "cgd" in config.schemes else [None] * n_real
-            results = (list(pool_map(partial(_run_point, cfgs, ris_schemes), reals, cgd))
-                       if ris_schemes else None)
+            roots = [_roots(cfgs[0], pair) for pair in paths] if ris_schemes else []
+            targets, cgd = _factor_descents(cfgs[0], roots, config.schemes)
+            results = list(pool_map(partial(_run_point, cfgs, ris_schemes), reals, roots,
+                                    targets, cgd))   # empty without a RIS scheme
             points += [(value, scheme, direct if scheme == "no_ris"
                         else [res[k][scheme] for res in results])
                        for k, (value, _) in enumerate(group) for scheme in config.schemes]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind, hop_arrays,
-                            hop_factors, hop_matrix, hop_norm, hop_reference, los_gain,
+                            hop_factors, hop_matrix, hop_reference, los_gain,
                             nlos_gain, referenced_hop, ris_root, sample_channel, sample_paths,
                             upa_dims, upa_response)
 from thzris.harness import ExperimentConfig, preset, stream_rng
@@ -258,7 +258,7 @@ class TestRisRoot:
         """P P^H is the referenced hop's Gram on its RIS side, Hr Hr^H for h1 and
         Hr^H Hr for h2, with min(n_other, L) columns; xi = 0 zeroes the reflected
         paths' gains, and n_nlos = 0 leaves the LoS path alone. The norm the
-        replay summary prints is the raw hop's."""
+        replay summary prints, hop_reference ||P||_F, is the raw hop's."""
         cfg = replace(preset(name), sweep="none", sweep_grid=(), **overrides)
         for hop, n_other in ((Hop.BS_RIS, cfg.n_bs), (Hop.RIS_MS, cfg.n_ms)):
             paths = sample_paths(cfg, hop, stream_rng(cfg.master_seed, 3, hop.value))
@@ -268,7 +268,8 @@ class TestRisRoot:
             assert p.shape == (cfg.n_ris, min(n_other, len(paths)))
             assert np.linalg.norm(p @ p.conj().T - gram) <= 1e-12 * np.linalg.norm(gram)
             raw = np.linalg.norm(hop_matrix(cfg, hop, paths))
-            assert hop_norm(cfg, hop, paths) == pytest.approx(raw, rel=1e-12)
+            norm = hop_reference(cfg, hop) * np.linalg.norm(p)
+            assert norm == pytest.approx(raw, rel=1e-12)
 
 
 class TestPresetRegime:

@@ -51,11 +51,16 @@ def calib_hop(cfg: ExperimentConfig, hop: Hop, c: int) -> np.ndarray:
     return channel.sample_channel(cfg, hop, rng)[0] / channel.hop_reference(cfg, hop)
 
 
+def factor(cfg: ExperimentConfig, paths: tuple) -> np.ndarray:
+    """The trace-normalized thin factor G of one realization's RIS path lists."""
+    return optimizer.trace_normalized_factor(*harness._roots(cfg, paths))
+
+
 def one_block_pick(cfg: ExperimentConfig) -> float:
     """The tie rule on one block of all 5 grid steps: the smallest step whose mean
     best objective over the 10 calibration forms is within
     CGD_CALIBRATION_TIE_RTOL (relative) of the best mean."""
-    factors = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+    factors = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
                         for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
     means = optimizer.fixed_step_descents(factors, harness.CGD_CALIBRATION_GRID,
                                           cfg.mean_amplitude,
@@ -334,6 +339,76 @@ class TestRatesForChannel:
             harness._rates_for_channel(np.full((4, 4), 1e150, dtype=complex), cfg)
 
 
+class TestPathCoreRates:
+    """The sweep's rates read the hops' thin roots: the path core P2^H diag(theta) P1
+    has the singular values of the referenced cascade H2 diag(theta) H1, and the
+    direct hop's root those of the referenced direct hop."""
+
+    CASES = [("tiny", {}),
+             ("tiny", dict(n_streams=4)),   # 4 streams over 3 paths a hop
+             # n_ms = 2 below L2 = 3 and n_bs = 2 below L1: each QR's R factor is wide
+             ("tiny", dict(n_ms=2, m_ms=2)),
+             ("tiny", dict(n_bs=2, m_bs=2, n_ms=2, m_ms=2)),
+             ("fig7-desk", {}),
+             ("fig7-desk", dict(xi=0.3))]   # off rank 1: every core value matters
+
+    @staticmethod
+    def config(name, overrides) -> ExperimentConfig:
+        base = tiny_config() if name == "tiny" else preset(name)
+        return replace(base, snr_grid_db=(-10.0, 10.0, 30.0), **overrides)
+
+    @pytest.mark.parametrize("name, overrides", CASES)
+    def test_core_rates_equal_cascade_rates(self, name, overrides):
+        """For random continuous theta and for the random scheme's theta in
+        _run_point, the core's rates equal the dense cascade's to 1e-12."""
+        cfg, rng = self.config(name, overrides), np.random.default_rng(11)
+        for r in range(3):
+            paths = harness._ris_paths(cfg, r)
+            h1, h2 = (channel.referenced_hop(cfg, hop, hop_paths)
+                      for hop, hop_paths in zip((Hop.BS_RIS, Hop.RIS_MS), paths))
+            p1, p2 = roots = harness._roots(cfg, paths)
+            assert p2.conj().T.shape[0] == min(cfg.n_ms, len(paths[1]))
+            theta = cfg.mean_amplitude * np.exp(1j * rng.uniform(0.0, 2 * math.pi, cfg.n_ris))
+            np.testing.assert_allclose(
+                harness._rates_for_channel((p2.conj().T * theta) @ p1, cfg),
+                harness._rates_for_channel(beamforming.cascaded_channel(h1, h2, theta), cfg),
+                rtol=1e-12, atol=0.0)
+            real = channel.ChannelRealization(*paths, realization=r, config=cfg)
+            point, = harness._run_point([cfg], ("random",), real, roots)
+            codebook = cfg.codebook()
+            phases = optimizer.run_random_phase(
+                cfg.n_ris, codebook, harness.stream_rng(cfg.master_seed, r, "random"))
+            theta = codebook.mean_amplitude * np.exp(1j * phases)
+            np.testing.assert_allclose(
+                point["random"][0],
+                harness._rates_for_channel(beamforming.cascaded_channel(h1, h2, theta), cfg),
+                rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name, overrides", CASES)
+    def test_direct_root_rates_equal_referenced_hop_rates(self, name, overrides):
+        cfg = self.config(name, overrides)
+        for r in range(3):
+            hr = channel.referenced_hop(cfg, Hop.BS_MS_DIRECT,
+                                        harness._draw_paths(cfg, Hop.BS_MS_DIRECT, r))
+            np.testing.assert_allclose(harness._direct_result(cfg, r)[0],
+                                       harness._rates_for_channel(hr, cfg),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_nan_hop_raises(self):
+        """A NaN path gain makes the core and the direct root NaN, and the rates
+        raise LinAlgError as the dense cascade's do."""
+        cfg = tiny_config()
+        h1_paths, h2_paths = harness._ris_paths(cfg, 0)
+        h2_paths = (replace(h2_paths[0], complex_gain=complex(math.nan, 0.0)),) + h2_paths[1:]
+        real = channel.ChannelRealization(h1_paths, h2_paths, realization=0, config=cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            harness._run_point([cfg], ("random",), real, harness._roots(cfg, (h1_paths, h2_paths)))
+        direct = harness._draw_paths(cfg, Hop.BS_MS_DIRECT, 0)
+        direct = (replace(direct[0], complex_gain=complex(math.nan, 0.0)),) + direct[1:]
+        with pytest.raises(np.linalg.LinAlgError):
+            harness._rates_for_channel(channel.ris_root(cfg, Hop.BS_MS_DIRECT, direct), cfg)
+
+
 class TestStreamSeeds:
     def test_documented_derivation(self):
         import hashlib
@@ -586,7 +661,8 @@ class TestRunExperiment:
     def test_raw_hops_freed_before_each_form(self, monkeypatch, tmp_path, dump):
         """No raw hop is alive when a sweep form is built, with or without
         dumps: at paper scale a raw 256x512 hop is 2 MB of peak memory. Each
-        is a temporary of its referencing. Calibration builds no form
+        is a temporary of its referencing, and only the form builds hops: the
+        rates, no_ris's among them, read thin roots. Calibration builds no form
         (TestCalibration)."""
         raw, alive = [], []
         hop_matrix, build = channel.hop_matrix, optimizer.build_quadratic_form
@@ -607,13 +683,13 @@ class TestRunExperiment:
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         run_experiment(cfg, dump_dir=str(tmp_path) if dump else None)
         assert len(os.listdir(tmp_path)) == (2 * cfg.n_realizations if dump else 0)
-        assert len(raw) == 3 * cfg.n_realizations   # the direct and both RIS hops
+        assert len(raw) == 2 * cfg.n_realizations   # both RIS hops, for the form
         assert alive == [0] * cfg.n_realizations
 
-    def test_no_ris_alone_samples_only_the_direct_hop(self, monkeypatch, tmp_path):
-        """no_ris needs neither RIS hop nor their quadratic form: only the
-        direct hop's matrix is built, also when the RIS hops' path lists are
-        dumped, since a dump holds no matrix."""
+    def test_no_ris_alone_builds_no_hop_matrix(self, monkeypatch, tmp_path):
+        """no_ris needs neither RIS hop nor their quadratic form, and its rates
+        read the direct hop's thin root: no hop matrix is built, also when the
+        RIS hops' path lists are dumped, since a dump holds no matrix."""
         built, forms = [], []
         hop_matrix, build = channel.hop_matrix, optimizer.build_quadratic_form
 
@@ -631,22 +707,40 @@ class TestRunExperiment:
         run_experiment(cfg)
         run_experiment(cfg, dump_dir=str(tmp_path))
         assert len(os.listdir(tmp_path)) == 5
-        assert built == [Hop.BS_MS_DIRECT] * 10 and forms == []
+        assert built == [] and forms == []
 
     def test_form_built_only_for_agd_or_exhaustive(self, monkeypatch):
-        """C-GD, random and no_ris need no dense form: without agd and exhaustive
-        a run builds none, and its rows equal those of the same run with agd."""
-        forms, build = [], optimizer.build_quadratic_form
+        """C-GD, random and no_ris need no dense form, and their rates read thin
+        roots: without agd and exhaustive a run builds no form, no hop matrix and
+        no cascade, and its rows equal those of the same run with agd."""
+        calls = []
         cfg = tiny_config(schemes=("cgd", "random", "no_ris"), sweep="n_ris",
                           sweep_grid=(4.0, 8.0),
                           optimizer=OptimizerSettings(max_iterations=10, fixed_step="auto"))
         with monkeypatch.context() as patch:
-            patch.setattr(optimizer, "build_quadratic_form",
-                          lambda *args: forms.append(args) or build(*args))
+            for module, name in ((optimizer, "build_quadratic_form"), (channel, "hop_matrix"),
+                                 (beamforming, "cascaded_channel")):
+                patch.setattr(module, name, lambda *args, name=name, call=getattr(module, name):
+                              calls.append(name) or call(*args))
             rows = run_experiment(cfg)
-        assert forms == []
+        assert calls == []
         with_agd = run_experiment(replace(cfg, schemes=("agd",) + cfg.schemes))
         assert rows == tuple(r for r in with_agd if r.scheme != "agd")
+
+    def test_roots_and_factor_built_once_per_realization(self, monkeypatch):
+        """Each realization's roots and thin factor are built once per point group,
+        in the parent, and serve C-GD's block, A-GD's stop and the rates: a
+        5-realization fig7-desk run with agd and cgd builds 10 calibration factors
+        and 5 sweep factors, each from two roots."""
+        factors, roots = [], []
+        factor, root = optimizer.trace_normalized_factor, channel.ris_root
+        monkeypatch.setattr(optimizer, "trace_normalized_factor",
+                            lambda *args: factors.append(1) or factor(*args))
+        monkeypatch.setattr(channel, "ris_root", lambda *args: roots.append(1) or root(*args))
+        cfg = replace(preset("fig7-desk"), n_realizations=5, schemes=("agd", "cgd"))
+        run_experiment(cfg)
+        assert len(factors) == harness.CGD_CALIBRATION_REALIZATIONS + 5 == 15
+        assert len(roots) == 2 * 15
 
     def test_ris_paths_drawn_once_per_realization_and_group(self, monkeypatch):
         """Each realization's RIS path lists are drawn once per point group and
@@ -703,7 +797,9 @@ class TestAgdCertificate:
         for r in range(n_real):
             real = channel.ChannelRealization(*harness._ris_paths(cfg, r), realization=r,
                                               config=cfg)
-            harness._run_point([cfg], ("agd",), real)
+            roots = harness._roots(cfg, (real.paths_h1, real.paths_h2))
+            targets, _ = harness._factor_descents(cfg, [roots], ("agd",))
+            harness._run_point([cfg], ("agd",), real, roots, targets[0])
             trace, _, full = runs[-1]
             assert np.array_equal(optimizer.quantize_phases(trace.best_phases_rad, codebook),
                                   optimizer.quantize_phases(full.best_phases_rad, codebook))
@@ -832,7 +928,7 @@ class TestCalibration:
         for c in (0, 9):
             form, _ = optimizer.build_quadratic_form(
                 calib_hop(cfg, Hop.BS_RIS, c), calib_hop(cfg, Hop.RIS_MS, c)).trace_normalized()
-            g = harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+            g = factor(cfg, harness._ris_paths(cfg, c, "calib-"))
             assert g.shape == (cfg.n_ris, (1 + cfg.n_nlos) ** 2)
             err = np.linalg.norm(g @ g.conj().T - form.matrix)
             assert err <= 1e-12 * np.linalg.norm(form.matrix)
@@ -886,7 +982,7 @@ class TestCalibration:
             table.append(objs)
             if float(np.mean(objs)) > best_mean:
                 best_step, best_mean = step, float(np.mean(objs))
-        factors = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+        factors = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         streamed = optimizer.fixed_step_descents(
             factors, harness.CGD_CALIBRATION_GRID, cfg.mean_amplitude,
@@ -1048,7 +1144,7 @@ class TestCalibration:
         than the form (81 columns at n_nlos = 8), and on random Gaussian ones."""
         cfg = tiny_config(n_ris=n_ris, n_nlos=n_nlos, xi=xi,
                           optimizer=OptimizerSettings(max_iterations=400))
-        calib = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+        calib = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
                           for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         rng = np.random.default_rng(n_ris + n_nlos)
         gauss = rng.normal(size=(6, n_ris, 2 * n_nlos + 1)) \
@@ -1074,7 +1170,7 @@ class TestCalibration:
         5-step block would. (A block of one step multiplies by matrix-vector
         products, whose bits differ.)"""
         cfg = replace(preset(name), sweep="none", sweep_grid=(), **overrides)
-        factors = np.stack([harness._factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+        factors = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         grid = harness.CGD_CALIBRATION_GRID
         run = partial(optimizer.fixed_step_descents, factors, mean_amplitude=cfg.mean_amplitude,
