@@ -19,6 +19,7 @@ form's matrices and `ris_root`, the thin root that stands in for the matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,13 +80,21 @@ class PathParams:
 class ChannelRealization:
     """One Monte-Carlo draw of both RIS hops: their path lists, the realization
     index and the sweep-point config that drew them. The path lists determine
-    the hops, and h1 (N_RIS x N_BS) and h2 (N_MS x N_RIS), which remain only
-    for the benchmark's dump check (perfbench) and the tests, rebuild them."""
+    the hops: their thin roots (`roots`), which the sweep, replay and the dump check
+    read, are built once and kept, also when the realization is pickled to a worker;
+    h1 (N_RIS x N_BS) and h2 (N_MS x N_RIS), which remain only for the benchmark's
+    dump check (perfbench) and the tests, rebuild the matrices."""
 
     paths_h1: tuple
     paths_h2: tuple
     realization: int
     config: "ExperimentConfig"
+
+    @functools.cached_property
+    def roots(self) -> tuple:
+        """The hops' thin roots (P1, P2) (ris_root), built at the first access."""
+        return (ris_root(self.config, Hop.BS_RIS, self.paths_h1),
+                ris_root(self.config, Hop.RIS_MS, self.paths_h2))
 
     @property
     def h1(self) -> np.ndarray:
@@ -340,7 +349,8 @@ def _path_row(path, n: int, tok: list) -> PathParams:
 
 def load_realization(path) -> ChannelRealization:
     """Parse a v4 channel dump: the config lines give the sweep-point config,
-    under which both hops' path rows are checked through their roots (ris_root).
+    under which both hops' path rows are checked through the realization's roots,
+    which it keeps.
 
     A malformed dump, a config that sets a sweep (a dump holds one point's
     config), a referenced hop whose squared norm is not positive and finite, or
@@ -388,10 +398,12 @@ def load_realization(path) -> ChannelRealization:
                  if text.split("#", 1)[0].split("=", 1)[0].strip() == "sweep")
         raise DumpError(f"{path}:{n}: a dump holds one sweep point's config, "
                         f"but it sets sweep = {cfg.sweep}")
+    real = ChannelRealization(paths["paths_h1"], paths["paths_h2"], header["realization"], cfg)
     ris_norms = []   # each referenced hop's squared norms along its RIS elements
-    for key, hop in (("paths_h1", Hop.BS_RIS), ("paths_h2", Hop.RIS_MS)):
-        with np.errstate(over="ignore", invalid="ignore"):   # reported below
-            ris_norms.append(np.sum(np.abs(ris_root(cfg, hop, paths[key])) ** 2, axis=1))
+    for k, (key, hop) in enumerate((("paths_h1", Hop.BS_RIS), ("paths_h2", Hop.RIS_MS))):
+        # reported below; ris_root can overflow, and the first access builds both roots
+        with np.errstate(over="ignore", invalid="ignore"):
+            ris_norms.append(np.sum(np.abs(real.roots[k]) ** 2, axis=1))
             norm = float(np.sum(ris_norms[-1]))
         if not 0.0 < norm < math.inf:
             raise DumpError(f"{at[key]}: the referenced {hop.value} hop has squared "
@@ -401,5 +413,4 @@ def load_realization(path) -> ChannelRealization:
     if not 0.0 < trace < math.inf:
         raise DumpError(f"{at['paths_h1']}: the referenced hops' quadratic form has "
                         f"trace {trace:g}, not positive and finite")
-    return ChannelRealization(paths_h1=paths["paths_h1"], paths_h2=paths["paths_h2"],
-                              realization=header["realization"], config=cfg)
+    return real

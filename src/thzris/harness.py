@@ -32,6 +32,7 @@ import ctypes
 import functools
 import hashlib
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -99,10 +100,18 @@ class SweepRow(NamedTuple):
     mean_wall_ms: float
 
 
-def _key(default, kind: str, doc: str):
-    """A config key's field: its default, the kind of value parsed for it, and
-    its config_reference doc."""
-    return field(default=default, metadata={"kind": kind, "doc": doc})
+def _key(default, kind: str, doc: str, *bounds):
+    """A config key's field: its default, the kind of value parsed for it, its
+    config_reference doc and its range, (op, bound) pairs that each of its values
+    must meet as `value op bound` (an _OPS operator), which validate() checks."""
+    return field(default=default, metadata={"kind": kind, "doc": doc, "bounds": bounds})
+
+
+# the operators of declared ranges and of _ORDERS
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
+# the orders between keys, (a, op, b) for `a op b`; a violation names no one key
+_ORDERS = (("n_bs", ">=", "m_bs"), ("m_bs", ">=", "n_streams"), ("n_ms", ">=", "m_ms"),
+           ("m_ms", ">=", "n_streams"), ("nlos_excess_min_m", "<=", "nlos_excess_max_m"))
 
 
 @dataclass(frozen=True)
@@ -110,36 +119,42 @@ class ExperimentConfig:
     """Full description of one experiment (defaults are desk scale). Each field
     but `optimizer` is the config key of its name, declared by _key."""
 
-    n_bs: int = _key(64, "int", "BS antenna count")
-    n_ris: int = _key(64, "int", "RIS element count")
-    n_ms: int = _key(16, "int", "MS antenna count")
+    n_bs: int = _key(64, "int", "BS antenna count", (">=", 1), ("<=", MAX_ELEMENTS))
+    n_ris: int = _key(64, "int", "RIS element count", (">=", 1), ("<=", MAX_ELEMENTS))
+    n_ms: int = _key(16, "int", "MS antenna count", (">=", 1), ("<=", MAX_ELEMENTS))
     m_bs: int = _key(6, "int", "BS RF chains")
     m_ms: int = _key(4, "int", "MS RF chains")
-    n_streams: int = _key(4, "int", "spatial streams")
-    carrier_freq_hz: float = _key(1.6e12, "float", "carrier frequency (Hz)")
-    bs_ris_m: float = _key(10.0, "float", "BS to RIS distance (m)")
-    ris_ms_m: float = _key(20.0, "float", "RIS to MS distance (m)")
-    bs_ms_m: float = _key(25.0, "float", "BS to MS direct distance (m)")
-    kappa_per_m: float = _key(0.2, "float", "molecular absorption coefficient (1/m)")
-    xi: float = _key(1e-6, "float", "material reflection coefficient of scatterers")
-    n_nlos: int = _key(2, "int", "reflected paths per RIS hop")
-    n_nlos_direct: int = _key(3, "int", "reflected paths of the blocked direct link")
-    nlos_excess_min_m: float = _key(1.0, "float", "min detour excess of reflected paths (m)")
+    n_streams: int = _key(4, "int", "spatial streams", (">=", 1))
+    carrier_freq_hz: float = _key(1.6e12, "float", "carrier frequency (Hz)", (">", 0))
+    bs_ris_m: float = _key(10.0, "float", "BS to RIS distance (m)", (">", 0))
+    ris_ms_m: float = _key(20.0, "float", "RIS to MS distance (m)", (">", 0))
+    bs_ms_m: float = _key(25.0, "float", "BS to MS direct distance (m)", (">", 0))
+    kappa_per_m: float = _key(0.2, "float", "molecular absorption coefficient (1/m)", (">=", 0))
+    xi: float = _key(1e-6, "float", "material reflection coefficient of scatterers",
+                     (">=", 0), ("<=", 1))
+    n_nlos: int = _key(2, "int", "reflected paths per RIS hop", (">=", 0), ("<=", MAX_PATHS))
+    n_nlos_direct: int = _key(3, "int", "reflected paths of the blocked direct link",
+                              (">=", 1), ("<=", MAX_PATHS))
+    nlos_excess_min_m: float = _key(1.0, "float", "min detour excess of reflected paths (m)",
+                                    (">=", 0))
     nlos_excess_max_m: float = _key(10.0, "float", "max detour excess of reflected paths (m)")
-    ris_element_period_m: float = _key(70e-6, "float", "RIS element side length / spacing (m)")
-    phi_max_deg: float = _key(306.82, "float", "maximum element phase response (deg)")
-    bits: int = _key(2, "int", "phase quantization bits")
-    mean_amplitude: float = _key(0.8, "float", "mean reflecting amplitude in [0.5, 1]")
+    ris_element_period_m: float = _key(70e-6, "float", "RIS element side length / spacing (m)",
+                                       (">", 0))
+    phi_max_deg: float = _key(306.82, "float", "maximum element phase response (deg)",
+                              (">", 0), ("<=", 360))
+    bits: int = _key(2, "int", "phase quantization bits", (">=", 1), ("<=", MAX_BITS))
+    mean_amplitude: float = _key(0.8, "float", "mean reflecting amplitude in [0.5, 1]",
+                                 (">=", 0.5), ("<=", 1))
     snr_grid_db: tuple = _key((-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0), "float_list",
-                              "SNR grid (dB)")
-    n_realizations: int = _key(50, "int", "Monte-Carlo channel realizations")
+                              "SNR grid (dB)", (">=", -MAX_SNR_DB), ("<=", MAX_SNR_DB))
+    n_realizations: int = _key(50, "int", "Monte-Carlo channel realizations", (">=", 1))
     master_seed: int = _key(1, "int", "64-bit master seed")
     schemes: tuple = _key(("agd", "cgd", "no_ris", "random"), "str_list",
                           f"subset of {'/'.join(SCHEMES)}")
     sweep: str = _key("none", "str", f"swept field, one of {'/'.join(SWEEPS)}")
     sweep_grid: tuple = _key((), "float_list", "values of the swept field (empty for none)")
     direct_blockage_db: float = _key(20.0, "float", "excess obstruction loss of the blocked "
-                                     "direct link (dB)")
+                                     "direct link (dB)", (">=", 0))
     optimizer: OptimizerSettings = OptimizerSettings(fixed_step="auto")
 
     def codebook(self) -> PhaseCodebook:
@@ -147,54 +162,31 @@ class ExperimentConfig:
                               mean_amplitude=self.mean_amplitude)
 
     def validate(self) -> None:
+        """Raise ConfigError at the first failed check: each key in field order (its
+        values finite, no value repeated in a list, each in its declared range), then
+        phi_max_deg's span in radians, the orders between keys (_ORDERS), the hops'
+        references and the direct hop's gain and rate bound, the schemes and the sweep,
+        whose point configs are validated too."""
         for key, value in _config_values(self).items():
-            kind = CONFIG_SCHEMA[key][0]
-            if kind.startswith("float") and not all(
-                    v == "auto" or math.isfinite(v)
-                    for v in (value if kind == "float_list" else (value,))):
+            decl = CONFIG_SCHEMA[key]
+            values = value if decl["kind"].endswith("_list") else (value,)
+            if decl["kind"].startswith("float") and not all(
+                    v == "auto" or math.isfinite(v) for v in values):
                 raise ConfigError(f"{key} must be finite, got {_format_value(value)}", key)
-        if not self.n_bs >= self.m_bs:
-            raise ConfigError(f"n_bs >= m_bs violated ({self.n_bs} < {self.m_bs})")
-        if not self.m_bs >= self.n_streams:
-            raise ConfigError(f"m_bs >= n_streams violated ({self.m_bs} < {self.n_streams})")
-        if not self.n_ms >= self.m_ms:
-            raise ConfigError(f"n_ms >= m_ms violated ({self.n_ms} < {self.m_ms})")
-        if not self.m_ms >= self.n_streams:
-            raise ConfigError(f"m_ms >= n_streams violated ({self.m_ms} < {self.n_streams})")
-        for key in ("n_bs", "n_ris", "n_ms", "n_streams", "n_realizations",
-                    "n_nlos_direct", "bits"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1", key)
-        if self.bits > MAX_BITS:
-            raise ConfigError(f"bits must be <= {MAX_BITS}", "bits")
-        for key in ("n_nlos", "n_nlos_direct"):
-            if getattr(self, key) > MAX_PATHS:
-                raise ConfigError(f"{key} must be <= {MAX_PATHS}", key)
-        for key in ("n_bs", "n_ris", "n_ms"):
-            if getattr(self, key) > MAX_ELEMENTS:
-                raise ConfigError(f"{key} must be <= {MAX_ELEMENTS}", key)
-        for key in ("carrier_freq_hz", "bs_ris_m", "ris_ms_m", "bs_ms_m",
-                    "ris_element_period_m"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be > 0", key)
-        for key in ("kappa_per_m", "n_nlos", "nlos_excess_min_m", "direct_blockage_db"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0", key)
-        if self.nlos_excess_min_m > self.nlos_excess_max_m:
-            raise ConfigError("nlos_excess_min_m <= nlos_excess_max_m violated "
-                              f"(min {self.nlos_excess_min_m}, max {self.nlos_excess_max_m})")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ConfigError("xi must lie in [0, 1]", "xi")
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{key} repeats a value: {_format_value(value)}", key)
+            for op, bound in decl.get("bounds", ()):
+                if not all(_OPS[op](v, bound) for v in values):
+                    raise ConfigError(f"{key} must be {op} {bound}", key)
         # in radians, so that a subnormal value cannot leave the codebook a 0 rad span
-        if not (0.0 < math.radians(self.phi_max_deg) and self.phi_max_deg <= 360.0):
+        if not 0.0 < math.radians(self.phi_max_deg):
             raise ConfigError("phi_max_deg must lie in (0, 360]", "phi_max_deg")
-        if not 0.5 <= self.mean_amplitude <= 1.0:
-            raise ConfigError("mean_amplitude must lie in [0.5, 1]", "mean_amplitude")
+        for a, op, b in _ORDERS:
+            va, vb = getattr(self, a), getattr(self, b)
+            if not _OPS[op](va, vb):
+                raise ConfigError(f"{a} {op} {b} violated ({a} = {va}, {b} = {vb})")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must not be empty", "snr_grid_db")
-        if any(abs(snr) > MAX_SNR_DB for snr in self.snr_grid_db):
-            raise ConfigError(f"snr_grid_db values must lie in [-{MAX_SNR_DB}, {MAX_SNR_DB}] dB, "
-                              f"got {_format_value(self.snr_grid_db)}", "snr_grid_db")
         for hop in Hop:
             ref = _magnitude(channel.hop_reference, self, hop)
             if not 0.0 < ref < math.inf:
@@ -226,10 +218,6 @@ class ExperimentConfig:
                               + (f"; unknown: {sorted(unknown)}" if unknown else ""), "schemes")
         if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep must be one of {SWEEPS}", "sweep")
-        for key in ("schemes", "snr_grid_db", "sweep_grid"):
-            values = getattr(self, key)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{key} repeats a value: {_format_value(values)}", key)
         # (2^bits)^n_ris > LIMIT, compared by exponent: the power itself grows with n_ris
         if "exhaustive" in self.schemes and \
                 self.bits * self.n_ris >= optimizer.EXHAUSTIVE_LIMIT.bit_length():
@@ -316,10 +304,10 @@ def _direct_result(config: ExperimentConfig, r: int) -> tuple:
     return rates, 0, (time.perf_counter() - t0) * 1e3
 
 
-def _run_point(cfgs: list, schemes, real, roots: tuple, target=None, cgd=None) -> list:
+def _run_point(cfgs: list, schemes, real, target=None, cgd=None) -> list:
     """One scheme -> (rates, iterations, wall ms) dict per point config of a group, for the
-    RIS schemes on one realization given its hops' roots (P1, P2) (_roots). Rates come
-    from the path core P2^H diag(theta) P1, at most L2 x L1, with the singular values of
+    RIS schemes on one realization. Rates come from the path core P2^H diag(theta) P1 of
+    its roots (real.roots), at most L2 x L1, with the singular values of
     H2 diag(theta) H1. A-GD descends once on the trace-normalized form of the referenced
     hops, which only A-GD and exhaustive search read, until a best objective reaches
     `target`; it and C-GD's (best phases, wall ms), `cgd`, come from _factor_descents.
@@ -331,6 +319,7 @@ def _run_point(cfgs: list, schemes, real, roots: tuple, target=None, cgd=None) -
             channel.referenced_hop(real.config, Hop.BS_RIS, real.paths_h1),
             channel.referenced_hop(real.config, Hop.RIS_MS, real.paths_h2)).trace_normalized()
     descents = {} if cgd is None else {"cgd": cgd}   # scheme -> (best phases, wall ms)
+    p1, p2 = real.roots
     if "agd" in schemes:
         t0, mu = time.perf_counter(), cfgs[0].mean_amplitude
         best = optimizer.run_agd(form, mu, cfgs[0].optimizer, target).best_phases_rad
@@ -352,7 +341,7 @@ def _run_point(cfgs: list, schemes, real, roots: tuple, target=None, cgd=None) -
                 phases, _ = optimizer.run_exhaustive(form, codebook)
                 n_iters = codebook.size ** cfg.n_ris
             theta = codebook.mean_amplitude * np.exp(1j * phases)
-            core = (roots[1].conj().T * theta) @ roots[0]   # P2^H diag(theta) P1
+            core = (p2.conj().T * theta) @ p1   # P2^H diag(theta) P1
             point[scheme] = (_rates_for_channel(core, cfg), n_iters,
                              shared_ms + (time.perf_counter() - t0) * 1e3)
         out.append(point)
@@ -397,53 +386,50 @@ def _blas_threads(n: int):
 @_blas_threads(1)
 def replay_realization(path, snr_db: float) -> tuple:
     """The agd and random rates at snr_db of one dumped realization, re-derived by the
-    sweep's own per-point code under the dumped point config from roots and a factor
-    built here as the sweep builds them. Returns (summary lines: seed, and each hop's
-    shape, Frobenius norm and path count; point config; {scheme: rate})."""
+    sweep's own per-point code under the dumped point config, from the roots that
+    load_realization built to check the dump and a factor built from them as the sweep
+    builds it. Returns (summary lines: seed, and each hop's shape, Frobenius norm and
+    path count; point config; {scheme: rate})."""
     real = channel.load_realization(path)
-    cfg = replace(real.config, snr_grid_db=(snr_db,))
-    roots, summary = _roots(cfg, (real.paths_h1, real.paths_h2)), [f"seed {real.seed}"]
-    for hop, paths, root in zip((Hop.BS_RIS, Hop.RIS_MS), (real.paths_h1, real.paths_h2), roots):
+    cfg, summary = replace(real.config, snr_grid_db=(snr_db,)), [f"seed {real.seed}"]
+    for hop, paths, root in zip((Hop.BS_RIS, Hop.RIS_MS), (real.paths_h1, real.paths_h2),
+                                real.roots):
         norm = channel.hop_reference(cfg, hop) * float(np.linalg.norm(root))
         rx, tx = channel.hop_arrays(cfg, hop)
         summary.append(f"{hop.value} {rx.size}x{tx.size}  ||{hop.value}||_F = "
                        f"{norm:.6e}  paths = {len(paths)}")
-    targets, _ = _factor_descents(cfg, [roots], ("agd",))
-    point, = _run_point([cfg], ("agd", "random"), real, roots, targets[0])
+    targets, _ = _factor_descents(cfg, [real], ("agd",))
+    point, = _run_point([cfg], ("agd", "random"), real, targets[0])
     return summary, cfg, {scheme: float(res[0][0]) for scheme, res in point.items()}
 
 
-def _ris_paths(config: ExperimentConfig, r: int, tag: str = "") -> tuple:
-    """Realization r's (BS-RIS, RIS-MS) path lists, drawn from the streams tag + hop:
+def _ris_paths(config: ExperimentConfig, r: int, tag: str = "") -> channel.ChannelRealization:
+    """Realization r of both RIS hops, its path lists drawn from the streams tag + hop:
     tag "" for the sweep's, "calib-" for calibration's."""
-    return tuple(_draw_paths(config, hop, r, tag) for hop in (Hop.BS_RIS, Hop.RIS_MS))
+    return channel.ChannelRealization(
+        *(_draw_paths(config, hop, r, tag) for hop in (Hop.BS_RIS, Hop.RIS_MS)),
+        realization=r, config=config)
 
 
-def _roots(config: ExperimentConfig, paths: tuple) -> tuple:
-    """Thin roots (P1, P2) (channel.ris_root) of one realization's RIS hops' path lists."""
-    return tuple(channel.ris_root(config, hop, hop_paths)
-                 for hop, hop_paths in zip((Hop.BS_RIS, Hop.RIS_MS), paths))
-
-
-def _factor_descents(config: ExperimentConfig, roots: list, schemes) -> tuple:
+def _factor_descents(config: ExperimentConfig, reals: list, schemes) -> tuple:
     """Each realization's A-GD target and C-GD (best phases, wall ms) for a point group
     whose first point config is `config`, from the thin factors of its realizations'
     roots, built here and freed on return; None unless agd or cgd (for C-GD's, cgd) is in
     `schemes`. A-GD stops at U (1 - AGD_CERTIFICATE_RTOL) of its factor (_objective_bound);
     C-GD descends at the group's step as one block, a realization's ms its share."""
-    none, mu = [None] * len(roots), config.mean_amplitude
+    none, mu = [None] * len(reals), config.mean_amplitude
     if "agd" not in schemes and "cgd" not in schemes:
         return none, none
-    p1, p2 = roots[0]   # filled in turn: np.stack of a list holds every factor twice
-    factors = np.empty((len(roots), len(p1), p1.shape[1] * p2.shape[1]), dtype=complex)
-    for g, pair in zip(factors, roots):
-        g[...] = optimizer.trace_normalized_factor(*pair)
+    p1, p2 = reals[0].roots   # filled in turn: np.stack of a list holds every factor twice
+    factors = np.empty((len(reals), len(p1), p1.shape[1] * p2.shape[1]), dtype=complex)
+    for g, real in zip(factors, reals):
+        g[...] = optimizer.trace_normalized_factor(*real.roots)
     targets = [_objective_bound(g[None], mu) * (1 - AGD_CERTIFICATE_RTOL) for g in factors]
     if "cgd" not in schemes:
         return targets, none
     t0, opt = time.perf_counter(), config.optimizer
     _, best = optimizer.fixed_step_descents(factors, (opt.fixed_step,), mu, opt.max_iterations)
-    ms = (time.perf_counter() - t0) * 1e3 / len(roots)
+    ms = (time.perf_counter() - t0) * 1e3 / len(reals)
     return targets, [(phases, ms) for phases in best[:, 0]]
 
 
@@ -492,8 +478,8 @@ def calibrate_fixed_step(config: ExperimentConfig) -> float:
     B, and a smaller step, which failed against b, fails against B. So a
     certified p is the rule's pick on all 5 means. A mean that is not finite
     in a block that runs raises ValueError."""
-    factors = np.stack([optimizer.trace_normalized_factor(*_roots(config, _ris_paths(
-        config, c, "calib-"))) for c in range(CGD_CALIBRATION_REALIZATIONS)])
+    factors = np.stack([optimizer.trace_normalized_factor(*_ris_paths(config, c, "calib-").roots)
+                        for c in range(CGD_CALIBRATION_REALIZATIONS)])
     first, rest = CGD_CALIBRATION_GRID[:2], CGD_CALIBRATION_GRID[2:]
     means = _calibration_means(config, factors, first)
     pick = _tie_pick(first, means)
@@ -534,19 +520,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
                 opt = replace(cfgs[0].optimizer, fixed_step=calibrate_fixed_step(cfgs[0]))
                 cfgs = [replace(cfg, optimizer=opt) for cfg in cfgs]
             # each realization's RIS path lists, drawn once for the dumps, roots and form
-            paths = [_ris_paths(cfgs[0], r) for r in range(n_real)]
-            reals = [channel.ChannelRealization(*pair, realization=r, config=cfgs[0])
-                     for r, pair in enumerate(paths)]
+            reals = [_ris_paths(cfgs[0], r) for r in range(n_real)]
             if dump_dir is not None:
                 name = config.sweep   # the file name carries the swept field's value
                 for cfg in cfgs:
                     suffix = "" if name == "none" else f"_{name}{getattr(cfg, name)}"
                     for r, real in enumerate(reals):
                         channel.dump_realization(real, cfg, f"{dump_dir}/real{r:05d}{suffix}.txt")
-            roots = [_roots(cfgs[0], pair) for pair in paths] if ris_schemes else []
-            targets, cgd = _factor_descents(cfgs[0], roots, config.schemes)
-            results = list(pool_map(partial(_run_point, cfgs, ris_schemes), reals, roots,
-                                    targets, cgd))   # empty without a RIS scheme
+            targets, cgd = _factor_descents(cfgs[0], reals, config.schemes)
+            results = list(pool_map(partial(_run_point, cfgs, ris_schemes),
+                                    reals if ris_schemes else [], targets, cgd))
             points += [(value, scheme, direct if scheme == "no_ris"
                         else [res[k][scheme] for res in results])
                        for k, (value, _) in enumerate(group) for scheme in config.schemes]
@@ -588,10 +571,10 @@ def emit_csv(rows, path) -> None:
 
 # --- config files ------------------------------------------------------------
 
-# key -> (value kind, documentation), in field order: each key is the name of an
-# ExperimentConfig field but `optimizer`, or of an OptimizerSettings field
-CONFIG_SCHEMA = {f.name: (f.metadata["kind"], f.metadata["doc"])
-                 for f in fields(ExperimentConfig) + fields(OptimizerSettings)
+# key -> its field's declaration (kind, doc and, on an ExperimentConfig field, bounds;
+# _key), in field order: each key is the name of an ExperimentConfig field but
+# `optimizer`, or of an OptimizerSettings field
+CONFIG_SCHEMA = {f.name: f.metadata for f in fields(ExperimentConfig) + fields(OptimizerSettings)
                  if f.name != "optimizer"}
 
 
@@ -660,7 +643,7 @@ def parse_config(raw_lines, path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        values[key] = _parse_value(CONFIG_SCHEMA[key][0], val, f"{path}:{lineno}: {key}")
+        values[key] = _parse_value(CONFIG_SCHEMA[key]["kind"], val, f"{path}:{lineno}: {key}")
         line_of[key] = lineno
     try:
         config = _build_config(values)
@@ -691,8 +674,8 @@ def config_reference() -> str:
     width = max(len(k) for k in CONFIG_SCHEMA)
     lines = ["# experiment config keys (key = default): file format is",
              "# 'key = value' per line, '#' comments, lists comma-separated"]
-    for key, (_, doc) in CONFIG_SCHEMA.items():
-        lines.append(f"{key:<{width}} = {_format_value(defaults[key]):<24} # {doc}")
+    for key, decl in CONFIG_SCHEMA.items():
+        lines.append(f"{key:<{width}} = {_format_value(defaults[key]):<24} # {decl['doc']}")
     return "\n".join(lines) + "\n"
 
 

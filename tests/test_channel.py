@@ -7,16 +7,18 @@ Frozen gain values come from a standalone 50-digit evaluation.
 
 import cmath
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from thzris import channel
 from thzris.channel import (SPEED_OF_LIGHT, ArrayGeometry, Hop, PathKind, hop_arrays,
                             hop_factors, hop_matrix, hop_reference, los_gain,
                             nlos_gain, referenced_hop, ris_root, sample_channel, sample_paths,
                             upa_dims, upa_response)
-from thzris.harness import ExperimentConfig, preset, stream_rng
+from thzris.harness import ExperimentConfig, _ris_paths, preset, stream_rng
 from thzris.optimizer import build_quadratic_form
 
 WAVELENGTH = SPEED_OF_LIGHT / 1.6e12
@@ -270,6 +272,20 @@ class TestRisRoot:
             raw = np.linalg.norm(hop_matrix(cfg, hop, paths))
             norm = hop_reference(cfg, hop) * np.linalg.norm(p)
             assert norm == pytest.approx(raw, rel=1e-12)
+
+    def test_realization_keeps_roots_through_pickle(self, monkeypatch):
+        """ChannelRealization.roots is both hops' ris_root, built at the first
+        access and kept, also in a copy pickled to a worker, which builds none."""
+        cfg, built, root = tiny_config(), [], channel.ris_root
+        monkeypatch.setattr(channel, "ris_root", lambda *args: built.append(args[1]) or root(*args))
+        real = _ris_paths(cfg, 0)
+        p1, p2 = real.roots
+        assert real.roots[0] is p1 and built == [Hop.BS_RIS, Hop.RIS_MS]
+        assert np.array_equal(p1, root(cfg, Hop.BS_RIS, real.paths_h1))
+        assert np.array_equal(p2, root(cfg, Hop.RIS_MS, real.paths_h2))
+        sent = pickle.loads(pickle.dumps(real))
+        assert sent == real and all(map(np.array_equal, sent.roots, real.roots))
+        assert built == [Hop.BS_RIS, Hop.RIS_MS]
 
 
 class TestPresetRegime:

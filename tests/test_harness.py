@@ -51,16 +51,25 @@ def calib_hop(cfg: ExperimentConfig, hop: Hop, c: int) -> np.ndarray:
     return channel.sample_channel(cfg, hop, rng)[0] / channel.hop_reference(cfg, hop)
 
 
-def factor(cfg: ExperimentConfig, paths: tuple) -> np.ndarray:
-    """The trace-normalized thin factor G of one realization's RIS path lists."""
-    return optimizer.trace_normalized_factor(*harness._roots(cfg, paths))
+def beyond(kind: str, op: str, bound):
+    """The value of a key of `kind` one step beyond `op bound`, the nearest that
+    fails it: the bound itself for a strict op, else the next int or float past it."""
+    if op == ">":
+        return bound
+    direction = -1 if op == ">=" else 1
+    return bound + direction if kind == "int" else math.nextafter(bound, direction * math.inf)
+
+
+def factor(real: channel.ChannelRealization) -> np.ndarray:
+    """The trace-normalized thin factor G of one realization's RIS hops."""
+    return optimizer.trace_normalized_factor(*real.roots)
 
 
 def one_block_pick(cfg: ExperimentConfig) -> float:
     """The tie rule on one block of all 5 grid steps: the smallest step whose mean
     best objective over the 10 calibration forms is within
     CGD_CALIBRATION_TIE_RTOL (relative) of the best mean."""
-    factors = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+    factors = np.stack([factor(harness._ris_paths(cfg, c, "calib-"))
                         for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
     means = optimizer.fixed_step_descents(factors, harness.CGD_CALIBRATION_GRID,
                                           cfg.mean_amplitude,
@@ -175,7 +184,7 @@ class TestLoadConfig:
         about several keys, or about a key left at its default, names the file."""
         path = tmp_path / "bad.cfg"
         cases = [
-            ("n_bs = 4\nm_bs = 6", None, "n_bs >= m_bs"),
+            ("n_bs = 4\nm_bs = 6", None, "n_bs >= m_bs violated (n_bs = 4, m_bs = 6)"),
             ("kappa_per_m = nan", 1, "kappa_per_m must be finite"),
             ("bs_ris_m = inf", 1, "bs_ris_m must be finite"),
             ("snr_grid_db = 0, nan", 1, "snr_grid_db must be finite"),
@@ -183,7 +192,7 @@ class TestLoadConfig:
             ("fixed_step = nan", 1, "fixed_step must be finite"),
             ("n_bs = 8\nmax_iterations = 0", 2, "max_iterations must be >= 1"),
             ("fixed_step = -1", 1, "fixed_step must be > 0"),
-            ("# a comment\n\nxi = 2", 3, "xi must lie in [0, 1]"),
+            ("# a comment\n\nxi = 2", 3, "xi must be <= 1"),
             ("nlos_excess_min_m = -50", 1, "nlos_excess_min_m must be >= 0"),
             ("nlos_excess_min_m = 20", None, "nlos_excess_min_m <= nlos_excess_max_m violated"),
             ("sweep = bits", None, "needs a non-empty sweep_grid"),
@@ -230,8 +239,8 @@ class TestLoadConfig:
             ("kappa_per_m = 0\nbs_ms_m = 1\nschemes = no_ris\nbs_ris_m = 1e78\n"
              "ris_ms_m = 1e78\nsnr_grid_db = -300", None,
              "direct hop's rate terms are bounded by inf"),
-            ("snr_grid_db = 4000", 1, "snr_grid_db values must lie in [-300, 300] dB"),
-            ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db values must lie in [-300, 300]"),
+            ("snr_grid_db = 4000", 1, "snr_grid_db must be <= 300"),
+            ("n_bs = 8\nsnr_grid_db = 0, 3050", 2, "snr_grid_db must be <= 300"),
             ("schemes = random, random", 1, "schemes repeats a value: random,random"),
             ("snr_grid_db = 10, 10", 1, "snr_grid_db repeats a value: 10.0,10.0"),
             ("schemes = agd,,random,", 1, "schemes: empty list item in 'agd,,random,'"),
@@ -249,15 +258,49 @@ class TestLoadConfig:
     def test_schema_reaches_every_field(self):
         """Each ExperimentConfig field but `optimizer`, and each OptimizerSettings
         field, declares its key's kind and doc, and no key is declared twice: a
-        field without a declaration would drop out of config files and dumps."""
+        field without a declaration would drop out of config files and dumps. An
+        ExperimentConfig key's range is (op, bound) pairs of validate()'s operators."""
         keys = [f for f in fields(ExperimentConfig) + fields(OptimizerSettings)
                 if f.name != "optimizer"]
         for f in keys:
-            assert set(f.metadata) == {"kind", "doc"}, f.name
+            assert {"kind", "doc"} <= set(f.metadata) <= {"kind", "doc", "bounds"}, f.name
             assert f.metadata["kind"] in ("int", "float", "str", "float_list", "str_list",
                                           "float_or_auto") and f.metadata["doc"], f.name
+            for op, bound in f.metadata.get("bounds", ()):
+                assert op in harness._OPS and isinstance(bound, (int, float)), f.name
         assert len({f.name for f in keys}) == len(keys)
         assert list(CONFIG_SCHEMA) == [f.name for f in keys]
+        for a, op, b in harness._ORDERS:
+            assert op in harness._OPS and {a, b} <= set(CONFIG_SCHEMA)
+
+    def test_every_declared_bound_rejected(self, tmp_path):
+        """A value one step beyond each declared bound, set alone, fails on its
+        line with `<key> must be <op> <bound>`; generated from the fields, so a
+        new declaration is covered with no new case."""
+        path, cases = tmp_path / "bad.cfg", []
+        for f in fields(ExperimentConfig):
+            for op, bound in f.metadata.get("bounds", ()):
+                cases.append((f.name, op, bound))
+                value = beyond(f.metadata["kind"], op, bound)
+                path.write_text(f"# one step past a bound\n{f.name} = {value!r}\n")
+                with pytest.raises(ConfigError) as exc:
+                    load_config(path)
+                assert str(exc.value) == f"{path}:2: {f.name} must be {op} {bound}"
+        assert {("n_bs", ">=", 1), ("n_bs", "<=", harness.MAX_ELEMENTS), ("xi", "<=", 1),
+                ("snr_grid_db", ">=", -harness.MAX_SNR_DB)} <= set(cases)
+
+    def test_every_order_rejected(self, tmp_path):
+        """Each _ORDERS row (a, op, b), broken by setting a one step beyond b's
+        default, fails naming the file only, with that row's message."""
+        path, defaults = tmp_path / "bad.cfg", ExperimentConfig()
+        for a, op, b in harness._ORDERS:
+            vb = getattr(defaults, b)
+            va = beyond(CONFIG_SCHEMA[a]["kind"], op, vb)
+            path.write_text(f"{a} = {va!r}\n")
+            with pytest.raises(ConfigError) as exc:
+                load_config(path)
+            assert str(exc.value) == f"{path}: {a} {op} {b} violated ({a} = {va}, {b} = {vb})"
+        assert ("n_bs", ">=", "m_bs") in harness._ORDERS
 
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -363,18 +406,18 @@ class TestPathCoreRates:
         _run_point, the core's rates equal the dense cascade's to 1e-12."""
         cfg, rng = self.config(name, overrides), np.random.default_rng(11)
         for r in range(3):
-            paths = harness._ris_paths(cfg, r)
+            real = harness._ris_paths(cfg, r)
             h1, h2 = (channel.referenced_hop(cfg, hop, hop_paths)
-                      for hop, hop_paths in zip((Hop.BS_RIS, Hop.RIS_MS), paths))
-            p1, p2 = roots = harness._roots(cfg, paths)
-            assert p2.conj().T.shape[0] == min(cfg.n_ms, len(paths[1]))
+                      for hop, hop_paths in ((Hop.BS_RIS, real.paths_h1),
+                                             (Hop.RIS_MS, real.paths_h2)))
+            p1, p2 = real.roots
+            assert p2.conj().T.shape[0] == min(cfg.n_ms, len(real.paths_h2))
             theta = cfg.mean_amplitude * np.exp(1j * rng.uniform(0.0, 2 * math.pi, cfg.n_ris))
             np.testing.assert_allclose(
                 harness._rates_for_channel((p2.conj().T * theta) @ p1, cfg),
                 harness._rates_for_channel(beamforming.cascaded_channel(h1, h2, theta), cfg),
                 rtol=1e-12, atol=0.0)
-            real = channel.ChannelRealization(*paths, realization=r, config=cfg)
-            point, = harness._run_point([cfg], ("random",), real, roots)
+            point, = harness._run_point([cfg], ("random",), real)
             codebook = cfg.codebook()
             phases = optimizer.run_random_phase(
                 cfg.n_ris, codebook, harness.stream_rng(cfg.master_seed, r, "random"))
@@ -398,11 +441,12 @@ class TestPathCoreRates:
         """A NaN path gain makes the core and the direct root NaN, and the rates
         raise LinAlgError as the dense cascade's do."""
         cfg = tiny_config()
-        h1_paths, h2_paths = harness._ris_paths(cfg, 0)
+        real = harness._ris_paths(cfg, 0)
+        h2_paths = real.paths_h2
         h2_paths = (replace(h2_paths[0], complex_gain=complex(math.nan, 0.0)),) + h2_paths[1:]
-        real = channel.ChannelRealization(h1_paths, h2_paths, realization=0, config=cfg)
+        real = replace(real, paths_h2=h2_paths)
         with pytest.raises(np.linalg.LinAlgError):
-            harness._run_point([cfg], ("random",), real, harness._roots(cfg, (h1_paths, h2_paths)))
+            harness._run_point([cfg], ("random",), real)
         direct = harness._draw_paths(cfg, Hop.BS_MS_DIRECT, 0)
         direct = (replace(direct[0], complex_gain=complex(math.nan, 0.0)),) + direct[1:]
         with pytest.raises(np.linalg.LinAlgError):
@@ -795,11 +839,9 @@ class TestAgdCertificate:
 
         monkeypatch.setattr(optimizer, "run_agd", recorded)
         for r in range(n_real):
-            real = channel.ChannelRealization(*harness._ris_paths(cfg, r), realization=r,
-                                              config=cfg)
-            roots = harness._roots(cfg, (real.paths_h1, real.paths_h2))
-            targets, _ = harness._factor_descents(cfg, [roots], ("agd",))
-            harness._run_point([cfg], ("agd",), real, roots, targets[0])
+            real = harness._ris_paths(cfg, r)
+            targets, _ = harness._factor_descents(cfg, [real], ("agd",))
+            harness._run_point([cfg], ("agd",), real, targets[0])
             trace, _, full = runs[-1]
             assert np.array_equal(optimizer.quantize_phases(trace.best_phases_rad, codebook),
                                   optimizer.quantize_phases(full.best_phases_rad, codebook))
@@ -856,6 +898,16 @@ class TestReplay:
         assert alive == [0]
         assert summary[0].startswith("seed ") and len(summary) == 3
         assert set(rates) == {"agd", "random"}
+
+    def test_roots_built_once(self, monkeypatch):
+        """A fig7-desk replay builds each RIS hop's root once: the roots that
+        load_realization builds to check the dump serve the summary, A-GD's
+        factor and the rates."""
+        built, root = [], channel.ris_root
+        monkeypatch.setattr(channel, "ris_root",
+                            lambda *args: built.append(args[1]) or root(*args))
+        harness.replay_realization(os.path.join(GOLDEN_DIR, "dump_fig7_desk_r0.txt"), 10.0)
+        assert built == [Hop.BS_RIS, Hop.RIS_MS]
 
 
 class TestCalibration:
@@ -928,7 +980,7 @@ class TestCalibration:
         for c in (0, 9):
             form, _ = optimizer.build_quadratic_form(
                 calib_hop(cfg, Hop.BS_RIS, c), calib_hop(cfg, Hop.RIS_MS, c)).trace_normalized()
-            g = factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+            g = factor(harness._ris_paths(cfg, c, "calib-"))
             assert g.shape == (cfg.n_ris, (1 + cfg.n_nlos) ** 2)
             err = np.linalg.norm(g @ g.conj().T - form.matrix)
             assert err <= 1e-12 * np.linalg.norm(form.matrix)
@@ -982,7 +1034,7 @@ class TestCalibration:
             table.append(objs)
             if float(np.mean(objs)) > best_mean:
                 best_step, best_mean = step, float(np.mean(objs))
-        factors = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+        factors = np.stack([factor(harness._ris_paths(cfg, c, "calib-"))
                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         streamed = optimizer.fixed_step_descents(
             factors, harness.CGD_CALIBRATION_GRID, cfg.mean_amplitude,
@@ -1144,7 +1196,7 @@ class TestCalibration:
         than the form (81 columns at n_nlos = 8), and on random Gaussian ones."""
         cfg = tiny_config(n_ris=n_ris, n_nlos=n_nlos, xi=xi,
                           optimizer=OptimizerSettings(max_iterations=400))
-        calib = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+        calib = np.stack([factor(harness._ris_paths(cfg, c, "calib-"))
                           for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         rng = np.random.default_rng(n_ris + n_nlos)
         gauss = rng.normal(size=(6, n_ris, 2 * n_nlos + 1)) \
@@ -1170,7 +1222,7 @@ class TestCalibration:
         5-step block would. (A block of one step multiplies by matrix-vector
         products, whose bits differ.)"""
         cfg = replace(preset(name), sweep="none", sweep_grid=(), **overrides)
-        factors = np.stack([factor(cfg, harness._ris_paths(cfg, c, "calib-"))
+        factors = np.stack([factor(harness._ris_paths(cfg, c, "calib-"))
                             for c in range(harness.CGD_CALIBRATION_REALIZATIONS)])
         grid = harness.CGD_CALIBRATION_GRID
         run = partial(optimizer.fixed_step_descents, factors, mean_amplitude=cfg.mean_amplitude,

@@ -20,7 +20,7 @@ from thzris.channel import (Hop, hop_reference, referenced_hop, sample_channel,
 from thzris.graphene import build_codebook
 from thzris import optimizer
 from thzris.harness import (AGD_CERTIFICATE_RTOL, ExperimentConfig, _objective_bound,
-                            _ris_paths, _roots, stream_rng)
+                            _ris_paths, stream_rng)
 from thzris.harness import preset as load_preset
 from thzris.optimizer import (C2_EPSILON, FALLBACK_STEP, OptimizerSettings,
                               QuadraticForm, _block_terms, adaptive_step,
@@ -576,7 +576,7 @@ class TestCertifiedStop:
         of k iterations."""
         form, cfg = sweep_form(preset, n_ris, r)
         mu, settings = cfg.mean_amplitude, cfg.optimizer
-        target = self.target(trace_normalized_factor(*_roots(cfg, _ris_paths(cfg, r))), mu)
+        target = self.target(trace_normalized_factor(*_ris_paths(cfg, r).roots), mu)
         trace = run_agd(form, mu, settings, target)
         full = run_agd(form, mu, settings)
         objs = [row[1] for row in full.iterations]
@@ -676,7 +676,7 @@ def sweep_factors(preset, n_ris, realizations) -> np.ndarray:
     """(R, N, L) stack of the sweep's thin factors of the given realizations at
     n_ris elements of a preset, as the sweep's C-GD block receives them."""
     cfg = replace(load_preset(preset), sweep="none", sweep_grid=(), n_ris=n_ris)
-    return np.stack([trace_normalized_factor(*_roots(cfg, _ris_paths(cfg, r)))
+    return np.stack([trace_normalized_factor(*_ris_paths(cfg, r).roots)
                      for r in realizations])
 
 
